@@ -12,8 +12,9 @@ Verification is witness-first: a bundled witness is rechecked exactly
 none is supplied or the bundled one fails.
 """
 
+from __future__ import annotations
+
 from dataclasses import dataclass
-from typing import Optional
 
 from .field import Scalar
 from .linalg import (
@@ -255,9 +256,9 @@ class DecompositionSystem:
 @dataclass(frozen=True)
 class Certificate:
     verdict: str
-    witness: Optional[RealizationWitness] = None
-    failing_transposition: Optional[int] = None
-    detail: Optional[str] = None
+    witness: RealizationWitness | None = None
+    failing_transposition: int | None = None
+    detail: str | None = None
 
 
 # ---------------------------------------------------------------------------

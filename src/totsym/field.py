@@ -1,139 +1,217 @@
 """Exact scalar arithmetic in the degree-8 number field Q(i, sqrt2, sqrt3).
 
-Every scalar is stored as an 8-tuple of rationals over the fixed ordered
-basis
+Every scalar is the vector of its rational coordinates over the fixed
+ordered basis
 
     1, sqrt2, sqrt3, sqrt6, i, i*sqrt2, i*sqrt3, i*sqrt6
 
-and all operations are exact.  This field is closed under every operation
-the rest of the package performs (the sixth root of unity zeta, the
-quadratic root mu of 3x^2 + 2x + 3, and all matrix entries that appear in
-the catalog live here), so no floating point ever enters.
+held as eight Python int numerators over one shared positive denominator.
+The form is canonical: gcd(denominator, *numerators) == 1 and zero is
+eight zeros over 1, so equality and hashing compare integer tuples.
+Products are integer convolutions with a single gcd at the end, and the
+inverse conjugates once per step of the tower Q < Q(sqrt2) < Q(sqrt2, sqrt3)
+< K, which needs no elimination.
+
+This field is closed under every operation the rest of the package
+performs (the sixth root of unity zeta, the quadratic root mu of
+3x^2 + 2x + 3, and all matrix entries that appear in the catalog live
+here), so no floating point ever enters.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+from operator import add, neg, sub
 
 BASIS_LABELS = ("1", "sqrt2", "sqrt3", "sqrt6", "i", "i*sqrt2", "i*sqrt3", "i*sqrt6")
 
-_F0 = Fraction(0)
-_F1 = Fraction(1)
-
-# Basis index = 4*imag + r with r indexing (1, sqrt2, sqrt3, sqrt6).  The
-# real part of the table: sqrt2^a * sqrt3^b with exponents mod 2, carrying
-# 2s and 3s out as integer coefficients.
-_SQ_EXP = ((0, 0), (1, 0), (0, 1), (1, 1))
-_SQ_IDX = {v: k for k, v in enumerate(_SQ_EXP)}
-
-
-def _build_mul_table():
-    table = [[None] * 8 for _ in range(8)]
-    for i in range(8):
-        im1, r1 = divmod(i, 4)
-        a1, b1 = _SQ_EXP[r1]
-        for j in range(8):
-            im2, r2 = divmod(j, 4)
-            a2, b2 = _SQ_EXP[r2]
-            coef = (2 ** ((a1 + a2) // 2)) * (3 ** ((b1 + b2) // 2))
-            if im1 and im2:
-                coef = -coef
-            idx = 4 * ((im1 + im2) % 2) + _SQ_IDX[((a1 + a2) % 2, (b1 + b2) % 2)]
-            table[i][j] = (coef, idx)
-    return tuple(tuple(row) for row in table)
-
-
-_MUL = _build_mul_table()
+# Automorphisms of K as sign patterns on the coordinates: sigma_i fixes
+# Q(sqrt2, sqrt3) and sends i to -i, sigma_3 sends sqrt3 to -sqrt3 and
+# sigma_2 sends sqrt2 to -sqrt2.
+_SIGMA_I = (1, 1, 1, 1, -1, -1, -1, -1)
+_SIGMA_3 = (1, 1, -1, -1, 1, 1, -1, -1)
+_SIGMA_2 = (1, -1, 1, -1, 1, -1, 1, -1)
 
 
 class NotRepresentable(ValueError):
     """A requested square root does not exist inside the field."""
 
 
-class Scalar:
-    """An element of Q(i, sqrt2, sqrt3), kept as 8 exact rational coordinates."""
+def _conjugate(v, signs):
+    return tuple([s * x for s, x in zip(signs, v)])
 
-    __slots__ = ("c",)
+
+def _convolve(a, b):
+    """Integer coordinates of a*b for integer coordinate vectors a and b.
+
+    K = L(i) with L = Q(sqrt2, sqrt3): writing a = p + q*i and b = r + s*i
+    with p, q, r, s in L, a*b = (p*r - q*s) + (p*s + q*r)*i, and in L the
+    basis products sqrt2^2 = 2, sqrt3^2 = 3, sqrt6^2 = 6, sqrt2*sqrt3 =
+    sqrt6, sqrt2*sqrt6 = 2*sqrt3 and sqrt3*sqrt6 = 3*sqrt2 give the
+    coefficients below.
+    """
+    a0, a1, a2, a3, a4, a5, a6, a7 = a
+    b0, b1, b2, b3, b4, b5, b6, b7 = b
+    return (
+        a0 * b0 + 2 * a1 * b1 + 3 * a2 * b2 + 6 * a3 * b3
+        - a4 * b4 - 2 * a5 * b5 - 3 * a6 * b6 - 6 * a7 * b7,
+        a0 * b1 + a1 * b0 + 3 * (a2 * b3 + a3 * b2)
+        - a4 * b5 - a5 * b4 - 3 * (a6 * b7 + a7 * b6),
+        a0 * b2 + a2 * b0 + 2 * (a1 * b3 + a3 * b1)
+        - a4 * b6 - a6 * b4 - 2 * (a5 * b7 + a7 * b5),
+        a0 * b3 + a3 * b0 + a1 * b2 + a2 * b1
+        - a4 * b7 - a7 * b4 - a5 * b6 - a6 * b5,
+        a0 * b4 + a4 * b0 + 2 * (a1 * b5 + a5 * b1)
+        + 3 * (a2 * b6 + a6 * b2) + 6 * (a3 * b7 + a7 * b3),
+        a0 * b5 + a1 * b4 + a4 * b1 + a5 * b0
+        + 3 * (a2 * b7 + a3 * b6 + a6 * b3 + a7 * b2),
+        a0 * b6 + a2 * b4 + a4 * b2 + a6 * b0
+        + 2 * (a1 * b7 + a3 * b5 + a5 * b3 + a7 * b1),
+        a0 * b7 + a3 * b4 + a1 * b6 + a2 * b5
+        + a4 * b3 + a7 * b0 + a5 * b2 + a6 * b1,
+    )
+
+
+def _make(nums, den):
+    """A Scalar from numerators and a denominator already in canonical form."""
+    s = object.__new__(Scalar)
+    s.nums = nums
+    s.den = den
+    return s
+
+
+def _reduced(nums, den):
+    """A Scalar from integer numerators over a positive denominator."""
+    if den != 1:
+        g = gcd(den, *nums)
+        if g != 1:
+            return _make(tuple([x // g for x in nums]), den // g)
+    return _make(tuple(nums), den)
+
+
+def _ratio(x):
+    """(numerator, denominator) of a rational given as int, Fraction or text."""
+    if type(x) is int:
+        return x, 1
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
+    return x.numerator, x.denominator
+
+
+class Scalar:
+    """An element of Q(i, sqrt2, sqrt3): 8 integer numerators over one denominator.
+
+    ``nums`` and ``den`` are read-only by convention; ``gcd(den, *nums) == 1``
+    and ``den > 0`` always hold.
+    """
+
+    __slots__ = ("nums", "den")
 
     def __init__(self, coords):
-        c = tuple(x if isinstance(x, Fraction) else Fraction(x) for x in coords)
-        if len(c) != 8:
-            raise ValueError(f"expected 8 coordinates, got {len(c)}")
-        self.c = c
+        s = Scalar.from_ratios([_ratio(x) for x in coords])
+        self.nums = s.nums
+        self.den = s.den
+
+    @classmethod
+    def from_ratios(cls, ratios):
+        """The scalar whose coordinates are n/d for 8 integer pairs (n, d), d != 0."""
+        den = lcm(*(d for _, d in ratios))  # positive, whatever the signs of the d
+        nums = [n * (den // d) for n, d in ratios]
+        if len(nums) != 8:
+            raise ValueError(f"expected 8 coordinates, got {len(nums)}")
+        return _reduced(nums, den)
 
     @classmethod
     def rational(cls, p, q=1):
-        return cls((Fraction(p, q), _F0, _F0, _F0, _F0, _F0, _F0, _F0))
+        if type(p) is int and q == 1:
+            return _make((p, 0, 0, 0, 0, 0, 0, 0), 1)
+        f = Fraction(p, q)
+        return _make((f.numerator, 0, 0, 0, 0, 0, 0, 0), f.denominator)
 
     @classmethod
     def basis_element(cls, idx):
-        return cls(tuple(_F1 if t == idx else _F0 for t in range(8)))
+        return _make(tuple(1 if t == idx else 0 for t in range(8)), 1)
+
+    @property
+    def c(self):
+        """The 8 coordinates as reduced Fractions, in basis order."""
+        return tuple(Fraction(x, self.den) for x in self.nums)
 
     def is_zero(self):
-        return all(x == 0 for x in self.c)
+        return not any(self.nums)
 
     def is_rational(self):
-        return all(x == 0 for x in self.c[1:])
+        return not any(self.nums[1:])
 
     def rational_value(self):
         """The value as a Fraction; raises if the scalar is irrational."""
         if not self.is_rational():
             raise NotRepresentable(f"{self!r} is not rational")
-        return self.c[0]
+        return Fraction(self.nums[0], self.den)
 
     def __add__(self, other):
-        return Scalar(tuple(a + b for a, b in zip(self.c, other.c)))
+        a, d, b, e = self.nums, self.den, other.nums, other.den
+        if not any(b):
+            return self
+        if d == e:
+            return _reduced(tuple(map(add, a, b)), d)
+        return _reduced(tuple([x * e + y * d for x, y in zip(a, b)]), d * e)
 
     def __sub__(self, other):
-        return Scalar(tuple(a - b for a, b in zip(self.c, other.c)))
+        a, d, b, e = self.nums, self.den, other.nums, other.den
+        if not any(b):
+            return self
+        if d == e:
+            return _reduced(tuple(map(sub, a, b)), d)
+        return _reduced(tuple([x * e - y * d for x, y in zip(a, b)]), d * e)
 
     def __neg__(self):
-        return Scalar(tuple(-a for a in self.c))
+        return _make(tuple(map(neg, self.nums)), self.den)
 
     def __mul__(self, other):
         if not isinstance(other, Scalar):
             return NotImplemented
-        out = [_F0] * 8
-        for i, x in enumerate(self.c):
+        a, b = self.nums, other.nums
+        # a rational factor (the usual case for catalog entries) only scales
+        if not any(a[1:]):
+            x = a[0]
             if not x:
-                continue
-            row = _MUL[i]
-            for j, y in enumerate(other.c):
-                if not y:
-                    continue
-                coef, idx = row[j]
-                out[idx] += x * y * coef
-        return Scalar(out)
+                return ZERO
+            nums = tuple([x * y for y in b])
+        elif not any(b[1:]):
+            y = b[0]
+            if not y:
+                return ZERO
+            nums = tuple([x * y for x in a])
+        else:
+            nums = _convolve(a, b)
+        return _reduced(nums, self.den * other.den)
 
     def inverse(self):
-        """Multiplicative inverse, via the 8x8 rational multiplication-by-self system.
+        """Multiplicative inverse by conjugating along the tower Q < Q(sqrt2) <
+        Q(sqrt2, sqrt3) < K.
 
-        The columns of the system matrix are the coordinates of self*b_j for
-        each basis element b_j; solving M v = e_0 yields the coordinates of
-        the inverse.  Purely rational scalars short-circuit.
+        With xb = sigma_i(x), y = x*xb lies in Q(sqrt2, sqrt3); with
+        yb = sigma_3(y), z = y*yb lies in Q(sqrt2); with zb = sigma_2(z),
+        N = z*zb is the rational norm of x, and x^-1 = xb*yb*zb / N.  The
+        same identity holds for the integer numerator vector, and N > 0
+        because it is a product of |tau(x)|^2 over complex embeddings tau.
         """
-        if self.is_zero():
-            raise ZeroDivisionError("scalar is zero")
-        if self.is_rational():
-            return Scalar.rational(1 / self.c[0])
-        # M[i][j] = coordinate i of self * basis_j
-        m = [[_F0] * 9 for _ in range(8)]
-        for j in range(8):
-            col = self * Scalar.basis_element(j)
-            for i in range(8):
-                m[i][j] = col.c[i]
-        m[0][8] = _F1
-        # Gaussian elimination over Q
-        for col in range(8):
-            piv = next(r for r in range(col, 8) if m[r][col] != 0)
-            m[col], m[piv] = m[piv], m[col]
-            inv_p = 1 / m[col][col]
-            m[col] = [x * inv_p for x in m[col]]
-            for r in range(8):
-                if r != col and m[r][col] != 0:
-                    f = m[r][col]
-                    m[r] = [a - f * b for a, b in zip(m[r], m[col])]
-        return Scalar(tuple(m[r][8] for r in range(8)))
+        a, d = self.nums, self.den
+        if not any(a[1:]):
+            x = a[0]
+            if not x:
+                raise ZeroDivisionError("scalar is zero")
+            return _make((d if x > 0 else -d, 0, 0, 0, 0, 0, 0, 0), abs(x))
+        xb = _conjugate(a, _SIGMA_I)
+        y = _convolve(a, xb)
+        yb = _conjugate(y, _SIGMA_3)
+        z = _convolve(y, yb)
+        zb = _conjugate(z, _SIGMA_2)
+        norm = _convolve(z, zb)[0]
+        nums = _convolve(_convolve(xb, yb), zb)
+        return _reduced(tuple([d * x for x in nums]), norm)
 
     def __truediv__(self, other):
         return self * other.inverse()
@@ -151,14 +229,24 @@ class Scalar:
         return out
 
     def __eq__(self, other):
-        return isinstance(other, Scalar) and self.c == other.c
+        return (isinstance(other, Scalar) and self.nums == other.nums
+                and self.den == other.den)
 
     def __hash__(self):
-        return hash(self.c)
+        return hash((self.nums, self.den))
+
+    def ratios(self):
+        """(numerator, denominator) of each coordinate in lowest terms."""
+        d = self.den
+        out = []
+        for x in self.nums:
+            g = gcd(x, d)
+            out.append((x // g, d // g))
+        return tuple(out)
 
     def sort_key(self):
         """A deterministic total order on scalars (layout order, not magnitude)."""
-        return tuple((x.numerator, x.denominator) for x in self.c)
+        return self.ratios()
 
     def __repr__(self):
         if self.is_zero():
@@ -207,13 +295,12 @@ def sqrt_restricted(q):
     f, s = _squarefree_split(m)
     if s not in (1, 2, 3, 6):
         raise NotRepresentable(f"sqrt({q}) is outside the field (squarefree part {s})")
-    coeff = Fraction(f, mag.denominator)
     idx = {1: 0, 2: 1, 3: 2, 6: 3}[s]
     if q < 0:
         idx += 4
-    coords = [_F0] * 8
-    coords[idx] = coeff
-    return Scalar(coords)
+    ratios = [(0, 1)] * 8
+    ratios[idx] = (f, mag.denominator)
+    return Scalar.from_ratios(ratios)
 
 
 ZERO = Scalar.rational(0)
@@ -227,15 +314,15 @@ SQRT6 = Scalar.basis_element(3)
 
 # zeta = exp(i*pi/3) = 1/2 + (sqrt3/2) i, a primitive sixth root of unity;
 # it satisfies x^2 - x + 1 = 0 and 1 - zeta = zeta^{-1}.
-ZETA = Scalar((Fraction(1, 2), _F0, _F0, _F0, _F0, _F0, Fraction(1, 2), _F0))
-ZETA_INV = Scalar((Fraction(1, 2), _F0, _F0, _F0, _F0, _F0, Fraction(-1, 2), _F0))
+ZETA = Scalar((Fraction(1, 2), 0, 0, 0, 0, 0, Fraction(1, 2), 0))
+ZETA_INV = Scalar((Fraction(1, 2), 0, 0, 0, 0, 0, Fraction(-1, 2), 0))
 
 # mu = (-1 + 2*sqrt2*i)/3, the root of 3x^2 + 2x + 3 with positive imaginary
 # part; the parameter of the four-element suspension family that no product
 # construction reaches.
-MU_SPORADIC = Scalar((Fraction(-1, 3), _F0, _F0, _F0, _F0, Fraction(2, 3), _F0, _F0))
+MU_SPORADIC = Scalar((Fraction(-1, 3), 0, 0, 0, 0, Fraction(2, 3), 0, 0))
 # alpha = (mu - mu^{-1})/2 = (2*sqrt2/3) i
-ALPHA_SPORADIC = Scalar((_F0, _F0, _F0, _F0, _F0, Fraction(2, 3), _F0, _F0))
+ALPHA_SPORADIC = Scalar((0, 0, 0, 0, 0, Fraction(2, 3), 0, 0))
 
 
 def constants():

@@ -36,6 +36,16 @@ def _coerce(x):
     return Scalar.rational(x)
 
 
+def _require_square(mat, what):
+    if mat.m != mat.n:
+        raise ValueError(f"{what} of a non-square {mat.m}x{mat.n} matrix")
+
+
+def _require_same_ambient(n, m):
+    if n != m:
+        raise ValueError(f"ambient dimensions differ: {n} and {m}")
+
+
 class Matrix:
     """A dense m-by-n matrix of Scalars."""
 
@@ -102,7 +112,7 @@ class Matrix:
         return Matrix(tuple(zip(*self.rows)))
 
     def trace(self):
-        assert self.m == self.n
+        _require_square(self, "trace")
         t = ZERO
         for i in range(self.m):
             t = t + self.rows[i][i]
@@ -155,7 +165,7 @@ class Matrix:
         return Matrix(tuple(tuple(s * x for x in r) for r in self.rows))
 
     def __pow__(self, k):
-        assert self.m == self.n
+        _require_square(self, "power")
         if k < 0:
             return self.inverse() ** (-k)
         acc = Matrix.identity(self.n)
@@ -197,7 +207,7 @@ class Matrix:
 
 
 def _gauss_det_inv(mat, want_inverse):
-    assert mat.m == mat.n, "determinant of a non-square matrix"
+    _require_square(mat, "determinant")
     n = mat.n
     a = [list(row) for row in mat.rows]
     if want_inverse:
@@ -271,7 +281,8 @@ def outer(u, v):
 
 def vec_to_matrix(v, m, n=None):
     n = m if n is None else n
-    assert len(v) == m * n
+    if len(v) != m * n:
+        raise ValueError(f"vector of length {len(v)} is not a {m}x{n} matrix")
     return Matrix(tuple(tuple(v[i * n + j] for j in range(n)) for i in range(m)))
 
 
@@ -392,13 +403,13 @@ class Subspace:
         return all(self.contains(v) for v in other.basis)
 
     def __add__(self, other):
-        assert self.n == other.n
+        _require_same_ambient(self.n, other.n)
         return Subspace(list(self.basis) + list(other.basis), self.n)
 
     def intersection(self, other):
         """Zassenhaus: reduce [B1|B1; B2|0], read the intersection off the
         rows whose left half vanished."""
-        assert self.n == other.n
+        _require_same_ambient(self.n, other.n)
         n = self.n
         stacked = [list(v) + list(v) for v in self.basis]
         stacked += [list(v) + [ZERO] * n for v in other.basis]
@@ -414,7 +425,7 @@ class Subspace:
 
     def apply(self, mat):
         """The image subspace mat(W)."""
-        assert mat.n == self.n
+        _require_same_ambient(self.n, mat.n)
         return Subspace([mat_vec(mat, v) for v in self.basis], mat.m)
 
     def is_invariant_under(self, mat):
@@ -504,7 +515,7 @@ class Polynomial:
 
 def char_poly(a):
     """Characteristic polynomial det(xI - A) by Faddeev-LeVerrier (monic)."""
-    assert a.m == a.n
+    _require_square(a, "characteristic polynomial")
     n = a.n
     coeffs = [ZERO] * (n + 1)
     coeffs[n] = ONE
@@ -628,7 +639,8 @@ def algebra_closure(gens, include_identity=True, dim_cap=None):
     if not gens:
         raise ValueError("need at least one generator")
     n = gens[0].n
-    assert all(g.m == n and g.n == n for g in gens)
+    if any(g.m != n or g.n != n for g in gens):
+        raise ValueError("generators must be square matrices of one size")
     full = n * n if dim_cap is None else dim_cap
 
     echelon = {}

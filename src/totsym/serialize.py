@@ -6,6 +6,7 @@ so files are diffable and parsing is exact.  Every file is a Document:
 """
 
 import json
+import re
 from fractions import Fraction
 
 from .core import (
@@ -88,20 +89,32 @@ def _int_field(data, key):
 
 def scalar_to_json(s):
     """Eight reduced-fraction strings in basis order."""
-    return [str(x) for x in s.c]
+    return [str(n) if d == 1 else f"{n}/{d}" for n, d in s.ratios()]
+
+
+# The form scalar_to_json writes; any other string goes through Fraction,
+# so the accepted spellings ("1.5", " 1/2", "1e3", ...) are Fraction's.
+_PLAIN_FRACTION = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
+def _ratio_from_json(x):
+    _require(isinstance(x, str), "scalar coordinates must be strings")
+    m = _PLAIN_FRACTION.fullmatch(x)
+    if m is not None:
+        den = int(m[2]) if m[2] else 1
+        if den:
+            return int(m[1]), den
+    try:
+        q = Fraction(x)
+    except (ValueError, ZeroDivisionError):
+        raise ParseError(f"bad fraction {x!r}") from None
+    return q.numerator, q.denominator
 
 
 def scalar_from_json(data):
     _require(isinstance(data, list) and len(data) == 8,
              "scalar must be a list of 8 fraction strings")
-    coords = []
-    for x in data:
-        _require(isinstance(x, str), "scalar coordinates must be strings")
-        try:
-            coords.append(Fraction(x))
-        except (ValueError, ZeroDivisionError):
-            raise ParseError(f"bad fraction {x!r}") from None
-    return Scalar(coords)
+    return Scalar.from_ratios([_ratio_from_json(x) for x in data])
 
 
 def matrix_to_json(m):
@@ -217,16 +230,16 @@ def arrangement_from_json(data):
     strong = data.get("strong", False)
     _require(isinstance(strong, bool), "field 'strong' must be a boolean")
     witness = _witness_from_json(data["witness"]) if "witness" in data else None
+    strong_witness = None
     if strong:
         _require(isinstance(witness, StrongWitness),
                  "strong flag set but no representative matrices present")
-    elif isinstance(witness, StrongWitness):
+        strong_witness = witness
+    if isinstance(witness, StrongWitness):
+        # the plain witness is rechecked by verify; the strong one is kept
         witness = RealizationWitness(witness.transpositions)
     try:
-        if isinstance(witness, StrongWitness):
-            a = Arrangement(spaces, strong_witness=witness)
-        else:
-            a = Arrangement(spaces, witness=witness)
+        a = Arrangement(spaces, witness=witness, strong_witness=strong_witness)
     except ValueError as e:
         raise ParseError(str(e)) from None
     _require(a.n == n and a.k == k and a.d == d,

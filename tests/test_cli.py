@@ -97,6 +97,17 @@ def test_verify_rejects_tampered_document(tmp_path):
     assert run("verify", "--in", str(doc)) == 1
 
 
+def test_verify_non_square_witness_exit_2(tmp_path, capsys):
+    doc = tmp_path / "std.json"
+    assert run("construct", "standard", "--k", "2", "--out", str(doc)) == 0
+    data = json.loads(doc.read_text())
+    witness = data["payload"]["witness"]["transpositions"][0]
+    witness.update(rows=1, cols=2, entries=witness["entries"][:2])
+    doc.write_text(json.dumps(data))
+    assert run("verify", "--in", str(doc)) == 2
+    assert "non-square" in capsys.readouterr().err
+
+
 def test_verify_garbage_exit_2(tmp_path, capsys):
     doc = tmp_path / "junk.json"
     doc.write_text("{]")

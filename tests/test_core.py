@@ -434,3 +434,35 @@ def test_decomposition_system_validation():
 def test_certificate_shape():
     c = Certificate(TOTALLY_SYMMETRIC, witness=RealizationWitness([SWAP2]))
     assert c.verdict == TOTALLY_SYMMETRIC and c.failing_transposition is None
+
+
+def test_reimport_releases_previous_package():
+    """A fresh import of the package leaves nothing of the previous one alive
+    (annotations evaluated at import once kept it in typing's cache)."""
+    import gc
+    import importlib
+    import sys
+    import weakref
+
+    def loaded():
+        return {k: v for k, v in sys.modules.items()
+                if k == "totsym" or k.startswith("totsym.")}
+
+    def fresh_import():
+        for name in loaded():
+            del sys.modules[name]
+        for name in ("field", "linalg", "core", "catalog", "spectral",
+                     "serialize", "suite", "cli"):
+            importlib.import_module(f"totsym.{name}")
+        return weakref.ref(sys.modules["totsym.field"].Scalar)
+
+    saved = loaded()
+    try:
+        first = fresh_import()
+        fresh_import()
+        gc.collect()
+        assert first() is None
+    finally:
+        for name in loaded():
+            del sys.modules[name]
+        sys.modules.update(saved)

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 import sympy
@@ -20,11 +21,15 @@ from totsym.field import (
     constants,
     sqrt_restricted,
 )
+from totsym.serialize import ParseError, scalar_from_json, scalar_to_json
 
 from oracles import sym_equal, to_sympy
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=7)
 scalars = st.builds(Scalar, st.tuples(*[rationals] * 8))
+coordinate_lists = st.lists(rationals, min_size=8, max_size=8)
+nonzero_rationals = rationals.filter(bool)
+dense_scalars = st.builds(Scalar, st.tuples(*[nonzero_rationals] * 8))
 
 
 def rat(p, q=1):
@@ -91,6 +96,125 @@ def test_division_and_pow():
     assert a ** 0 == ONE
     assert a ** 3 == a * a * a
     assert a ** -2 == (a * a).inverse()
+
+
+@settings(max_examples=10, deadline=None)
+@given(dense_scalars)
+def test_tower_inverse_matches_oracle_on_dense_scalars(a):
+    assert all(a.nums)
+    assert sym_equal(to_sympy(a) * to_sympy(a.inverse()), 1)
+
+
+@settings(max_examples=10, deadline=None)
+@given(scalars, scalars)
+def test_product_matches_oracle(a, b):
+    assert sym_equal(to_sympy(a * b), to_sympy(a) * to_sympy(b))
+
+
+# ------------------------------------------------- integer representation
+
+
+def _canonical(s):
+    return s.den > 0 and gcd(s.den, *s.nums) == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(coordinate_lists, st.lists(st.integers(1, 12), min_size=8, max_size=8))
+def test_equal_values_compare_and_hash_equal(fr, scale):
+    a = Scalar(fr)
+    unreduced = [(x.numerator * k, x.denominator * k) for x, k in zip(fr, scale)]
+    spellings = [
+        Scalar.from_ratios(unreduced),
+        Scalar(f"{n}/{d}" for n, d in unreduced),
+        sum((Scalar.basis_element(t) * Scalar.rational(n, d)
+             for t, (n, d) in enumerate(unreduced)), Scalar.rational(0)),
+    ]
+    for b in spellings:
+        assert b == a and hash(b) == hash(a)
+        assert (b.nums, b.den) == (a.nums, a.den)
+    assert hash(Scalar(["2/4"] + [0] * 7)) == hash(Scalar.rational(1, 2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(scalars, scalars)
+def test_stored_form_is_canonical(a, b):
+    results = [a, b, a + b, a - b, -a, a * b, a - a]
+    if not b.is_zero():
+        results.append(a / b)
+    for s in results:
+        assert _canonical(s)
+    zero = a - a
+    assert zero.nums == (0,) * 8 and zero.den == 1
+    assert ((a * ZERO).nums, (a * ZERO).den) == ((0,) * 8, 1)
+
+
+def _reference_product(x, y):
+    """The product of two coordinate vectors of Fractions, built from the
+    basis rules i^2 = -1, sqrt2^2 = 2 and sqrt3^2 = 3 (sqrt6 = sqrt2*sqrt3)."""
+    exps = ((0, 0), (1, 0), (0, 1), (1, 1))
+    out = [Fraction(0)] * 8
+    for i, u in enumerate(x):
+        for j, v in enumerate(y):
+            (im1, r1), (im2, r2) = divmod(i, 4), divmod(j, 4)
+            (a1, b1), (a2, b2) = exps[r1], exps[r2]
+            coef = 2 ** ((a1 + a2) // 2) * 3 ** ((b1 + b2) // 2) * (-1 if im1 and im2 else 1)
+            idx = 4 * ((im1 + im2) % 2) + exps.index(((a1 + a2) % 2, (b1 + b2) % 2))
+            out[idx] += coef * u * v
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(coordinate_lists, coordinate_lists)
+def test_views_match_fraction_reference(fx, fy):
+    x, y = Scalar(fx), Scalar(fy)
+    cases = [
+        (x, fx),
+        (x + y, [u + v for u, v in zip(fx, fy)]),
+        (x - y, [u - v for u, v in zip(fx, fy)]),
+        (x * y, _reference_product(fx, fy)),
+    ]
+    for s, ref in cases:
+        assert s.c == tuple(ref)
+        assert all(isinstance(q, Fraction) for q in s.c)
+        assert s.sort_key() == tuple((q.numerator, q.denominator) for q in ref)
+        assert scalar_to_json(s) == [str(q) for q in ref]
+        assert s.is_zero() == all(q == 0 for q in ref)
+        assert s.is_rational() == all(q == 0 for q in ref[1:])
+        if s.is_rational():
+            assert s.rational_value() == ref[0]
+
+
+def _fraction_parse(text):
+    """What a scalar coordinate string meant when it was parsed by Fraction."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        return None
+
+
+def _check_coordinate_string(text):
+    expected = _fraction_parse(text)
+    data = [text] + ["0"] * 7
+    if expected is None:
+        with pytest.raises(ParseError):
+            scalar_from_json(data)
+    else:
+        assert scalar_from_json(data) == Scalar.rational(expected)
+
+
+@pytest.mark.parametrize("text", [
+    "1/0", "0/0", "-7/0", " 1/2", "1/2 ", "1.5", "-.5", "1e3", "1E-2", "2/4", "-2/4",
+    "+3", "-0", "007", "00/03", "1_000", "1/-2", "-3/ 4", "1 /2", "1//2", "--1",
+    "", " ", "pi", "1/2/3", "\u0661", "\u0661/2", "0x10", "nan", "inf",
+])
+def test_scalar_from_json_accepts_what_fraction_accepts(text):
+    _check_coordinate_string(text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text(alphabet="0123456789/-+. _eE", max_size=8))
+def test_scalar_from_json_fuzzed_coordinate_strings(text):
+    _check_coordinate_string(text)
 
 
 # ------------------------------------------------------------- constants

@@ -301,3 +301,29 @@ def test_invertible_in_space_deterministic():
     b = invertible_in_space(space, 2, seed=7)
     assert a == b
     assert not a.det().is_zero()
+
+
+# ------------------------------------------------------------ shape checks
+
+
+def test_shape_checks_raise_value_error():
+    """Shape errors raise ValueError, so they are still caught under python -O."""
+    wide = M((1, 2, 3), (4, 5, 6))
+    line = Subspace([(1, 0)], 2)
+    checks = [
+        wide.trace,
+        wide.det,
+        wide.inverse,
+        wide.det_inverse,
+        lambda: wide ** 2,
+        lambda: vec_to_matrix((1, 2, 3), 2),
+        lambda: line + Subspace.full(3),
+        lambda: line.intersection(Subspace.full(3)),
+        lambda: line.apply(Matrix.identity(3)),
+        lambda: char_poly(wide),
+        lambda: algebra_closure([Matrix.identity(2), Matrix.identity(3)]),
+        lambda: algebra_closure([wide]),
+    ]
+    for check in checks:
+        with pytest.raises(ValueError):
+            check()

@@ -200,3 +200,14 @@ def test_shorthand_rejections():
 def test_shorthand_rational_combinations(a, b):
     text = f"{a}+{b}*i"
     assert parse_scalar(text) == Scalar.rational(a) + Scalar.rational(b) * I_UNIT
+
+
+def test_parsed_simplex_document_rechecks_its_witness(monkeypatch):
+    a = from_document(parse(emit(to_document(simplex_arrangement(3)))))
+    assert a.witness is not None
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("verify searched instead of rechecking the witness")
+
+    monkeypatch.setattr("totsym.core.invertible_in_space", no_search)
+    assert verify_arrangement(a).verdict == "TotallySymmetric"
