@@ -25,6 +25,7 @@ from .linalg import (
     invertible_in_space,
     kernel,
     mat_vec,
+    null_space,
     vec_to_matrix,
 )
 
@@ -43,6 +44,20 @@ class NotComplementary(ValueError):
 
 class NoStrongWitness(ValueError):
     pass
+
+
+class InvariantViolation(ValueError):
+    """An internal invariant failed: a fault in the computation, not a verdict.
+
+    Raised instead of ``assert`` so that the check also runs under
+    ``python -O``; as a ValueError it makes the CLI exit with code 2.
+    """
+
+
+def ensure(condition, message):
+    """Raise InvariantViolation(message) unless condition holds."""
+    if not condition:
+        raise InvariantViolation(message)
 
 
 def _swap(seq, j):
@@ -324,14 +339,12 @@ def _transport_space(planes, targets):
     rows = []
     for w, tgt in zip(planes, targets):
         ann = _annihilator(tgt)
-        for f in ann.basis:
-            for col in w.basis:
+        for f in ann.rows:
+            for col in w.rows:
                 # f^T P col = 0: coefficient of P[p][q] is f[p]*col[q]
-                row = [f[p] * col[q] for p in range(n) for q in range(n)]
-                rows.append(row)
-    if not rows:
-        return Subspace.full(n * n)
-    return kernel(Matrix(rows))
+                rows.append({p * n + q: x * y for p, x in f.items()
+                             for q, y in col.items()})
+    return null_space(rows, n * n)
 
 
 def verify_arrangement(a, from_scratch=False):

@@ -1,8 +1,12 @@
 """Exact linear algebra over the scalar field: matrices, subspaces, solvers.
 
-Everything here is dense and exact.  Matrices are immutable (rows are
-tuples of tuples of Scalar), subspaces are kept in a canonical reduced
-echelon basis so that equality of subspaces is plain ``==``.
+Matrices are immutable (rows are tuples of tuples of Scalar), but the work
+done on them is sparse: products skip zero entries, and every elimination
+(determinant, inverse, solve, kernel, subspace bases and intersections,
+algebra closure) goes through one sparse-row Gauss-Jordan routine,
+``_insert``, over rows held as ``{column: nonzero Scalar}``.  Subspaces keep
+that reduced echelon form, which is canonical, so equality of subspaces is
+plain ``==``.
 """
 
 import itertools
@@ -24,6 +28,7 @@ __all__ = [
     "kernel",
     "mat_vec",
     "matrix_to_vec",
+    "null_space",
     "outer",
     "solve",
     "vec_to_matrix",
@@ -44,6 +49,15 @@ def _require_square(mat, what):
 def _require_same_ambient(n, m):
     if n != m:
         raise ValueError(f"ambient dimensions differ: {n} and {m}")
+
+
+def _matrix(rows):
+    """A Matrix holding a nonempty tuple of equal-length tuples of Scalar as is."""
+    mat = object.__new__(Matrix)
+    object.__setattr__(mat, "rows", rows)
+    object.__setattr__(mat, "m", len(rows))
+    object.__setattr__(mat, "n", len(rows[0]))
+    return mat
 
 
 class Matrix:
@@ -142,18 +156,19 @@ class Matrix:
             return NotImplemented
         if self.n != other.m:
             raise ValueError(f"shape mismatch {self.m}x{self.n} * {other.m}x{other.n}")
-        cols = other.transpose().rows
+        # only nonzero a[i][k] * b[k][j] contribute
+        other_rows = [_sparse(row).items() for row in other.rows]
         out = []
         for row in self.rows:
-            out_row = []
-            for col in cols:
-                acc = ZERO
-                for a, b in zip(row, col):
-                    if not a.is_zero() and not b.is_zero():
-                        acc = acc + a * b
-                out_row.append(acc)
-            out.append(tuple(out_row))
-        return Matrix(out)
+            acc = {}
+            for a, b_row in zip(row, other_rows):
+                if b_row and not a.is_zero():
+                    for j, b in b_row:
+                        x = a * b
+                        y = acc.get(j)
+                        acc[j] = x if y is None else y + x
+            out.append(tuple([acc.get(j, ZERO) for j in range(other.n)]))
+        return _matrix(tuple(out))
 
     def __rmul__(self, other):
         if isinstance(other, Scalar):
@@ -178,22 +193,17 @@ class Matrix:
         return acc
 
     def det(self):
-        d, _ = _gauss_det_inv(self, want_inverse=False)
-        return d
+        return _det_inverse(self, want_inverse=False)[0]
 
     def inverse(self):
-        d, inv = _gauss_det_inv(self, want_inverse=True)
+        _, inv = _det_inverse(self, want_inverse=True)
         if inv is None:
             raise Singular("matrix is singular")
         return inv
 
     def det_inverse(self):
         """(det, inverse) in one elimination; inverse is None when singular."""
-        return _gauss_det_inv(self, want_inverse=True)
-
-    def conjugate_by(self, p):
-        """p * self * p^-1."""
-        return p * self * p.inverse()
+        return _det_inverse(self, want_inverse=True)
 
     def __eq__(self, other):
         return isinstance(other, Matrix) and self.rows == other.rows
@@ -206,63 +216,118 @@ class Matrix:
         return f"[{body}]"
 
 
-def _gauss_det_inv(mat, want_inverse):
+# ---------------------------------------------------------------------------
+# sparse rows and the elimination kernel
+
+
+def _sparse(v):
+    """The nonzero entries of a dense vector, as a row {index: Scalar}."""
+    return {j: x for j, x in enumerate(v) if not x.is_zero()}
+
+
+def _to_matrix(row, m, n):
+    """The m-by-n matrix whose row-major vectorisation is the sparse row."""
+    return _matrix(tuple(tuple([row.get(i * n + j, ZERO) for j in range(n)])
+                         for i in range(m)))
+
+
+def _axpy(v, f, row):
+    """v += f * row for sparse rows, in place, dropping entries that cancel."""
+    for j, x in row.items():
+        x = f * x
+        y = v.get(j)
+        if y is None:
+            v[j] = x
+        else:
+            y = y + x
+            if y.is_zero():
+                del v[j]
+            else:
+                v[j] = y
+
+
+def _reduce(v, echelon):
+    """Clear every pivot column of ``echelon`` from the sparse row v, in place.
+
+    ``echelon`` maps each pivot column p to the rest of its row (the entry 1
+    at p is implicit), and no row has an entry in another row's pivot
+    column, so one pass over v's pivot columns suffices.
+    """
+    for p in [p for p in v if p in echelon]:
+        _axpy(v, -v.pop(p), echelon[p])
+    return v
+
+
+def _insert(v, echelon):
+    """One Gauss-Jordan step: add the sparse row v (consumed) to the reduced
+    echelon form ``echelon``.
+
+    Returns (pivot column, the leading entry v had there after reduction),
+    or None when v lies in the span already.  Afterwards ``echelon`` is the
+    reduced row echelon form of all rows inserted so far.
+    """
+    _reduce(v, echelon)
+    if not v:
+        return None
+    p = min(v)
+    lead = v.pop(p)
+    if lead != ONE:
+        inv = lead.inverse()
+        v = {j: x * inv for j, x in v.items()}
+    for row in echelon.values():
+        f = row.pop(p, None)
+        if f is not None:
+            _axpy(row, -f, v)
+    echelon[p] = v
+    return p, lead
+
+
+def _det_inverse(mat, want_inverse):
+    """(det, inverse or None) by inserting the rows of [mat | I] one by one.
+
+    Row i is inserted once, scaled by 1/lead_i and otherwise changed only by
+    adding multiples of other rows, and ends as the unit row e_{p_i}; so
+    det = prod(lead_i) * sign(i -> p_i).  Singular once a row's left part
+    reduces to zero.
+    """
     _require_square(mat, "determinant")
     n = mat.n
-    a = [list(row) for row in mat.rows]
-    if want_inverse:
-        for i in range(n):
-            a[i].extend(ONE if j == i else ZERO for j in range(n))
+    echelon = {}
     det = ONE
-    for col in range(n):
-        piv = next((r for r in range(col, n) if not a[r][col].is_zero()), None)
-        if piv is None:
+    cols = []
+    for i, row in enumerate(mat.rows):
+        v = _sparse(row)
+        if want_inverse:
+            v[n + i] = ONE
+        hit = _insert(v, echelon)
+        if hit is None or hit[0] >= n:
             return ZERO, None
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det = det * a[col][col]
-        inv_p = a[col][col].inverse()
-        a[col] = [x * inv_p for x in a[col]]
-        for r in range(n):
-            if r != col and not a[r][col].is_zero():
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+        cols.append(hit[0])
+        det = det * hit[1]
+    if sum(a > b for a, b in itertools.combinations(cols, 2)) % 2:
+        det = -det
     if not want_inverse:
         return det, None
-    return det, Matrix(tuple(tuple(row[n:]) for row in a))
+    return det, _matrix(tuple(tuple([echelon[p].get(n + j, ZERO) for j in range(n)])
+                              for p in range(n)))
 
 
 # ---------------------------------------------------------------------------
-# vectors (plain tuples of Scalar) and row reduction
+# vectors (plain tuples of Scalar) and solvers
 
 
 def vec(xs):
     return tuple(_coerce(x) for x in xs)
 
 
-def vec_add(u, v):
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vec_sub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def vec_scale(s, u):
-    return tuple(s * a for a in u)
-
-
-def vec_is_zero(u):
-    return all(a.is_zero() for a in u)
-
-
 def mat_vec(m, v):
+    nonzero = _sparse(v).items()
     out = []
     for row in m.rows:
         acc = ZERO
-        for a, b in zip(row, v):
-            if not a.is_zero() and not b.is_zero():
+        for j, b in nonzero:
+            a = row[j]
+            if not a.is_zero():
                 acc = acc + a * b
         out.append(acc)
     return tuple(out)
@@ -286,47 +351,22 @@ def vec_to_matrix(v, m, n=None):
     return Matrix(tuple(tuple(v[i * n + j] for j in range(n)) for i in range(m)))
 
 
-def _rref(rows):
-    """Reduced row echelon form; returns (rows, pivot columns)."""
-    rows = [list(r) for r in rows]
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        piv = next((i for i in range(r, nrows) if not rows[i][c].is_zero()), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv_p = rows[r][c].inverse()
-        rows[r] = [x * inv_p for x in rows[r]]
-        for i in range(nrows):
-            if i != r and not rows[i][c].is_zero():
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    return [tuple(row) for row in rows], pivots
-
-
-def _kernel_basis(mat):
-    rows, pivots = _rref(mat.rows)
-    free = [c for c in range(mat.n) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [ZERO] * mat.n
-        v[f] = ONE
-        for r, p in enumerate(pivots):
-            v[p] = -rows[r][f]
-        basis.append(tuple(v))
-    return basis
+def null_space(rows, n):
+    """The x in K^n with sum(row[j] * x[j]) == 0 for every sparse row
+    {j: Scalar} given (the rows are consumed), as a canonical Subspace."""
+    echelon = {}
+    for v in rows:
+        _insert(v, echelon)
+    free = {f: {f: ONE} for f in range(n) if f not in echelon}
+    for p, row in echelon.items():
+        for f, x in row.items():
+            free[f][p] = -x
+    return Subspace(list(free.values()), n)
 
 
 def kernel(mat):
     """The right null space, as a canonical Subspace of K^cols."""
-    return Subspace(_kernel_basis(mat), mat.n)
+    return null_space([_sparse(row) for row in mat.rows], mat.n)
 
 
 class NoSolution(ValueError):
@@ -339,45 +379,52 @@ class Singular(ZeroDivisionError):
 
 def solve(mat, rhs):
     """One exact solution of mat * x = rhs; raises NoSolution if inconsistent."""
-    aug = [list(row) + [b] for row, b in zip(mat.rows, rhs)]
-    rows, pivots = _rref(aug)
-    if mat.n in pivots:
+    n = mat.n
+    echelon = {}
+    for row, b in zip(mat.rows, vec(rhs)):
+        v = _sparse(row)
+        if not b.is_zero():
+            v[n] = b
+        _insert(v, echelon)
+    if n in echelon:
         raise NoSolution("inconsistent linear system")
-    x = [ZERO] * mat.n
-    for r, p in enumerate(pivots):
-        x[p] = rows[r][mat.n]
-    return tuple(x)
+    return tuple(echelon[p].get(n, ZERO) if p in echelon else ZERO
+                 for p in range(n))
 
 
 class Subspace:
     """A subspace of K^n held as a canonical reduced-echelon basis.
 
     Two Subspace objects are equal iff they describe the same subspace.
+    Vectors may be given dense (length-n sequences) or sparse ({index:
+    Scalar}); ``basis`` gives the dense rows and ``rows`` the sparse ones.
     """
 
-    __slots__ = ("n", "basis", "pivots")
+    __slots__ = ("n", "pivots", "_echelon")
 
     def __init__(self, vectors, n):
-        vectors = [vec(v) for v in vectors]
+        echelon = {}
         for v in vectors:
-            if len(v) != n:
-                raise ValueError("vector length does not match ambient dimension")
-        if vectors:
-            rows, pivots = _rref(vectors)
-            basis = tuple(rows[: len(pivots)])
-        else:
-            basis, pivots = (), []
+            if isinstance(v, dict):
+                if v and not (min(v) >= 0 and max(v) < n):
+                    raise ValueError("vector index outside the ambient dimension")
+                v = {j: x for j, x in v.items() if not x.is_zero()}
+            else:
+                v = vec(v)
+                if len(v) != n:
+                    raise ValueError("vector length does not match ambient dimension")
+                v = _sparse(v)
+            _insert(v, echelon)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "pivots", tuple(pivots))
+        object.__setattr__(self, "pivots", tuple(sorted(echelon)))
+        object.__setattr__(self, "_echelon", echelon)
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
 
     @classmethod
     def full(cls, n):
-        return cls([tuple(ONE if j == i else ZERO for j in range(n))
-                    for i in range(n)], n)
+        return cls([{j: ONE} for j in range(n)], n)
 
     @classmethod
     def from_matrix_columns(cls, mat):
@@ -385,43 +432,45 @@ class Subspace:
 
     @property
     def dim(self):
-        return len(self.basis)
+        return len(self.pivots)
+
+    @property
+    def rows(self):
+        """The reduced echelon basis as fresh sparse rows, in pivot order."""
+        return [{p: ONE, **self._echelon[p]} for p in self.pivots]
+
+    @property
+    def basis(self):
+        """The reduced echelon basis as dense tuples, in pivot order."""
+        n = self.n
+        return tuple(tuple(row.get(j, ZERO) for j in range(n)) for row in self.rows)
 
     def matrix_columns(self):
         """The basis as the columns of an n-by-dim matrix."""
         return Matrix.from_columns(self.basis)
 
     def contains(self, v):
-        v = list(vec(v))
-        for row, p in zip(self.basis, self.pivots):
-            if not v[p].is_zero():
-                f = v[p]
-                v = [x - f * y for x, y in zip(v, row)]
-        return all(x.is_zero() for x in v)
+        return not _reduce(_sparse(vec(v)), self._echelon)
 
     def contains_space(self, other):
-        return all(self.contains(v) for v in other.basis)
+        return all(not _reduce(row, self._echelon) for row in other.rows)
 
     def __add__(self, other):
         _require_same_ambient(self.n, other.n)
-        return Subspace(list(self.basis) + list(other.basis), self.n)
+        return Subspace(self.rows + other.rows, self.n)
 
     def intersection(self, other):
         """Zassenhaus: reduce [B1|B1; B2|0], read the intersection off the
         rows whose left half vanished."""
         _require_same_ambient(self.n, other.n)
         n = self.n
-        stacked = [list(v) + list(v) for v in self.basis]
-        stacked += [list(v) + [ZERO] * n for v in other.basis]
-        if not stacked:
-            return Subspace([], n)
-        rows, _ = _rref(stacked)
-        out = []
-        for row in rows:
-            left, right = row[:n], row[n:]
-            if all(x.is_zero() for x in left) and not all(x.is_zero() for x in right):
-                out.append(right)
-        return Subspace(out, n)
+        echelon = {}
+        for row in self.rows:
+            _insert({**row, **{n + j: x for j, x in row.items()}}, echelon)
+        for row in other.rows:
+            _insert(row, echelon)
+        return Subspace([{j - n: x for j, x in ((p, ONE), *row.items())}
+                         for p, row in echelon.items() if p >= n], n)
 
     def apply(self, mat):
         """The image subspace mat(W)."""
@@ -442,7 +491,7 @@ class Subspace:
 
     def __eq__(self, other):
         return (isinstance(other, Subspace) and self.n == other.n
-                and self.basis == other.basis)
+                and self._echelon == other._echelon)
 
     def __hash__(self):
         return hash((self.n, self.basis))
@@ -547,16 +596,15 @@ def intertwiner_space(as_, bs):
     m = bs[0].n
     rows = []
     for a, b in zip(as_, bs):
+        a_cols = [_sparse(col) for col in zip(*a.rows)]
+        b_rows = [_sparse(row) for row in b.rows]
         # entry (r, c) of X a - b X, unknowns X[p, q] at index p*n + q
         for r in range(m):
             for c in range(n):
-                row = [ZERO] * (m * n)
-                for q in range(n):
-                    row[r * n + q] = row[r * n + q] + a.rows[q][c]
-                for p in range(m):
-                    row[p * n + c] = row[p * n + c] - b.rows[r][p]
+                row = {r * n + q: x for q, x in a_cols[c].items()}
+                _axpy(row, -ONE, {p * n + c: y for p, y in b_rows[r].items()})
                 rows.append(row)
-    return kernel(Matrix(rows))
+    return null_space(rows, m * n)
 
 
 def _default_seed():
@@ -568,123 +616,68 @@ def invertible_in_space(space, m, n=None, seed=None):
 
     Deterministic sweeps first (single basis elements, pairwise sums and
     differences, then a small integer-coefficient grid when the dimension
-    allows), falling back to seeded random combinations.  Returns a Matrix
-    or None.
+    allows), falling back to seeded random combinations.  Each candidate is
+    an integer combination of the sparse basis rows, tested by its
+    determinant.  Returns a Matrix or None.
     """
     n = m if n is None else n
     if m != n or space.dim == 0:
         return None
-    mats = [vec_to_matrix(v, m, n) for v in space.basis]
+    basis = space.rows
+    k = len(basis)
 
-    def good(x):
-        return None if x.det().is_zero() else x
+    def candidates():
+        for i in range(k):
+            yield {i: 1}
+        for i, j in itertools.combinations(range(k), 2):
+            yield {i: 1, j: 1}
+            yield {i: 1, j: -1}
+        if k <= 4 and n <= 8:
+            for coeffs in itertools.product(range(-2, 3), repeat=k):
+                if any(coeffs):
+                    yield dict(enumerate(coeffs))
+        rng = random.Random(_default_seed() if seed is None else seed)
+        for _ in range(300):
+            yield {i: rng.randint(-5, 5) for i in range(k)}
 
-    for x in mats:
-        if good(x):
-            return x
-    for x, y in itertools.combinations(mats, 2):
-        hit = good(x + y) or good(x - y)
-        if hit:
-            return hit
-    k = len(mats)
-    if k <= 4 and n <= 8:
-        for coeffs in itertools.product(range(-2, 3), repeat=k):
-            if all(c == 0 for c in coeffs):
-                continue
-            acc = Matrix.zero(m, n)
-            for c, x in zip(coeffs, mats):
-                if c:
-                    acc = acc + x.scale(c)
-            if good(acc):
-                return acc
-    rng = random.Random(_default_seed() if seed is None else seed)
-    for _ in range(300):
-        acc = Matrix.zero(m, n)
-        for x in mats:
-            c = rng.randint(-5, 5)
+    for coeffs in candidates():
+        acc = {}
+        for i, c in coeffs.items():
             if c:
-                acc = acc + x.scale(c)
-        if good(acc):
-            return acc
+                _axpy(acc, Scalar.rational(c), basis[i])
+        x = _to_matrix(acc, m, n)
+        if not x.det().is_zero():
+            return x
     return None
 
 
-def _sparse_reduce(v, echelon):
-    """Reduce dict-vector v against echelon {pivot: vector}; v is consumed."""
-    while v:
-        p = min(v)
-        row = echelon.get(p)
-        if row is None:
-            inv_p = v[p].inverse()
-            return p, {i: inv_p * x for i, x in v.items()}
-        f = v.pop(p)
-        for i, x in row.items():
-            if i == p:
-                continue
-            acc = v.get(i, ZERO) - f * x
-            if acc.is_zero():
-                v.pop(i, None)
-            else:
-                v[i] = acc
-    return None, None
-
-
-def algebra_closure(gens, include_identity=True, dim_cap=None):
+def algebra_closure(gens):
     """Basis of the unital matrix algebra generated by gens.
 
-    Worklist saturation: every new independent element is multiplied by
-    every generator on both sides.  The result is returned as a list of
-    matrices whose vectorisations are in reduced echelon form.
+    The span of I and the generators that is closed under right
+    multiplication by every generator contains every word, so it is the
+    algebra: each new independent element is multiplied on the right by
+    every generator until nothing new appears or the span is all of M_n.
+    The result is returned as a list of matrices whose vectorisations are
+    in reduced echelon form (the standard matrix units when it is M_n).
     """
     if not gens:
         raise ValueError("need at least one generator")
     n = gens[0].n
     if any(g.m != n or g.n != n for g in gens):
         raise ValueError("generators must be square matrices of one size")
-    full = n * n if dim_cap is None else dim_cap
-
+    full = n * n
     echelon = {}
-
-    def to_sparse(mat):
-        return {i * n + j: x
-                for i, row in enumerate(mat.rows)
-                for j, x in enumerate(row) if not x.is_zero()}
-
-    def insert(mat):
-        p, row = _sparse_reduce(to_sparse(mat), echelon)
-        if p is None:
-            return False
-        echelon[p] = row
-        return True
-
-    frontier = []
-    seeds = list(gens) + ([Matrix.identity(n)] if include_identity else [])
-    for g in seeds:
-        if insert(g):
-            frontier.append(g)
+    frontier = [x for x in [*gens, Matrix.identity(n)]
+                if _insert(_sparse(matrix_to_vec(x)), echelon)]
     while frontier and len(echelon) < full:
         nxt = []
         for x in frontier:
             for g in gens:
-                for prod in (x * g, g * x):
-                    if insert(prod):
-                        nxt.append(prod)
-                        if len(echelon) >= full:
-                            break
-                if len(echelon) >= full:
-                    break
-            if len(echelon) >= full:
-                break
+                prod = x * g
+                if _insert(_sparse(matrix_to_vec(prod)), echelon):
+                    nxt.append(prod)
+                    if len(echelon) == full:
+                        return [_to_matrix({p: ONE}, n, n) for p in range(full)]
         frontier = nxt
-
-    # canonicalise: back-substitute the echelon rows, then rebuild matrices
-    dense = []
-    for p in sorted(echelon):
-        row = [ZERO] * (n * n)
-        for i, x in echelon[p].items():
-            row[i] = x
-        dense.append(row)
-    if not dense:
-        return []
-    rows, _ = _rref(dense)
-    return [vec_to_matrix(r, n, n) for r in rows[: len(echelon)]]
+    return [_to_matrix({p: ONE, **echelon[p]}, n, n) for p in sorted(echelon)]

@@ -9,7 +9,7 @@ exact nonexistence computations for small-dimensional realizations.
 from itertools import combinations, permutations
 
 from .catalog import Weight, ncsimplex, tilde_sigma5_construction, tilde_sigma5_rep
-from .core import is_commutative
+from .core import ensure, is_commutative
 from .field import (
     HALF,
     I_UNIT,
@@ -103,12 +103,14 @@ class EigenFiltration:
         spaces = tuple(spaces)
         dims = [0] + [s.dim for s in spaces]
         jumps = [b - a for a, b in zip(dims, dims[1:])]
-        for prev, cur in zip(spaces, spaces[1:]):
-            assert cur.contains_space(prev)
+        ensure(all(cur.contains_space(prev) for prev, cur in zip(spaces, spaces[1:])),
+               "filtration spaces are not nested")
         # successive quotient dimensions weakly decrease, and the c-th space
         # holds at least c copies of its top quotient
-        assert all(a >= b for a, b in zip(jumps, jumps[1:]))
-        assert all(dims[c] >= c * jumps[c - 1] for c in range(1, len(dims)))
+        ensure(all(a >= b for a, b in zip(jumps, jumps[1:])),
+               f"filtration quotient dimensions {jumps} increase")
+        ensure(all(dims[c] >= c * jumps[c - 1] for c in range(1, len(dims))),
+               f"filtration dimensions {dims[1:]} are too small for their quotients")
         object.__setattr__(self, "eigenvalue", eigenvalue)
         object.__setattr__(self, "spaces", spaces)
 
@@ -167,7 +169,8 @@ class DepthProfile:
 
     def __init__(self, eigenvalue, mu):
         mu = tuple(mu)
-        assert all(a >= b for a, b in zip(mu, mu[1:]))
+        ensure(all(a >= b for a, b in zip(mu, mu[1:])),
+               f"depth table {mu} increases")
         depth = max((j + 1 for j, m in enumerate(mu) if m > 0), default=0)
         object.__setattr__(self, "eigenvalue", eigenvalue)
         object.__setattr__(self, "mu", mu)
@@ -202,8 +205,8 @@ def depth_profile(t, lam):
     for j in range(1, t.k + 1):
         dim = meet(range(j)).dim
         if t.k <= 5:
-            assert all(meet(s).dim == dim
-                       for s in combinations(range(t.k), j))
+            ensure(all(meet(s).dim == dim for s in combinations(range(t.k), j)),
+                   f"{j}-fold eigenspace dimension depends on the subset")
         mu.append(dim)
     return DepthProfile(lam, mu)
 

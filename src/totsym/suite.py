@@ -23,6 +23,7 @@ from .catalog import (
 from .core import (
     TOTALLY_SYMMETRIC,
     Tss,
+    ensure,
     half_dim_normal_form,
     involution_checks,
     isomorphic,
@@ -346,7 +347,7 @@ def run_suite():
         checks.extend(fn())
     checks.sort(key=lambda c: c["name"])
     names = [c["name"] for c in checks]
-    assert len(set(names)) == len(names), "duplicate check name"
+    ensure(len(set(names)) == len(names), "duplicate check name")
     return {
         "checks": checks,
         "count": len(checks),

@@ -75,11 +75,21 @@ def oracle_algebra_dimension(gens) -> int:
 
 
 def _span_rank(mats, n):
-    """Rank of the vectorized span, by a from-scratch reduced echelon over
-    sympy expressions (simplification decides zeroness)."""
+    """Rank of the vectorized span of sympy matrices."""
+    rows = [[m[r, c] for r in range(n) for c in range(n)] for m in mats]
+    return len(oracle_rref(rows))
+
+
+def oracle_rref(rows):
+    """Nonzero rows of the reduced row echelon form of the given rows, in
+    pivot order, by a from-scratch Gauss-Jordan over sympy expressions
+    (simplification decides zeroness)."""
+    width = len(rows[0]) if rows else 0
     pivots = []  # (pivot index, fully reduced row with unit pivot)
-    for m in mats:
-        row = [sympy.expand(m[r, c]) for r in range(n) for c in range(n)]
+    for raw in rows:
+        if len(pivots) == width:
+            break
+        row = [sympy.expand(x) for x in raw]
         for p, erow in pivots:
             f = row[p]
             if sympy.simplify(f) != 0:
@@ -95,6 +105,29 @@ def _span_rank(mats, n):
             if sympy.simplify(g) != 0:
                 erow[:] = [sympy.expand(x - g * y) for x, y in zip(erow, row)]
         pivots.append((p, row))
-        if len(pivots) == n * n:
-            break
-    return len(pivots)
+    return [row for _, row in sorted(pivots, key=lambda t: t[0])]
+
+
+def oracle_kernel(rows, n):
+    """RREF basis of {x in K^n : row . x = 0 for every row}."""
+    reduced = oracle_rref(rows)
+    pivots = [next(j for j, x in enumerate(r) if sympy.simplify(x) != 0)
+              for r in reduced]
+    basis = []
+    for f in range(n):
+        if f in pivots:
+            continue
+        v = [sympy.Integer(0)] * n
+        v[f] = sympy.Integer(1)
+        for p, r in zip(pivots, reduced):
+            v[p] = -r[f]
+        basis.append(v)
+    return oracle_rref(basis)
+
+
+def sym_rows_equal(ours, theirs) -> bool:
+    """Dense rows of Scalars equal, entry by entry, to rows of sympy expressions."""
+    return (len(ours) == len(theirs)
+            and all(len(a) == len(b) and all(sym_equal(to_sympy(x), y)
+                                              for x, y in zip(a, b))
+                    for a, b in zip(ours, theirs)))

@@ -1,4 +1,7 @@
+import hashlib
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +26,24 @@ def test_construct_writes_parseable_tss(tmp_path):
                "--nu", "2", "--out", str(out)) == 0
     t = from_document(parse(out.read_text()), expect="tss")
     assert t.k == 3 and t.n == 3
+
+
+# sha256 of `tss construct` output for every catalog name; a refactor must
+# keep every document byte-identical
+DIGESTS = json.loads((Path(__file__).parent / "construct_digests.json").read_text())
+INDUCTION_BASE = ("standard", "--k", "2", "--lambda", "1", "--nu", "2")
+
+
+@pytest.mark.parametrize("spec", sorted(DIGESTS))
+def test_construct_output_is_pinned(tmp_path, spec):
+    argv = shlex.split(spec)
+    if argv[0] == "induction":
+        base = tmp_path / "base.json"
+        assert run("construct", *INDUCTION_BASE, "--out", str(base)) == 0
+        argv[1:1] = ["--in", str(base)]
+    out = tmp_path / "out.json"
+    assert run("construct", *argv, "--out", str(out)) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == DIGESTS[spec]
 
 
 def test_construct_is_byte_identical(tmp_path):
@@ -167,6 +188,15 @@ def test_suite_all_green(tmp_path, capsys):
     assert payload["count"] >= 25
     assert [c["name"] for c in payload["checks"]] == sorted(
         c["name"] for c in payload["checks"])
+
+
+def test_suite_duplicate_check_name_exits_2(monkeypatch, capsys):
+    import totsym.suite as suite
+
+    check = {"name": "dup", "passed": True, "detail": ""}
+    monkeypatch.setattr(suite, "_PRODUCERS", [lambda: [dict(check)], lambda: [dict(check)]])
+    assert run("suite") == 2
+    assert "duplicate check name" in capsys.readouterr().err
 
 
 def test_suite_fault_injection_names_offender():

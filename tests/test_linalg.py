@@ -26,7 +26,10 @@ from oracles import (
     matrix_to_sympy,
     oracle_algebra_dimension,
     oracle_intertwiner_dimension,
+    oracle_kernel,
+    oracle_rref,
     sym_equal,
+    sym_rows_equal,
     to_sympy,
 )
 
@@ -320,6 +323,7 @@ def test_shape_checks_raise_value_error():
         lambda: line + Subspace.full(3),
         lambda: line.intersection(Subspace.full(3)),
         lambda: line.apply(Matrix.identity(3)),
+        lambda: Subspace([{2: ONE}], 2),
         lambda: char_poly(wide),
         lambda: algebra_closure([Matrix.identity(2), Matrix.identity(3)]),
         lambda: algebra_closure([wide]),
@@ -327,3 +331,248 @@ def test_shape_checks_raise_value_error():
     for check in checks:
         with pytest.raises(ValueError):
             check()
+
+
+# ------------------------------------- sparse kernel against the oracle
+#
+# Structured sparse inputs like the catalog's (permutation, diagonal and
+# block-diagonal matrices, wide and tall systems with zero rows, and
+# rank-deficient ones), checked exactly against the sympy oracle.
+
+sparse_entry = st.sampled_from([ZERO, ZERO, ONE, -ONE]) | small_scalar
+nonzero_entry = small_scalar.filter(lambda x: not x.is_zero())
+sizes = st.integers(min_value=1, max_value=6)
+
+
+@st.composite
+def structured_square(draw):
+    kind = draw(st.sampled_from(["permutation", "diagonal", "block", "deficient"]))
+    if kind == "permutation":
+        perm = draw(st.permutations(range(draw(sizes))))
+        n = len(perm)
+        rows = [[ZERO] * n for _ in range(n)]
+        for i, j in enumerate(perm):
+            rows[i][j] = draw(nonzero_entry)
+        return Matrix(rows)
+    if kind == "diagonal":
+        diag = draw(st.lists(sparse_entry, min_size=1, max_size=6))
+        return Matrix([[x if i == j else ZERO for j in range(len(diag))]
+                       for i, x in enumerate(diag)])
+    if kind == "block":
+        a, b = (draw(st.integers(1, 3)) for _ in range(2))
+        top = draw(st.lists(st.lists(sparse_entry, min_size=a, max_size=a),
+                            min_size=a, max_size=a))
+        bottom = draw(st.lists(st.lists(sparse_entry, min_size=b, max_size=b),
+                               min_size=b, max_size=b))
+        return Matrix.block([[Matrix(top), Matrix.zero(a, b)],
+                             [Matrix.zero(b, a), Matrix(bottom)]])
+    n = draw(st.integers(2, 6))
+    r = draw(st.integers(1, n - 1))
+    rows = draw(st.lists(st.lists(sparse_entry, min_size=n, max_size=n),
+                         min_size=r, max_size=r))
+    while len(rows) < n:
+        i, j = draw(st.integers(0, r - 1)), draw(st.integers(0, r - 1))
+        rows.append([x + y for x, y in zip(rows[i], rows[j])])
+    return Matrix(draw(st.permutations(rows)))
+
+
+@st.composite
+def structured_matrices(draw):
+    """Square structured matrices, or wide and tall ones with zero rows."""
+    if draw(st.booleans()):
+        return draw(structured_square())
+    m, n = draw(sizes), draw(sizes)
+    rows = draw(st.lists(st.lists(sparse_entry, min_size=n, max_size=n),
+                         min_size=m, max_size=m))
+    for i in draw(st.sets(st.integers(0, m - 1), max_size=m - 1)):
+        rows[i] = [ZERO] * n
+    return Matrix(rows)
+
+
+def sym_rows(mat):
+    return matrix_to_sympy(mat).tolist()
+
+
+def leading(row):
+    return next(j for j, x in enumerate(row) if sympy.simplify(x) != 0)
+
+
+def oracle_rank(rows):
+    return len(oracle_rref(rows))
+
+
+@settings(max_examples=12, deadline=None)
+@given(structured_matrices())
+def test_sparse_rref_and_kernel_match_oracle(a):
+    rows = sym_rows(a)
+    assert sym_rows_equal(Subspace(a.rows, a.n).basis, oracle_rref(rows))
+    assert sym_rows_equal(kernel(a).basis, oracle_kernel(rows, a.n))
+
+
+@settings(max_examples=12, deadline=None)
+@given(structured_square())
+def test_sparse_det_and_inverse_match_oracle(a):
+    n = a.n
+    assert sym_equal(to_sympy(a.det()), matrix_to_sympy(a).det())
+    if n > 1:  # swapping the first and last rows flips the sign
+        swapped = Matrix((a.rows[-1],) + a.rows[1:-1] + (a.rows[0],))
+        assert swapped.det() == -a.det()
+    d, inv = a.det_inverse()
+    assert d == a.det()
+    # Gauss-Jordan on [A | I]: A is invertible iff every pivot is on the left
+    eye = sympy.eye(n).tolist()
+    reduced = oracle_rref([r + e for r, e in zip(sym_rows(a), eye)])
+    if leading(reduced[-1]) >= n:
+        assert inv is None and d.is_zero()
+    else:
+        assert sym_rows_equal(inv.rows, [r[n:] for r in reduced])
+
+
+@settings(max_examples=10, deadline=None)
+@given(structured_matrices(), st.data())
+def test_sparse_solve_matches_oracle(a, data):
+    n = a.n
+    x = data.draw(st.lists(sparse_entry, min_size=n, max_size=n))
+    b = mat_vec(a, tuple(x))
+    # the solution read off the reduced echelon form of [A | b]: free unknowns 0
+    expected = [sympy.Integer(0)] * n
+    for row in oracle_rref([r + [to_sympy(y)] for r, y in zip(sym_rows(a), b)]):
+        expected[leading(row)] = row[n]
+    assert sym_rows_equal([solve(a, b)], [expected])
+    off = [ZERO] * a.m
+    off[data.draw(st.integers(0, a.m - 1))] = ONE
+    columns = matrix_to_sympy(a).T.tolist()
+    consistent = oracle_rank(columns + [[to_sympy(y) for y in off]]) == oracle_rank(columns)
+    if consistent:
+        assert mat_vec(a, solve(a, tuple(off))) == tuple(off)
+    else:
+        with pytest.raises(NoSolution):
+            solve(a, tuple(off))
+
+
+@settings(max_examples=15, deadline=None)
+@given(structured_matrices(), structured_matrices(), st.data())
+def test_sparse_products_match_oracle(a, b, data):
+    v = data.draw(st.lists(sparse_entry, min_size=a.n, max_size=a.n))
+    product = matrix_to_sympy(a) * sympy.Matrix([to_sympy(x) for x in v])
+    assert sym_rows_equal([mat_vec(a, tuple(v))], [list(product)])
+    # b cut or padded with zero rows to a.n rows
+    b = Matrix([b.rows[i] if i < b.m else (ZERO,) * b.n for i in range(a.n)])
+    assert sym_rows_equal((a * b).rows,
+                          (matrix_to_sympy(a) * matrix_to_sympy(b)).tolist())
+
+
+@settings(max_examples=6, deadline=None)
+@given(structured_matrices(), structured_matrices(), st.data())
+def test_sparse_intersection_and_contains_match_oracle(a, b, data):
+    n = a.n
+    b = Matrix([row[:n] + (ZERO,) * (n - len(row)) for row in b.rows])
+    u, w = Subspace(a.rows, n), Subspace(b.rows, n)
+    # U ∩ W from the oracle: the kernel of [A^T | -B^T] gives the combinations
+    rows_a, rows_b = sym_rows(a), sym_rows(b)
+    system = [list(col) for col in zip(*rows_a, *[[-x for x in r] for r in rows_b])]
+    combos = oracle_kernel(system, a.m + b.m)
+    meet = [list(matrix_to_sympy(a).T * sympy.Matrix(c[:a.m])) for c in combos]
+    assert sym_rows_equal(u.intersection(w).basis, oracle_rref(meet))
+    v = data.draw(st.lists(sparse_entry, min_size=n, max_size=n))
+    in_span = oracle_rank(rows_a + [[to_sympy(x) for x in v]]) == oracle_rank(rows_a)
+    assert u.contains(tuple(v)) == in_span
+
+
+def matrix_unit(n, i, j):
+    return Matrix([[ONE if (r, c) == (i, j) else ZERO for c in range(n)]
+                   for r in range(n)])
+
+
+@settings(max_examples=5, deadline=None)
+@given(st.lists(structured_square().filter(lambda g: g.n <= 3), min_size=1, max_size=2)
+       .filter(lambda gs: len({g.n for g in gs}) == 1))
+def test_algebra_closure_is_rref_basis_of_its_span(gens):
+    n = gens[0].n
+    basis = algebra_closure(gens)
+    vectors = [matrix_to_vec(b) for b in basis]
+    assert len(basis) == oracle_algebra_dimension(gens)
+    assert Subspace(vectors, n * n).basis == tuple(vectors)
+    words = [[to_sympy(x) for x in matrix_to_vec(w)]
+             for w in [Matrix.identity(n), *gens, *(g * h for g in gens for h in gens)]]
+    assert sym_rows_equal(vectors, oracle_rref(words + [[to_sympy(x) for x in v]
+                                                        for v in vectors]))
+
+
+def test_algebra_closure_proper_is_reduced():
+    # diag(1, 2) and a nilpotent corner: the upper triangular 2x2 matrices
+    basis = algebra_closure([M((1, 0), (0, 2)), M((0, 1), (0, 0))])
+    assert basis == [matrix_unit(2, 0, 0), matrix_unit(2, 0, 1), matrix_unit(2, 1, 1)]
+    # a swap beside sqrt2: minimal polynomial (x^2 - 1)(x - sqrt2), so dim 3
+    swap = Matrix.block([[M((0, 1), (1, 0)), Matrix.zero(2, 1)],
+                         [Matrix.zero(1, 2), M((SQRT2,))]])
+    assert algebra_closure([swap]) == [M((1, 0, 0), (0, 1, 0), (0, 0, 0)),
+                                       M((0, 1, 0), (1, 0, 0), (0, 0, 0)),
+                                       matrix_unit(3, 2, 2)]
+
+
+@pytest.mark.parametrize("gens", [
+    [M((0, 1), (0, 0)), M((0, 0), (1, 0))],
+    [M((0, 1, 0), (0, 0, 1), (1, 0, 0)), M((1, 0, 0), (0, 2, 0), (0, 0, 3))],
+    [M((ZETA, 1), (0, 1)), M((1, 0), (SQRT2, -1))],
+])
+def test_full_algebra_closure_is_matrix_units(gens):
+    n = gens[0].n
+    assert algebra_closure(gens) == [matrix_unit(n, i, j)
+                                     for i in range(n) for j in range(n)]
+
+
+# ------------------------------------------ invertible search: golden values
+#
+# The exact witness and the number of determinants tried, for one space per
+# phase of the search.  A change to the search order, to the random draws
+# or to the arithmetic shows up here.
+
+
+def diag(*xs):
+    return Matrix([[x if i == j else ZERO for j in range(len(xs))]
+                   for i, x in enumerate(xs)])
+
+
+def counted_search(monkeypatch, mats, n, seed=None):
+    calls = []
+    det = Matrix.det
+
+    def counting(self):
+        calls.append(self)
+        return det(self)
+
+    monkeypatch.setattr(Matrix, "det", counting)
+    space = Subspace([matrix_to_vec(x) for x in mats], n * n)
+    found = invertible_in_space(space, n, seed=seed)
+    monkeypatch.setattr(Matrix, "det", det)
+    return found, len(calls)
+
+
+E = matrix_unit
+GOLDEN_SEARCHES = {
+    # phase: (basis, n, seed, witness, determinants tried)
+    "single": ([E(2, 0, 0), M((0, 1), (SQRT2, 0))], 2, None,
+               M((0, 1), (SQRT2, 0)), 2),
+    "pair_sum": ([E(2, 0, 0), E(2, 0, 1), E(2, 1, 0), E(2, 1, 1)], 2, None,
+                 Matrix.identity(2), 9),
+    "pair_difference": ([M((0, 0, 1), (0, 0, 2), (-1, 1, 0)),
+                         M((0, 0, 0), (1, 0, 1), (-1, -1, 0))], 3, None,
+                        M((0, 0, 1), (-1, 0, 1), (0, 2, 0)), 4),
+    "grid": ([diag(ONE, ZERO, ONE, ONE) + E(4, 0, 1) * SQRT2, diag(0, 1, 1, -1)], 4, None,
+             Matrix([[-2, Scalar.rational(-2) * SQRT2, 0, 0], [0, -1, 0, 0], [0, 0, -3, 0],
+                     [0, 0, 0, -1]]), 6),
+    "random_after_grid": ([diag(1, 0, 1, 1, 1, 1, 2, 2), diag(0, 1, 1, -1, 2, -2, 1, -1)],
+                          8, 3, diag(2, 5, 7, -3, 12, -8, 9, -1), 32),
+    "random": ([E(3, 0, 0), E(3, 0, 1), E(3, 0, 2), E(3, 1, 1) + E(3, 1, 2) * SQRT2,
+                E(3, 2, 2)], 3, 5,
+               M((4, -1, 0), (0, 5, Scalar.rational(5) * SQRT2), (0, 0, 3)), 26),
+}
+
+
+@pytest.mark.parametrize("phase", sorted(GOLDEN_SEARCHES))
+def test_invertible_in_space_golden(monkeypatch, phase):
+    mats, n, seed, witness, attempts = GOLDEN_SEARCHES[phase]
+    found, tried = counted_search(monkeypatch, mats, n, seed)
+    assert found == witness
+    assert tried == attempts

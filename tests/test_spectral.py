@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -15,7 +18,8 @@ from totsym.catalog import (
     suspension_simplex,
     tilde_sigma5_arrangement,
 )
-from totsym.core import Tss, half_dim_normal_form, realize_permutation
+import totsym
+from totsym.core import InvariantViolation, Tss, half_dim_normal_form, realize_permutation
 from totsym.field import ONE, ZETA, ZETA_INV, Scalar
 from totsym.linalg import Matrix, Subspace
 from totsym.spectral import (
@@ -25,6 +29,8 @@ from totsym.spectral import (
     NotAnEigenvalue,
     NotCommutative,
     REDUCIBLE,
+    DepthProfile,
+    EigenFiltration,
     FullAlgebra,
     ProperAlgebra,
     classify_commutative,
@@ -125,6 +131,29 @@ def test_jfold_triple_intersection_vanishes():
 def test_jfold_empty_subset_is_everything():
     t = standard(2, 1, 2)
     assert jfold(t, 1, 1, []) == Subspace.full(2)
+
+
+def test_filtration_invariants_raise():
+    with pytest.raises(InvariantViolation, match="not nested"):
+        EigenFiltration(ONE, [line(1, 0), line(0, 1)])
+    with pytest.raises(InvariantViolation, match="increase"):
+        EigenFiltration(ONE, [line(1, 0, 0), Subspace.full(3)])
+    with pytest.raises(InvariantViolation, match="increases"):
+        DepthProfile(ONE, [1, 2])
+
+
+def test_invariants_still_raise_under_python_O():
+    code = ("from totsym.core import InvariantViolation\n"
+            "from totsym.spectral import DepthProfile\n"
+            "try:\n"
+            "    DepthProfile(1, [1, 2])\n"
+            "except InvariantViolation as e:\n"
+            "    print('raised:', e)\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(totsym.__file__)))
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "raised: depth table (1, 2) increases\n"
 
 
 # --------------------------------------------------------------------- depth
