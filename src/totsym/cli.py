@@ -7,6 +7,7 @@ suite, 2 for unusable input (bad flags, malformed documents, wrong kinds).
 """
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -192,9 +193,9 @@ def cmd_suite(args):
 
 def cmd_export(args):
     doc = parse(_read_input(args))
-    obj = from_document(doc)
-    out_doc = to_document(obj) if not isinstance(obj, dict) else doc
-    _write_output(emit(out_doc), args.out, "exported")
+    if doc["kind"] != "report":  # a report's payload may be any JSON value
+        doc = to_document(from_document(doc))
+    _write_output(emit(doc), args.out, "exported")
     return 0
 
 
@@ -215,7 +216,9 @@ def _add_io_flags(sub, infile=False):
     sub.add_argument("--out", metavar="FILE", help="write the document here")
 
 
+@functools.cache
 def _parser():
+    """The argument parser, built on first use and reused by later calls."""
     p = argparse.ArgumentParser(
         prog="tss",
         description="Exact totally symmetric sets and arrangements over "

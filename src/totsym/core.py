@@ -114,6 +114,17 @@ def _coerce_witness(w):
     return RealizationWitness(w)
 
 
+def _check_witness(transpositions, k, n):
+    """Raise ValueError unless there are k-1 transposition matrices, each n×n."""
+    if len(transpositions) != max(k - 1, 0):
+        raise ValueError("witness must have k-1 transposition matrices")
+    for j, p in enumerate(transpositions):
+        if p.m != p.n:
+            raise ValueError(f"non-square witness matrix {j}: {p.m}x{p.n}")
+        if p.n != n:
+            raise ValueError(f"witness matrix {j} is {p.n}x{p.n}, not {n}x{n}")
+
+
 class Tss:
     """An indexed set of k square matrices over K.
 
@@ -143,8 +154,8 @@ class Tss:
             elements = (elements[0],)
             witness = None
         k = len(elements)
-        if witness is not None and len(witness) != max(k - 1, 0):
-            raise ValueError("witness must have k-1 transposition matrices")
+        if witness is not None:
+            _check_witness(witness, k, n)
         if witness is None and distinct <= 1 and k >= 1:
             witness = RealizationWitness([Matrix.identity(n)] * (k - 1))
         object.__setattr__(self, "n", n)
@@ -195,8 +206,14 @@ class Arrangement:
             witness = None
             strong_witness = None
         k = len(planes)
-        if witness is not None and len(witness) != max(k - 1, 0):
-            raise ValueError("witness must have k-1 transposition matrices")
+        if witness is not None:
+            _check_witness(witness, k, n)
+        if strong_witness is not None:
+            _check_witness(strong_witness.transpositions, k, n)
+            reps = strong_witness.representatives
+            if len(reps) != k or any(m.m != n or m.n != d for m in reps):
+                raise ValueError(
+                    f"a strong witness needs {k} representatives, each {n}x{d}")
         if witness is None and distinct == 1 and k >= 1:
             witness = RealizationWitness([Matrix.identity(n)] * (k - 1))
         object.__setattr__(self, "n", n)
@@ -250,8 +267,7 @@ class DecompositionSystem:
                 raise ValueError("row subspaces do not direct-sum to K^n")
         k = len(grid)
         if witness is not None:
-            if len(witness) != k - 1:
-                raise ValueError("witness must have k-1 transposition matrices")
+            _check_witness(witness, k, n)
             for j, p in enumerate(witness):
                 for i in range(k):
                     for m in range(parts):
@@ -574,8 +590,6 @@ def suspension(a, lam):
     lam = lam if isinstance(lam, Scalar) else Scalar.rational(lam)
     reps = a.strong_witness.representatives
     ps = a.strong_witness.transpositions
-    if len(reps) != a.k or len(ps) != a.k - 1:
-        raise NoStrongWitness("strong witness size mismatch")
     for i, m in enumerate(reps):
         if Subspace.from_matrix_columns(m) != a.planes[i]:
             raise NoStrongWitness(f"representative {i} does not span its plane")

@@ -3,11 +3,16 @@
 Scalars travel as eight reduced-fraction strings in the fixed basis order,
 so files are diffable and parsing is exact.  Every file is a Document:
 {"kind", "payload", "meta"} with the basis stamped into the metadata.
+
+`emit` is the one writer of document text.  Its output is byte-identical to
+``json.dumps(doc, sort_keys=True, indent=2) + "\n"`` without the
+pure-Python encoder that ``json.dumps`` uses whenever ``indent`` is set.
 """
 
 import json
 import re
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 from .core import (
     Arrangement,
@@ -118,12 +123,19 @@ def scalar_from_json(data):
 
 
 def matrix_to_json(m):
-    """{"rows", "cols", "entries"} with entries flattened row-major."""
-    return {
-        "rows": m.m,
-        "cols": m.n,
-        "entries": [scalar_to_json(x) for row in m.rows for x in row],
-    }
+    """{"rows", "cols", "entries"} with entries flattened row-major.
+
+    Each distinct scalar is formatted once; every entry gets its own list.
+    """
+    memo = {}
+    entries = []
+    for row in m.rows:
+        for x in row:
+            text = memo.get(x)
+            if text is None:
+                text = memo[x] = scalar_to_json(x)
+            entries.append(text.copy())
+    return {"rows": m.m, "cols": m.n, "entries": entries}
 
 
 def matrix_from_json(data):
@@ -133,7 +145,17 @@ def matrix_from_json(data):
     entries = data.get("entries")
     _require(isinstance(entries, list) and len(entries) == rows * cols,
              "entry count does not match rows*cols")
-    flat = [scalar_from_json(e) for e in entries]
+    # each distinct entry is parsed once; only entries that parsed are
+    # remembered, so a bad one raises exactly as scalar_from_json does
+    memo = {}
+    flat = []
+    for e in entries:
+        key = tuple(e) if isinstance(e, list) else None
+        try:
+            x = memo[key]
+        except (KeyError, TypeError):  # TypeError: an unhashable item
+            x = memo[key] = scalar_from_json(e)
+        flat.append(x)
     return Matrix([flat[i * cols:(i + 1) * cols] for i in range(rows)])
 
 
@@ -164,13 +186,18 @@ def _witness_to_json(w):
     return {"transpositions": [matrix_to_json(t) for t in w]}
 
 
+def _matrix_list(data, key):
+    value = data[key]
+    _require(isinstance(value, list), f"field {key!r} must be a list")
+    return [matrix_from_json(t) for t in value]
+
+
 def _witness_from_json(data):
     _require(isinstance(data, dict) and "transpositions" in data,
              "witness must carry a transposition list")
-    ts = [matrix_from_json(t) for t in data["transpositions"]]
+    ts = _matrix_list(data, "transpositions")
     if "representatives" in data:
-        reps = [matrix_from_json(t) for t in data["representatives"]]
-        return StrongWitness(reps, ts)
+        return StrongWitness(_matrix_list(data, "representatives"), ts)
     return RealizationWitness(ts)
 
 
@@ -198,7 +225,9 @@ def tss_from_json(data):
         witness = _witness_from_json(data["witness"])
         _require(isinstance(witness, RealizationWitness),
                  "a set takes a plain transposition witness")
-    params = [scalar_from_json(p) for p in data.get("params", [])]
+    params = data.get("params", [])
+    _require(isinstance(params, list), "field 'params' must be a list")
+    params = [scalar_from_json(p) for p in params]
     try:
         t = Tss(mats, witness=witness, n=n, params=params)
     except ValueError as e:
@@ -303,9 +332,51 @@ def document(kind, payload):
     }
 
 
+def _write(x, pad, out):
+    """Append the text json.dumps(x, sort_keys=True, indent=2) gives for x
+    at indentation `pad` to the list `out`."""
+    if isinstance(x, str):
+        out.append(_quote(x))
+        return
+    if not x or not isinstance(x, (list, tuple, dict)):
+        out.append(json.dumps(x))  # leaves, [] and {}
+        return
+    inner = pad + "  "
+    sep = ",\n" + inner
+    if isinstance(x, dict):
+        out.append("{\n" + inner)
+        for j, (key, v) in enumerate(sorted(x.items())):
+            if not isinstance(key, str):  # as json.dumps spells or rejects it
+                key, = json.loads(json.dumps({key: None}))
+            out.append(f"{sep if j else ''}{_quote(key)}: ")
+            _write(v, inner, out)
+        out.append(f"\n{pad}}}")
+        return
+    try:  # a list of strings, such as a scalar, in one join
+        out.append(f"[\n{inner}{sep.join(map(_quote, x))}\n{pad}]")
+        return
+    except TypeError:  # an item that is not a string
+        pass
+    out.append("[\n" + inner)
+    for j, v in enumerate(x):
+        if j:
+            out.append(sep)
+        _write(v, inner, out)
+    out.append(f"\n{pad}]")
+
+
 def emit(doc):
-    """Canonical text: sorted keys, two-space indent, trailing newline."""
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """Canonical text: sorted keys, two-space indent, trailing newline.
+
+    Byte-identical to json.dumps(doc, sort_keys=True, indent=2) + "\n".
+    """
+    out = []
+    try:
+        _write(doc, "", out)
+    except RecursionError:
+        raise ValueError("document nested too deeply to write") from None
+    out.append("\n")
+    return "".join(out)
 
 
 def parse(text):
@@ -313,6 +384,8 @@ def parse(text):
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"not JSON: {e}") from None
+    except RecursionError:
+        raise ParseError("not JSON: nested too deeply") from None
     _require(isinstance(doc, dict), "document must be an object")
     for key in ("kind", "payload", "meta"):
         _require(key in doc, f"missing field {key!r}")

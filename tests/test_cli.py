@@ -1,15 +1,22 @@
 import hashlib
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import totsym
 
 from totsym.catalog import tilde_sigma5_rep
 from totsym.cli import main
 from totsym.field import ONE
 from totsym.linalg import Matrix
-from totsym.serialize import from_document, parse
+from totsym.serialize import FIELD_BASIS, from_document, parse
 from totsym.suite import format_report, run_suite, spin_presentation_checks
 
 
@@ -127,6 +134,190 @@ def test_verify_non_square_witness_exit_2(tmp_path, capsys):
     doc.write_text(json.dumps(data))
     assert run("verify", "--in", str(doc)) == 2
     assert "non-square" in capsys.readouterr().err
+
+
+def _constructed(tmp_path, spec):
+    path = tmp_path / "doc.json"
+    assert run("construct", *shlex.split(spec), "--out", str(path)) == 0
+    return path, json.loads(path.read_text())
+
+
+def test_wrong_size_witness_exit_2(tmp_path, capsys):
+    path, data = _constructed(tmp_path, "standard --k 3")
+    data["payload"]["witness"]["transpositions"][0] = {
+        "rows": 2, "cols": 2, "entries": [["1"] + ["0"] * 7] * 4}
+    path.write_text(json.dumps(data))
+    for command in ("export", "verify", "classify"):
+        assert run(command, "--in", str(path)) == 2
+        assert "not 3x3" in capsys.readouterr().err
+
+
+def test_wrong_size_representative_exit_2(tmp_path, capsys):
+    path, data = _constructed(tmp_path, "simplex --n 2")
+    data["payload"]["witness"]["representatives"][1]["rows"] = 1
+    data["payload"]["witness"]["representatives"][1]["entries"].pop()
+    path.write_text(json.dumps(data))
+    for command in ("export", "verify", "stabilizer"):
+        assert run(command, "--in", str(path)) == 2
+        assert "representatives" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec, field", [
+    ("standard --k 3", ("witness", "transpositions")),
+    ("simplex --n 2", ("witness", "representatives")),
+    ("standard --k 3", ("params",)),
+])
+def test_non_list_field_exit_2(tmp_path, capsys, spec, field):
+    path, data = _constructed(tmp_path, spec)
+    parent = data["payload"]
+    for key in field[:-1]:
+        parent = parent[key]
+    parent[field[-1]] = 5
+    path.write_text(json.dumps(data))
+    for command in ("export", "verify"):
+        assert run(command, "--in", str(path)) == 2
+        assert f"{field[-1]!r} must be a list" in capsys.readouterr().err
+
+
+def test_deeply_nested_document_exit_2(tmp_path, capsys):
+    doc = tmp_path / "deep.json"
+    doc.write_text("[" * 200000 + "]" * 200000)
+    assert run("verify", "--in", str(doc)) == 2
+    assert "nested too deeply" in capsys.readouterr().err
+
+
+def _nested_report(depth):
+    """Canonical text of a report whose payload nests `depth` objects."""
+    lines = ["{", '  "kind": "report",', '  "meta": {',
+             f'    "field_basis": "{FIELD_BASIS}",', '    "version": "1"',
+             "  },", '  "payload": {']
+    lines += ['  ' * (j + 2) + '"a": {' for j in range(depth - 1)]
+    lines.append("  " * (depth + 1) + '"a": 0')
+    lines += ["  " * (j + 1) + "}" for j in reversed(range(depth))]
+    return "\n".join(lines) + "\n}\n"
+
+
+def test_export_re_emits_a_deeply_nested_report(tmp_path):
+    # a fresh process, as the tss script runs, so the stack starts shallow
+    small = _nested_report(3)
+    assert json.loads(small)["payload"] == {"a": {"a": {"a": 0}}}
+    assert small == json.dumps(json.loads(small), sort_keys=True, indent=2) + "\n"
+    text = _nested_report(990)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(totsym.__file__)))
+    code = "import sys\nfrom totsym.cli import main\nsys.exit(main())\n"
+    out = subprocess.run([sys.executable, "-c", code, "export", "--in", "-"],
+                         input=text, env=env, capture_output=True, text=True,
+                         timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == text
+
+
+def test_export_keeps_any_report_payload(tmp_path, capsys):
+    doc = tmp_path / "report.json"
+    text = _nested_report(1).replace('{\n    "a": 0\n  }', "[\n    1,\n    2\n  ]")
+    doc.write_text(text)
+    assert run("export", "--in", str(doc)) == 0
+    assert capsys.readouterr().out == text
+
+
+def test_back_to_back_calls_do_not_share_arguments(tmp_path, capsys):
+    a, b, c = (tmp_path / name for name in ("a.json", "b.json", "c.json"))
+    assert run("construct", "standard", "--k", "3", "--lambda", "5",
+               "--out", str(a)) == 0
+    assert run("export", "--in", str(a), "--out", str(b)) == 0
+    assert a.read_bytes() == b.read_bytes()
+    capsys.readouterr()
+    assert run("construct", "standard") == 2  # --k 3 is not remembered
+    assert "--k" in capsys.readouterr().err
+    assert run("construct", "standard", "--k", "3") == 0  # nor is --out
+    assert run("construct", "standard", "--k", "3", "--lambda", "2",
+               "--out", str(c)) == 0
+    wrote = c.read_text() + "wrote standard\n"
+    assert capsys.readouterr().out == wrote  # nor is --lambda 5
+    assert c.read_bytes() != a.read_bytes()
+
+
+# ----------------------------------------------- malformed documents (fuzz)
+
+
+FUZZ_SPECS = ("standard --k 3", "simplex --n 2", "ncsimplex --k 3",
+              "s5-arrangement", "perm --lambda 1,2,3")
+FIELD_NAMES = ("kind", "payload", "meta", "field_basis", "n", "k", "d",
+               "elements", "planes", "witness", "transpositions",
+               "representatives", "strong", "params", "rows", "cols",
+               "entries")
+json_leaves = (
+    st.none() | st.booleans() | st.integers(-3, 30) | st.floats()
+    | st.text(max_size=6)
+    | st.sampled_from(["0", "1", "-1/2", "1/0", "tss", "report", "arrangement"]))
+json_values = json_leaves | st.recursive(
+    json_leaves,
+    lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(st.sampled_from(FIELD_NAMES) | st.text(max_size=3),
+                      kids, max_size=3),
+    max_leaves=8)
+
+
+def _nodes(tree, path=()):
+    """(path, is_container) for every node of a JSON tree, root first."""
+    yield path, isinstance(tree, (dict, list))
+    items = tree.items() if isinstance(tree, dict) else (
+        enumerate(tree) if isinstance(tree, list) else ())
+    for key, value in items:
+        yield from _nodes(value, path + (key,))
+
+
+def _node_choice(paths):
+    """Draw a field pattern (list positions as wildcards) uniformly, then a
+    node of that pattern, so that the few structural fields come up as often
+    as the thousands of coordinate strings."""
+    groups = {}
+    for p in paths:
+        pattern = tuple(None if isinstance(key, int) else key for key in p)
+        groups.setdefault(pattern, []).append(p)
+    return st.one_of([st.sampled_from(g) for g in groups.values()])
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    """The directory, and each valid document as (text, node strategy,
+    container strategy)."""
+    root = tmp_path_factory.mktemp("fuzz")
+    docs = {}
+    for spec in FUZZ_SPECS:
+        path = root / "valid.json"
+        assert run("construct", *shlex.split(spec), "--out", str(path)) == 0
+        text = path.read_text()
+        nodes = list(_nodes(json.loads(text)))
+        docs[spec] = (text, _node_choice([p for p, _ in nodes[1:]]),
+                      _node_choice([p for p, container in nodes if container]))
+    return root, docs
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_one_mutation_never_raises(fuzz_dir, data):
+    root, docs = fuzz_dir
+    text, nodes, containers = docs[data.draw(st.sampled_from(FUZZ_SPECS))]
+    tree = json.loads(text)
+    op = data.draw(st.sampled_from(["replace", "delete", "insert"]))
+    path = data.draw(containers if op == "insert" else nodes)
+    parent = tree
+    for key in (path if op == "insert" else path[:-1]):
+        parent = parent[key]
+    if op == "replace":
+        parent[path[-1]] = data.draw(json_values)
+    elif op == "delete":
+        del parent[path[-1]]
+    elif isinstance(parent, list):
+        parent.insert(data.draw(st.integers(0, len(parent))), data.draw(json_values))
+    else:
+        key = data.draw(st.sampled_from(FIELD_NAMES) | st.text(max_size=3))
+        parent[key] = data.draw(json_values)
+    doc, out = root / "mutated.json", root / "out.json"
+    doc.write_text(json.dumps(tree))
+    for command in ("verify", "export", "classify", "stabilizer"):
+        assert run(command, "--in", str(doc), "--out", str(out)) in (0, 1, 2)
 
 
 def test_verify_garbage_exit_2(tmp_path, capsys):

@@ -98,6 +98,31 @@ def test_witness_length_checked():
         Tss([diag(1, 2), diag(2, 1)], witness=[SWAP2, SWAP2])
 
 
+def test_witness_shape_checked():
+    pair = [diag(1, 2, 3), diag(2, 1, 3)]
+    with pytest.raises(ValueError, match="is 2x2, not 3x3"):
+        Tss(pair, witness=[SWAP2])
+    with pytest.raises(ValueError, match="non-square"):
+        Tss(pair, witness=[Matrix([[1, 0, 0], [0, 1, 0]])])
+    with pytest.raises(ValueError, match="is 3x3, not 2x2"):
+        Arrangement([line(1, 0), line(0, 1)], witness=[Matrix.identity(3)])
+    rows = [[line(1, 0), line(0, 1)], [line(0, 1), line(1, 0)]]
+    with pytest.raises(ValueError, match="is 1x1, not 2x2"):
+        DecompositionSystem(rows, witness=[Matrix([[1]])])
+
+
+def test_strong_witness_shape_checked():
+    lines = [line(1, 0), line(0, 1)]
+    reps = [Matrix([[1], [0]]), Matrix([[0], [1]])]
+    assert Arrangement(lines, strong_witness=StrongWitness(reps, [SWAP2])).k == 2
+    for bad in (StrongWitness(reps, [Matrix.identity(3)]),
+                StrongWitness(reps, []),
+                StrongWitness(reps[:1], [SWAP2]),
+                StrongWitness([Matrix.identity(2)] * 2, [SWAP2])):
+        with pytest.raises(ValueError):
+            Arrangement(lines, strong_witness=bad)
+
+
 # ------------------------------------------------------------- verify_tss
 
 

@@ -75,6 +75,26 @@ def test_matrix_entries_are_row_major():
     assert matrix_from_json(d) == m
 
 
+def test_matrix_json_entries_share_no_list():
+    d = matrix_to_json(Matrix.identity(3))
+    entries = d["entries"]
+    assert len({id(e) for e in entries}) == len(entries)
+    entries[0][0] = "7"
+    assert entries[4] == ["1"] + ["0"] * 7
+    assert matrix_from_json(d) == Matrix([[7, 0, 0], [0, 1, 0], [0, 0, 1]])
+
+
+def test_matrix_parse_checks_every_repeated_entry():
+    zero = ["0"] * 8
+    good = {"rows": 1, "cols": 3, "entries": [zero, zero, list(zero)]}
+    assert matrix_from_json(good) == Matrix([[0, 0, 0]])
+    # "00000000" and the tuple spell the key of a parsed entry; the others
+    # are short, non-string or unhashable
+    for bad in ("00000000", tuple(zero), zero[:7], [0] * 8, zero[:7] + [{}]):
+        with pytest.raises(ParseError):
+            matrix_from_json({**good, "entries": [zero, zero, bad]})
+
+
 def test_matrix_shape_rejections():
     good = matrix_to_json(Matrix([[1, 2]]))
     with pytest.raises(ParseError):
@@ -137,6 +157,41 @@ def test_emit_is_deterministic_and_canonical():
     shuffled = json.dumps({k: loaded[k] for k in reversed(list(loaded))})
     assert shuffled != one
     assert emit(parse(shuffled)) == one
+
+
+json_leaves = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(),
+    st.text(), st.sampled_from(["≤", '"', "\\", "\x00", "\n", "\x1f", "\u2028"]))
+json_trees = st.recursive(
+    json_leaves,
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=4),
+        st.lists(kids, max_size=4).map(tuple),
+        st.lists(st.text(max_size=3), max_size=4),
+        st.dictionaries(st.text(max_size=4), kids, max_size=4)),
+    max_leaves=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_trees)
+def test_emit_matches_json_dumps(tree):
+    assert emit(tree) == json.dumps(tree, sort_keys=True, indent=2) + "\n"
+
+
+def test_emit_converts_keys_as_json_dumps_does():
+    for tree in ({2: "b", -1: ["a", 0]}, {1.5: 0, float("inf"): 1},
+                 {True: 1}, {None: {}}, {"x": {3: ()}}):
+        assert emit(tree) == json.dumps(tree, sort_keys=True, indent=2) + "\n"
+    for bad in ({(1, 2): 0}, {1: 0, "1": 1}):
+        with pytest.raises(TypeError):
+            json.dumps(bad, sort_keys=True, indent=2)
+        with pytest.raises(TypeError):
+            emit(bad)
+
+
+def test_parse_rejects_deep_nesting():
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse("[" * 200000 + "]" * 200000)
 
 
 def test_header_must_match_elements():
