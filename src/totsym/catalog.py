@@ -8,14 +8,15 @@ four-element set in dimension four.  Every constructor returns an object
 whose bundled witness passes exact verification.
 """
 
-from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations
 
 from .core import (
     Arrangement,
     DecompositionSystem,
     StrongWitness,
     Tss,
+    Weight,
+    _swap,
     realize_permutation,
     suspension,
 )
@@ -31,6 +32,7 @@ from .field import (
     ZETA,
     ZETA_INV,
     Scalar,
+    as_scalar,
 )
 from .linalg import Matrix, Subspace, kernel
 
@@ -69,10 +71,6 @@ class DuplicateEigenvalue(ValueError):
     pass
 
 
-def _scalar(x):
-    return x if isinstance(x, Scalar) else Scalar.rational(x)
-
-
 def _diag(entries):
     entries = list(entries)
     n = len(entries)
@@ -87,61 +85,20 @@ def _perm_matrix(one_line):
                    for r in range(n)])
 
 
-def _adjacent(k, j):
-    tau = list(range(k))
-    tau[j], tau[j + 1] = tau[j + 1], tau[j]
-    return tau
-
-
-class Weight:
-    """A tuple of eigenvalues; equal entries mark the same partition part."""
-
-    __slots__ = ("values",)
-
-    def __init__(self, values):
-        vals = tuple(_scalar(v) for v in values)
-        if not vals:
-            raise ValueError("weight needs at least one value")
-        object.__setattr__(self, "values", vals)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Weight is immutable")
-
-    @property
-    def k(self):
-        return len(self.values)
-
-    @property
-    def partition(self):
-        counts = {}
-        for v in self.values:
-            counts[v] = counts.get(v, 0) + 1
-        return tuple(sorted(counts.values(), reverse=True))
-
-    def __eq__(self, other):
-        return isinstance(other, Weight) and self.values == other.values
-
-    def __hash__(self):
-        return hash(self.values)
-
-    def __repr__(self):
-        return f"Weight({list(self.values)!r})"
-
-
 # ---------------------------------------------------------------------------
 # diagonal families
 
 
 def standard(k, lam=2, nu=1):
     """k diagonal k-by-k matrices: nu in slot i, lam elsewhere."""
-    lam, nu = _scalar(lam), _scalar(nu)
+    lam, nu = as_scalar(lam), as_scalar(nu)
     if lam == nu:
         raise EqualEigenvalues("slot and background eigenvalues coincide")
     if k < 1:
         raise ValueError("need k >= 1")
     elements = [_diag([nu if j == i else lam for j in range(k)])
                 for i in range(k)]
-    witness = [_perm_matrix(_adjacent(k, j)) for j in range(k - 1)]
+    witness = [_perm_matrix(_swap(range(k), j)) for j in range(k - 1)]
     return Tss(elements, witness=witness, params=(lam, nu))
 
 
@@ -154,20 +111,14 @@ def partition_construction(w):
     """
     if not isinstance(w, Weight):
         w = Weight(w)
-    k = w.k
-    orbit = sorted(
-        {tuple(w.values[s] for s in sigma)
-         for sigma in permutations(range(k))},
-        key=lambda f: tuple(x.sort_key() for x in f))
+    orbit = list(w.orbit())
     index = {f: a for a, f in enumerate(orbit)}
-    elements = [_diag([f[i] for f in orbit]) for i in range(k)]
+    elements = [_diag([f[i] for f in orbit]) for i in range(w.k)]
     witness = []
-    for j in range(k - 1):
+    for j in range(w.k - 1):
         rows = [[ZERO] * len(orbit) for _ in range(len(orbit))]
         for b, f in enumerate(orbit):
-            g = list(f)
-            g[j], g[j + 1] = g[j + 1], g[j]
-            rows[index[tuple(g)]][b] = ONE
+            rows[index[tuple(_swap(f, j))]][b] = ONE
         witness.append(Matrix(rows))
     return Tss(elements, witness=witness, params=tuple(orbit[0]))
 
@@ -194,7 +145,7 @@ def induction(t, p, lam):
     as lam*I when that index lands in the top block.  Realization matrices
     permute the blocks and twist each by a realized original permutation.
     """
-    lam = _scalar(lam)
+    lam = as_scalar(lam)
     if t.witness is None:
         raise ValueError("induction needs a witnessed set")
     if p < 1:
@@ -223,7 +174,7 @@ def induction(t, p, lam):
         elements.append(Matrix.block(grid))
     witness = []
     for j in range(kp - 1):
-        tau = _adjacent(kp, j)
+        tau = _swap(range(kp), j)
         grid = [[zero] * nblocks for _ in range(nblocks)]
         for a, s in enumerate(subsets):
             ts = tuple(sorted(tau[x] for x in s))
@@ -259,7 +210,7 @@ def _simplex_witness(n):
     """Transposition matrices permuting the n+1 simplex points on the nose."""
     mats = []
     for j in range(n - 1):
-        mats.append(_perm_matrix(_adjacent(n, j)))
+        mats.append(_perm_matrix(_swap(range(n), j)))
     last = [[-ONE if c == n - 1 else (ONE if r == c else ZERO)
              for c in range(n)] for r in range(n)]
     mats.append(Matrix(last))
@@ -296,7 +247,7 @@ def simplex_system(n):
 
 def suspension_simplex(n, lam=2):
     """The suspension of the simplex lines: pairs (lam*I, point column)."""
-    return suspension(simplex_arrangement(n), _scalar(lam))
+    return suspension(simplex_arrangement(n), as_scalar(lam))
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +256,7 @@ def suspension_simplex(n, lam=2):
 
 def eigenspace_construction(d, eigenvalues):
     """One matrix per grid row, acting as the j-th eigenvalue on part j."""
-    eigs = [_scalar(x) for x in eigenvalues]
+    eigs = [as_scalar(x) for x in eigenvalues]
     if len(eigs) != d.parts:
         raise ValueError("need exactly one eigenvalue per part")
     if len(set(eigs)) != len(eigs):
@@ -325,7 +276,7 @@ def eigenspace_construction(d, eigenvalues):
 def ncsimplex(k, lam=2, mu=1):
     """k matrices in dimension k-1: eigenvalue lam on a simplex line, mu on
     the complementary hyperplane.  Noncommutative for k >= 3."""
-    lam, mu = _scalar(lam), _scalar(mu)
+    lam, mu = as_scalar(lam), as_scalar(mu)
     if lam == mu:
         raise EqualEigenvalues("line and hyperplane eigenvalues coincide")
     if k < 2:
@@ -414,7 +365,7 @@ def tilde_sigma5_system():
 def tilde_sigma5_construction(lam=2, mu=1):
     """Five matrices with eigenvalue lam on the i-th 2-plane and mu on its
     complement, conjugate-transported along the spin generators."""
-    lam, mu = _scalar(lam), _scalar(mu)
+    lam, mu = as_scalar(lam), as_scalar(mu)
     if lam == mu:
         raise EqualEigenvalues("plane and complement eigenvalues coincide")
     ts = tilde_sigma5_rep()
@@ -436,7 +387,7 @@ def sporadic4(nu=1):
     the first transposition is realized by an asymmetric pair (P, Q), the
     others by doubled simplex witnesses.
     """
-    nu = _scalar(nu)
+    nu = as_scalar(nu)
     mu = MU_SPORADIC
     lam = mu.inverse()
     alpha = (mu - lam) * HALF

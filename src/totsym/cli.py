@@ -252,10 +252,7 @@ def main(argv=None):
     args = _parser().parse_args(argv)
     try:
         return _DISPATCH[args.command](args)
-    except ParseError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError) as e:
+    except (OSError, ValueError) as e:  # ParseError is a ValueError
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -14,9 +14,10 @@ none is supplied or the bundled one fails.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 
-from .field import Scalar
+from .field import Scalar, as_scalar
 from .linalg import (
     Matrix,
     Singular,
@@ -66,16 +67,63 @@ def _swap(seq, j):
     return out
 
 
+def _assign(record, **values):
+    """Set fields of a frozen record; used by __post_init__ to canonicalise."""
+    for name, value in values.items():
+        object.__setattr__(record, name, value)
+
+
+@dataclass(frozen=True, slots=True)
+class Weight:
+    """A tuple of eigenvalues; equal entries mark the same partition part."""
+
+    values: tuple
+
+    def __post_init__(self):
+        values = tuple(as_scalar(v) for v in self.values)
+        if not values:
+            raise ValueError("weight needs at least one value")
+        _assign(self, values=values)
+
+    @property
+    def k(self):
+        return len(self.values)
+
+    @property
+    def partition(self):
+        return tuple(sorted(Counter(self.values).values(), reverse=True))
+
+    def orbit(self):
+        """Yield each distinct rearrangement of the values once, in increasing
+        order of their tuples of sort keys.
+
+        Steps through the multiset permutations in lexicographic order, so
+        the work is proportional to the orbit, not to the k! permutations.
+        """
+        distinct = sorted(set(self.values), key=Scalar.sort_key)
+        word = sorted(distinct.index(v) for v in self.values)
+        while True:
+            yield tuple(distinct[r] for r in word)
+            i = len(word) - 2
+            while i >= 0 and word[i] >= word[i + 1]:
+                i -= 1
+            if i < 0:
+                return
+            j = len(word) - 1
+            while word[j] <= word[i]:
+                j -= 1
+            word[i], word[j] = word[j], word[i]
+            word[i + 1:] = reversed(word[i + 1:])
+
+
+@dataclass(frozen=True, slots=True)
 class RealizationWitness:
     """Invertible matrices; entry j realizes the adjacent transposition (j, j+1)."""
 
-    __slots__ = ("transpositions",)
+    transpositions: tuple
 
-    def __init__(self, transpositions):
-        object.__setattr__(self, "transpositions", tuple(transpositions))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RealizationWitness is immutable")
+    def __post_init__(self):
+        _assign(self, transpositions=tuple(self.transpositions))
 
     def __len__(self):
         return len(self.transpositions)
@@ -86,26 +134,18 @@ class RealizationWitness:
     def __getitem__(self, j):
         return self.transpositions[j]
 
-    def __eq__(self, other):
-        return (isinstance(other, RealizationWitness)
-                and self.transpositions == other.transpositions)
 
-    def __hash__(self):
-        return hash(self.transpositions)
-
-
+@dataclass(frozen=True, slots=True)
 class StrongWitness:
     """Plane representatives M_i together with matrices P_j moving them on
     the nose: P_j · M_i = M_{tau_j(i)} entrywise, not just up to column span."""
 
-    __slots__ = ("representatives", "transpositions")
+    representatives: tuple
+    transpositions: tuple
 
-    def __init__(self, representatives, transpositions):
-        object.__setattr__(self, "representatives", tuple(representatives))
-        object.__setattr__(self, "transpositions", tuple(transpositions))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("StrongWitness is immutable")
+    def __post_init__(self):
+        _assign(self, representatives=tuple(self.representatives),
+                transpositions=tuple(self.transpositions))
 
 
 def _coerce_witness(w):
@@ -125,6 +165,7 @@ def _check_witness(transpositions, k, n):
             raise ValueError(f"witness matrix {j} is {p.n}x{p.n}, not {n}x{n}")
 
 
+@dataclass(frozen=True, slots=True)
 class Tss:
     """An indexed set of k square matrices over K.
 
@@ -132,16 +173,21 @@ class Tss:
     action means a single collision collapses the whole set.  A family
     whose members are all equal keeps its formal cardinality (the trivial
     set of size k); a partial collision is canonicalized to the singleton
-    of its first element.
+    of its first element.  The witness is a certificate, not identity.
     """
 
-    __slots__ = ("n", "k", "elements", "witness", "params")
+    elements: tuple
+    witness: RealizationWitness | None = field(default=None, compare=False)
+    n: int | None = None
+    # spectral parameters attached at construction; a hint for eigenvalue
+    # discovery, carrying no identity weight (like the witness)
+    params: tuple = field(default=(), compare=False)
+    k: int = field(init=False)
 
-    def __init__(self, elements, witness=None, n=None, params=()):
-        elements = tuple(elements)
-        witness = _coerce_witness(witness)
-        params = tuple(p if isinstance(p, Scalar) else Scalar.rational(p)
-                       for p in params)
+    def __post_init__(self):
+        elements = tuple(self.elements)
+        witness = _coerce_witness(self.witness)
+        n = self.n
         if elements:
             n = elements[0].n
             for a in elements:
@@ -158,41 +204,32 @@ class Tss:
             _check_witness(witness, k, n)
         if witness is None and distinct <= 1 and k >= 1:
             witness = RealizationWitness([Matrix.identity(n)] * (k - 1))
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "elements", elements)
-        object.__setattr__(self, "witness", witness)
-        # spectral parameters attached at construction; a hint for eigenvalue
-        # discovery, carrying no identity weight (like the witness)
-        object.__setattr__(self, "params", params)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Tss is immutable")
+        _assign(self, elements=elements, witness=witness, n=n, k=k,
+                params=tuple(as_scalar(p) for p in self.params))
 
     @property
     def degenerate(self):
         return len(set(self.elements)) <= 1
 
-    def __eq__(self, other):
-        # witnesses are certificates, not identity
-        return (isinstance(other, Tss) and self.n == other.n
-                and self.elements == other.elements)
-
-    def __hash__(self):
-        return hash((self.n, self.elements))
-
     def __repr__(self):
         return f"Tss(k={self.k}, n={self.n}, degenerate={self.degenerate})"
 
 
+@dataclass(frozen=True, slots=True)
 class Arrangement:
     """An indexed set of k subspaces of K^n, all of dimension d."""
 
-    __slots__ = ("n", "d", "k", "planes", "witness", "strong_witness")
+    planes: tuple
+    witness: RealizationWitness | None = field(default=None, compare=False)
+    strong_witness: StrongWitness | None = field(default=None, compare=False)
+    n: int = field(init=False)
+    d: int = field(init=False)
+    k: int = field(init=False)
 
-    def __init__(self, planes, witness=None, strong_witness=None):
-        planes = tuple(planes)
-        witness = _coerce_witness(witness)
+    def __post_init__(self):
+        planes = tuple(self.planes)
+        witness = _coerce_witness(self.witness)
+        strong_witness = self.strong_witness
         if not planes:
             raise ValueError("arrangement needs at least one plane")
         n = planes[0].n
@@ -216,41 +253,32 @@ class Arrangement:
                     f"a strong witness needs {k} representatives, each {n}x{d}")
         if witness is None and distinct == 1 and k >= 1:
             witness = RealizationWitness([Matrix.identity(n)] * (k - 1))
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "planes", planes)
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "strong_witness", strong_witness)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Arrangement is immutable")
+        _assign(self, planes=planes, witness=witness,
+                strong_witness=strong_witness, n=n, d=d, k=k)
 
     @property
     def degenerate(self):
         return len(set(self.planes)) <= 1
-
-    def __eq__(self, other):
-        return (isinstance(other, Arrangement) and self.n == other.n
-                and self.planes == other.planes)
-
-    def __hash__(self):
-        return hash((self.n, self.planes))
 
     def __repr__(self):
         return (f"Arrangement(k={self.k}, d={self.d}, n={self.n}, "
                 f"degenerate={self.degenerate})")
 
 
+@dataclass(frozen=True, slots=True)
 class DecompositionSystem:
     """A k-by-p grid of subspaces; each row direct-sums to the whole space
     and the witness transports rows onto rows, fixing the column index."""
 
-    __slots__ = ("n", "k", "parts", "grid", "witness")
+    grid: tuple
+    witness: RealizationWitness | None = field(default=None, compare=False)
+    n: int = field(init=False)
+    k: int = field(init=False)
+    parts: int = field(init=False)
 
-    def __init__(self, grid, witness=None):
-        grid = tuple(tuple(row) for row in grid)
-        witness = _coerce_witness(witness)
+    def __post_init__(self):
+        grid = tuple(tuple(row) for row in self.grid)
+        witness = _coerce_witness(self.witness)
         if not grid or not grid[0]:
             raise ValueError("grid must be non-empty")
         n = grid[0][0].n
@@ -274,17 +302,10 @@ class DecompositionSystem:
                         if grid[i][m].apply(p) != grid[_swap(range(k), j)[i]][m]:
                             raise ValueError(
                                 f"witness {j} does not transport row {i}, part {m}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "parts", parts)
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "witness", witness)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DecompositionSystem is immutable")
+        _assign(self, grid=grid, witness=witness, n=n, k=k, parts=parts)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Certificate:
     verdict: str
     witness: RealizationWitness | None = None
@@ -587,7 +608,7 @@ def suspension(a, lam):
     arrangement: elements (λI M_i; 0 λI), witnesses P_j ⊕ I."""
     if a.strong_witness is None:
         raise NoStrongWitness("suspension needs representatives moved on the nose")
-    lam = lam if isinstance(lam, Scalar) else Scalar.rational(lam)
+    lam = as_scalar(lam)
     reps = a.strong_witness.representatives
     ps = a.strong_witness.transpositions
     for i, m in enumerate(reps):

@@ -269,6 +269,11 @@ class Scalar:
         return out
 
 
+def as_scalar(x):
+    """x itself if it is a Scalar, else the rational Scalar equal to it."""
+    return x if isinstance(x, Scalar) else Scalar.rational(x)
+
+
 def _squarefree_split(m):
     """m = f*f*s with s squarefree; returns (f, s)."""
     f, s, p = 1, m, 2

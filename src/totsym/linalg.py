@@ -13,7 +13,7 @@ import itertools
 import os
 import random
 
-from .field import ONE, ZERO, Scalar
+from .field import ONE, ZERO, Scalar, as_scalar
 
 __all__ = [
     "Matrix",
@@ -33,12 +33,6 @@ __all__ = [
     "solve",
     "vec_to_matrix",
 ]
-
-
-def _coerce(x):
-    if isinstance(x, Scalar):
-        return x
-    return Scalar.rational(x)
 
 
 def _require_square(mat, what):
@@ -66,7 +60,7 @@ class Matrix:
     __slots__ = ("rows", "m", "n")
 
     def __init__(self, rows):
-        rows = tuple(tuple(_coerce(x) for x in row) for row in rows)
+        rows = tuple(tuple(as_scalar(x) for x in row) for row in rows)
         if not rows:
             raise ValueError("matrix needs at least one row")
         width = len(rows[0])
@@ -91,13 +85,13 @@ class Matrix:
 
     @classmethod
     def scalar(cls, n, s):
-        s = _coerce(s)
+        s = as_scalar(s)
         return cls(tuple(tuple(s if i == j else ZERO for j in range(n))
                          for i in range(n)))
 
     @classmethod
     def from_columns(cls, cols):
-        return cls(tuple(zip(*[tuple(_coerce(x) for x in c) for c in cols])))
+        return cls(tuple(zip(*[tuple(as_scalar(x) for x in c) for c in cols])))
 
     @classmethod
     def block(cls, grid):
@@ -176,7 +170,7 @@ class Matrix:
         return NotImplemented
 
     def scale(self, s):
-        s = _coerce(s)
+        s = as_scalar(s)
         return Matrix(tuple(tuple(s * x for x in r) for r in self.rows))
 
     def __pow__(self, k):
@@ -317,7 +311,7 @@ def _det_inverse(mat, want_inverse):
 
 
 def vec(xs):
-    return tuple(_coerce(x) for x in xs)
+    return tuple(as_scalar(x) for x in xs)
 
 
 def mat_vec(m, v):
@@ -510,7 +504,7 @@ class Polynomial:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        coeffs = [_coerce(c) for c in coeffs]
+        coeffs = [as_scalar(c) for c in coeffs]
         while len(coeffs) > 1 and coeffs[-1].is_zero():
             coeffs.pop()
         object.__setattr__(self, "coeffs", tuple(coeffs))
@@ -523,7 +517,7 @@ class Polynomial:
         return len(self.coeffs) - 1
 
     def __call__(self, x):
-        x = _coerce(x)
+        x = as_scalar(x)
         acc = ZERO
         for c in reversed(self.coeffs):
             acc = acc * x + c
@@ -537,7 +531,7 @@ class Polynomial:
 
     def deflate(self, root):
         """Divide by (x - root).  Returns (quotient, remainder scalar)."""
-        root = _coerce(root)
+        root = as_scalar(root)
         out = []
         acc = ZERO
         for c in reversed(self.coeffs):

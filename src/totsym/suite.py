@@ -11,6 +11,7 @@ from itertools import combinations
 from .catalog import (
     dual_simplex_arrangement,
     induction,
+    ncsimplex,
     partition_construction,
     permutation_type,
     simplex_arrangement,
@@ -18,6 +19,7 @@ from .catalog import (
     standard,
     suspension_simplex,
     tilde_sigma5_arrangement,
+    tilde_sigma5_construction,
     tilde_sigma5_rep,
 )
 from .core import (
@@ -38,13 +40,14 @@ from .field import (
     SQRT2,
     SQRT3,
     SQRT6,
+    ZERO,
     ZETA,
     ZETA_INV,
     MU_SPORADIC,
     Scalar,
     sqrt_restricted,
 )
-from .linalg import Matrix, Subspace
+from .linalg import Matrix, Subspace, kernel, matrix_to_vec
 from .spectral import (
     IRREDUCIBLE,
     NON_DIAGONALIZABLE,
@@ -52,13 +55,17 @@ from .spectral import (
     ProperAlgebra,
     classify_commutative,
     depth_profile,
-    halfdim_nonexistence_suite,
     irreducibility_certificate,
     jfold,
-    rep_obstruction_suite,
 )
 
-__all__ = ["run_suite", "format_report", "spin_presentation_checks"]
+__all__ = [
+    "format_report",
+    "halfdim_nonexistence_suite",
+    "rep_obstruction_suite",
+    "run_suite",
+    "spin_presentation_checks",
+]
 
 _PRODUCERS = []
 
@@ -332,8 +339,109 @@ def _spectral_checks():
     return checks
 
 
-_PRODUCERS.append(rep_obstruction_suite)
-_PRODUCERS.append(halfdim_nonexistence_suite)
+# ---------------------------------------------------------------------------
+# exact obstruction computations
+
+
+def _printed_involution_pair():
+    third_i3 = I_UNIT * SQRT3 * Scalar.rational(1, 3)
+    sixth_i6 = I_UNIT * SQRT6 * Scalar.rational(1, 6)
+    a1 = Matrix([
+        [ONE, ZERO, -ONE - third_i3, -sixth_i6],
+        [ZERO, ONE, -sixth_i6, -ONE + third_i3],
+        [ZERO, ZERO, -ONE, ZERO],
+        [ZERO, ZERO, ZERO, -ONE],
+    ])
+    a2 = Matrix([
+        [-ONE, ZERO, ZERO, ZERO],
+        [ZERO, -ONE, ZERO, ZERO],
+        [-ONE + third_i3, sixth_i6, ONE, ZERO],
+        [sixth_i6, -ONE - third_i3, ZERO, ONE],
+    ])
+    return a1, a2
+
+
+@_producer
+def rep_obstruction_suite():
+    """Exact checks that low-dimensional realizations cannot be upgraded to
+    group representations: the braid-style relation A1*A2*A1 = A2*A1*A2
+    fails for every noncommutative simplex set except the one on three
+    elements, and the involution specialization of the spin construction
+    violates (A1*A2)^3 = I."""
+    checks = []
+    for symbols in (3, 4, 5, 6):
+        d = symbols - 2
+        c1 = ONE - Scalar.rational(4, d * d)
+        c2 = Scalar.rational(4, d * d) - ONE
+        ok = (c1 == c2) == (symbols == 4)
+        detail = f"first coordinates {c1!r} and {c2!r}"
+        if symbols >= 4:
+            t = ncsimplex(symbols - 1, -1, 1)
+            a1, a2 = t.elements[0], t.elements[1]
+            left, right = a1 * a2 * a1, a2 * a1 * a2
+            ok = ok and left.rows[0][0] == c1 and right.rows[0][0] == c2
+            ok = ok and (left == right) == (symbols == 4)
+        checks.append(_check(f"obstruction.braid.{symbols}", ok, detail))
+
+    t = tilde_sigma5_construction(1, -1)
+    a1, a2 = t.elements[0], t.elements[1]
+    p1, p2 = _printed_involution_pair()
+    checks.append(_check(
+        "obstruction.spin.involution_pair",
+        a1 == p1 and a2 == p2,
+        "first two elements at eigenvalues (1, -1)"))
+    cube = (a1 * a2) ** 3
+    checks.append(_check(
+        "obstruction.spin.braid_power",
+        cube != Matrix.identity(4),
+        f"(A1*A2)^3 = {cube!r}" if cube == Matrix.identity(4) else ""))
+    return checks
+
+
+@_producer
+def halfdim_nonexistence_suite():
+    """Exact checks behind the nonexistence of certain half-dimensional
+    sets: the spin-generator block identity that rules out a single
+    repeated eigenvalue with nontrivial Jordan structure, and the rank-2
+    linear system that caps pairwise-complementary 2-plane families at
+    five members."""
+    ts = tilde_sigma5_rep()
+    p34 = ts[2].submatrix(range(2), range(2))
+    q34 = ts[2].submatrix(range(2, 4), range(2, 4))
+    p45 = ts[3].submatrix(range(2), range(2))
+    target = Matrix([[ZERO, SQRT2], [-SQRT2, ZERO]])
+    checks = [
+        _check("halfdim.block_identity",
+               p45 * q34 - p34 * p45 == target,
+               f"difference {p45 * q34 - p34 * p45!r}"),
+        _check("halfdim.transport_clash",
+               p45 != p34 * p45 * q34.inverse(),
+               "conjugating the distant generator block must move it"),
+    ]
+
+    a4 = Matrix([[ZETA, (ZETA_INV - ZETA) * HALF], [ZERO, ZETA_INV]])
+    a6 = Matrix([[HALF, SQRT3 * HALF * I_UNIT],
+                 [SQRT3 * HALF * I_UNIT, HALF]])
+
+    def residual(c, d):
+        y = Matrix([[c + d, c - d], [d - c, -c - d]])
+        return a6 * y * a4 - a4 * y
+
+    sc, sd = residual(ONE, ZERO), residual(ZERO, ONE)
+    top_row_ok = (sc.rows[0][0] == HALF - SQRT3 * I_UNIT
+                  and sd.rows[0][0] == -ONE + SQRT3 * HALF * I_UNIT
+                  and sc.rows[0][1] == -Scalar.rational(7, 2) * ZETA
+                  and sd.rows[0][1] == -HALF * ZETA * ZETA)
+    checks.append(_check(
+        "halfdim.top_row_coefficients",
+        top_row_ok,
+        f"coefficient rows {sc.rows[0]!r}, {sd.rows[0]!r}"))
+    system = Matrix.from_columns([matrix_to_vec(sc), matrix_to_vec(sd)])
+    checks.append(_check(
+        "halfdim.system_rank",
+        kernel(system).dim == 0,
+        "the 4x2 coefficient system admits only the zero solution"))
+    return checks
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
+import time
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from math import factorial
 
 import pytest
@@ -53,6 +54,7 @@ from totsym.field import (
     Scalar,
 )
 from totsym.linalg import Matrix, Subspace
+from totsym.spectral import IRREDUCIBLE, classify_commutative
 
 
 def diag(*entries):
@@ -196,6 +198,25 @@ def test_permutation_type_rejects_collisions():
 
 def test_permutation_type_is_a_partition_construction():
     assert permutation_type([4, 5]) == partition_construction([4, 5])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(-2, 2), min_size=1, max_size=6))
+def test_weight_orbit_lists_each_rearrangement_once(values):
+    w = Weight(values)
+    want = sorted(set(permutations(w.values)),
+                  key=lambda f: tuple(x.sort_key() for x in f))
+    assert list(w.orbit()) == want
+
+
+def test_partition_orbit_does_not_enumerate_all_permutations():
+    # 12! = 479001600 permutations, 12 orbit points
+    start = time.perf_counter()
+    t = partition_construction([1] * 11 + [2])
+    res = classify_commutative(t)
+    assert time.perf_counter() - start < 1.0
+    assert (t.k, t.n) == (12, 12)
+    assert res.verdict == IRREDUCIBLE and res.partition == (11, 1)
 
 
 @settings(max_examples=15, deadline=None)

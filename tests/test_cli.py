@@ -14,9 +14,10 @@ import totsym
 
 from totsym.catalog import tilde_sigma5_rep
 from totsym.cli import main
+from totsym.core import Tss
 from totsym.field import ONE
 from totsym.linalg import Matrix
-from totsym.serialize import FIELD_BASIS, from_document, parse
+from totsym.serialize import FIELD_BASIS, document, emit, from_document, parse, to_document
 from totsym.suite import format_report, run_suite, spin_presentation_checks
 
 
@@ -338,6 +339,21 @@ def test_classify_reports_partition(tmp_path, capsys):
     assert payload["dim"] == 6
 
 
+def test_classify_stalled_discovery_keeps_its_detail(tmp_path):
+    # eigenvalue 2 plus the roots of x^3 - 5, which no candidate splits off;
+    # the detail is the repr of spectral.Incomplete
+    t = Tss([Matrix([[2, 0, 0, 0], [0, 0, 0, 5], [0, 1, 0, 0], [0, 0, 1, 0]])])
+    doc, rep = tmp_path / "t.json", tmp_path / "rep.json"
+    doc.write_text(emit(to_document(t)))
+    assert run("classify", "--in", str(doc), "--out", str(rep)) == 1
+    assert parse(rep.read_text())["payload"] == {
+        "detail": "eigenvalue discovery stalled: "
+                  "Incomplete(roots=[2], residual=-5 + (1)*x^3)",
+        "dim": 4,
+        "verdict": "NotClassified",
+    }
+
+
 def test_classify_degenerate_exit_1(tmp_path):
     doc = tmp_path / "susp.json"
     assert run("construct", "suspension-simplex", "--n", "3",
@@ -379,6 +395,20 @@ def test_suite_all_green(tmp_path, capsys):
     assert payload["count"] >= 25
     assert [c["name"] for c in payload["checks"]] == sorted(
         c["name"] for c in payload["checks"])
+
+
+# sha256 of the suite report document and of its text; a refactor must keep
+# every check name, verdict and detail string
+SUITE_REPORT_SHA256 = "6c663b457db578e0790548b368ff47aa097e546724ed4a5ed70c65b41db2801a"
+SUITE_TEXT_SHA256 = "d4f38c4b4dacfe2dfc4255b2ccf82445f54761f0de86adc2062990ec4ae3835d"
+
+
+def test_suite_report_is_pinned():
+    report = run_suite()
+    text = emit(document("report", report))
+    assert hashlib.sha256(text.encode()).hexdigest() == SUITE_REPORT_SHA256
+    text = format_report(report)
+    assert hashlib.sha256(text.encode()).hexdigest() == SUITE_TEXT_SHA256
 
 
 def test_suite_duplicate_check_name_exits_2(monkeypatch, capsys):

@@ -15,6 +15,7 @@ from totsym.core import (
     RealizationWitness,
     StrongWitness,
     Tss,
+    Weight,
     dual_arrangement,
     half_dim_normal_form,
     involution_checks,
@@ -454,6 +455,50 @@ def test_decomposition_system_validation():
         DecompositionSystem([[line(1, 0), line(1, 0)]])
     with pytest.raises(ValueError):
         DecompositionSystem(rows, witness=[Matrix.identity(2)])
+
+
+# ------------------------------------------------------------ record types
+
+
+LINES = [line(1, 0), line(0, 1)]
+REPS = [Matrix([[1], [0]]), Matrix([[0], [1]])]
+RECORDS = {
+    "RealizationWitness": lambda: RealizationWitness([SWAP2]),
+    "StrongWitness": lambda: StrongWitness(REPS, [SWAP2]),
+    "Tss": lambda: Tss([diag(1, 2), diag(2, 1)], witness=[SWAP2], params=(1,)),
+    "Arrangement": lambda: Arrangement(
+        LINES, witness=[SWAP2], strong_witness=StrongWitness(REPS, [SWAP2])),
+    "DecompositionSystem": lambda: DecompositionSystem(
+        [LINES, LINES[::-1]], witness=[SWAP2]),
+    "Weight": lambda: Weight([1, 2, 2]),
+    "Certificate": lambda: Certificate(TOTALLY_SYMMETRIC),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_records_are_immutable(name):
+    record = RECORDS[name]()
+    for attr in type(record).__slots__:
+        with pytest.raises(AttributeError):
+            setattr(record, attr, None)
+    # a frozen slotted dataclass raises TypeError for a name it lacks
+    with pytest.raises((AttributeError, TypeError)):
+        record.extra = None
+    assert not hasattr(record, "extra")
+
+
+def test_identity_ignores_witness_and_params():
+    pair = [diag(1, 2), diag(2, 1)]
+    for bare, dressed in [
+            (Tss(pair), RECORDS["Tss"]()),
+            (Arrangement(LINES), RECORDS["Arrangement"]()),
+            (DecompositionSystem([LINES, LINES[::-1]]),
+             RECORDS["DecompositionSystem"]())]:
+        assert bare.witness is None and dressed.witness is not None
+        assert bare == dressed and hash(bare) == hash(dressed)
+    assert Tss(pair, params=(3, 4)) == Tss(pair, params=(5,))
+    assert Tss(pair) != Tss(pair[::-1])
+    assert Arrangement(LINES) != Arrangement(LINES[::-1])
 
 
 def test_certificate_shape():

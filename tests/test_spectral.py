@@ -38,11 +38,10 @@ from totsym.spectral import (
     discover_eigenvalues,
     filtration,
     generalized_eigenspace,
-    halfdim_nonexistence_suite,
     irreducibility_certificate,
     jfold,
-    rep_obstruction_suite,
 )
+from totsym.suite import halfdim_nonexistence_suite, rep_obstruction_suite
 
 
 def diag(*entries):
@@ -154,6 +153,44 @@ def test_invariants_still_raise_under_python_O():
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout == "raised: depth table (1, 2) increases\n"
+
+
+# ------------------------------------------------------------ record types
+
+
+RECORDS = {
+    "EigenFiltration": lambda: EigenFiltration(ONE, [line(1, 0)]),
+    "DepthProfile": lambda: DepthProfile(ONE, [2, 1, 0]),
+    "Incomplete": lambda: discover_eigenvalues(
+        M((0, 0, 5), (1, 0, 0), (0, 1, 0))),
+    "ClassificationResult": lambda: classify_commutative(standard(2, 1, 2)),
+    "FullAlgebra": lambda: irreducibility_certificate(standard(2, 1, 2)),
+    "ProperAlgebra": lambda: irreducibility_certificate(suspension_simplex(2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_records_are_immutable(name):
+    record = RECORDS[name]()
+    assert type(record).__name__ == name
+    for attr in type(record).__slots__:
+        with pytest.raises(AttributeError):
+            setattr(record, attr, None)
+    # a frozen slotted dataclass raises TypeError for a name it lacks
+    with pytest.raises((AttributeError, TypeError)):
+        record.extra = None
+    assert not hasattr(record, "extra")
+
+
+def test_spectral_does_not_import_catalog():
+    code = ("import sys\n"
+            "import totsym.spectral\n"
+            "print(sorted(m for m in sys.modules if m.startswith('totsym.')))\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(totsym.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "['totsym.core', 'totsym.field', 'totsym.linalg', 'totsym.spectral']\n"
 
 
 # --------------------------------------------------------------------- depth
