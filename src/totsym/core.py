@@ -27,6 +27,7 @@ from .linalg import (
     kernel,
     mat_vec,
     null_space,
+    structurally_singular,
     vec_to_matrix,
 )
 
@@ -337,6 +338,15 @@ def _witness_realizes_planes(planes, witness):
     return True
 
 
+def _no_invertible_detail(what, j, space, n):
+    """Why the search for an invertible element of ``space`` came back empty:
+    a proof when the supports alone make every element singular."""
+    if structurally_singular(space, n):
+        return (f"no invertible {what} exists for transposition ({j}, {j + 1}): "
+                "the solution supports admit no perfect matching")
+    return f"no invertible {what} found for transposition ({j}, {j + 1})"
+
+
 def verify_tss(t, from_scratch=False):
     """Certify total symmetry of a matrix set.
 
@@ -344,7 +354,9 @@ def verify_tss(t, from_scratch=False):
     or when from_scratch is set, each adjacent transposition is solved as
     an intertwiner system and an invertible solution is searched for.  A
     NotTotallySymmetric verdict names the first transposition whose
-    solution space held no invertible element we could find.
+    solution space held no invertible element we could find; its detail
+    says "exists" instead of "found" when the supports of that space prove
+    that there is none.
     """
     if t.degenerate:
         return Certificate(DEGENERATE, witness=t.witness)
@@ -358,7 +370,7 @@ def verify_tss(t, from_scratch=False):
         if p is None:
             return Certificate(
                 NOT_TOTALLY_SYMMETRIC, failing_transposition=j,
-                detail=f"no invertible intertwiner found for transposition ({j}, {j + 1})")
+                detail=_no_invertible_detail("intertwiner", j, space, t.n))
         found.append(p)
     return Certificate(TOTALLY_SYMMETRIC, witness=RealizationWitness(found))
 
@@ -402,7 +414,7 @@ def verify_arrangement(a, from_scratch=False):
         if p is None:
             return Certificate(
                 NOT_TOTALLY_SYMMETRIC, failing_transposition=j,
-                detail=f"no invertible transport found for transposition ({j}, {j + 1})")
+                detail=_no_invertible_detail("transport", j, space, a.n))
         found.append(p)
     return Certificate(TOTALLY_SYMMETRIC, witness=RealizationWitness(found))
 

@@ -31,6 +31,7 @@ __all__ = [
     "null_space",
     "outer",
     "solve",
+    "structurally_singular",
     "vec_to_matrix",
 ]
 
@@ -605,20 +606,100 @@ def _default_seed():
     return int(os.environ.get("TSS_SEED", "0"))
 
 
+def _support_masks(rows, n):
+    """The union of the supports of sparse vectorised n-by-n matrices, as one
+    bitmask of columns per matrix row."""
+    masks = [0] * n
+    for row in rows:
+        for p in row:
+            masks[p // n] |= 1 << (p % n)
+    return masks
+
+
+def _has_perfect_matching(masks):
+    """Whether the pattern with columns ``masks[r]`` in row r (a square 0/1
+    pattern) has a perfect matching, by Kuhn's augmenting paths.
+
+    The search for each row keeps its path on an explicit stack, so a path
+    through every row of a large pattern needs no recursion.
+    """
+    n = len(masks)
+    union = 0
+    for mask in masks:
+        if not mask:
+            return False
+        union |= mask
+    if union != (1 << n) - 1:
+        return False
+    owner = [None] * n  # column -> the row matched to it
+    for root in range(n):
+        seen = 0
+        rows, todo, cols = [root], [masks[root]], []
+        while rows:
+            free = todo[-1] & ~seen
+            if not free:
+                rows.pop()
+                todo.pop()
+                if cols:
+                    cols.pop()
+                continue
+            bit = free & -free
+            seen |= bit
+            todo[-1] ^= bit
+            c = bit.bit_length() - 1
+            r = owner[c]
+            if r is None:
+                # augment: each row on the path takes the column after it
+                for r, c in zip(rows, cols + [c]):
+                    owner[c] = r
+                break
+            rows.append(r)
+            todo.append(masks[r])
+            cols.append(c)
+        else:
+            return False
+    return True
+
+
+def _require_vectorised(space, m, n):
+    if space.n != m * n:
+        raise ValueError(
+            f"a space in K^{space.n} does not hold vectorised {m}x{n} matrices")
+
+
+def structurally_singular(space, n):
+    """Whether every element of a subspace of vectorised n-by-n matrices is
+    singular because of its support alone.
+
+    When the union of the supports of the basis rows has no perfect
+    matching, every term of every element's Leibniz expansion is zero
+    (Konig-Hall), so no element is invertible; this is exact and needs no
+    field arithmetic.  False says only that the supports allow one.
+    """
+    _require_vectorised(space, n, n)
+    return not _has_perfect_matching(_support_masks(space.rows, n))
+
+
 def invertible_in_space(space, m, n=None, seed=None):
     """Search a subspace of vectorised m-by-n matrices for an invertible one.
 
     Deterministic sweeps first (single basis elements, pairwise sums and
     differences, then a small integer-coefficient grid when the dimension
     allows), falling back to seeded random combinations.  Each candidate is
-    an integer combination of the sparse basis rows, tested by its
-    determinant.  Returns a Matrix or None.
+    an integer combination of the sparse basis rows.  A candidate whose
+    support admits no perfect matching is singular and skipped (the union
+    of the supports of the basis rows it uses is tested once per set of
+    rows); the others are combined and tested by their determinant.
+    Returns a Matrix or None, which is exact when the whole space is
+    structurally singular (see ``structurally_singular``).
     """
     n = m if n is None else n
-    if m != n or space.dim == 0:
+    _require_vectorised(space, m, n)
+    if m != n or space.dim == 0 or structurally_singular(space, n):
         return None
     basis = space.rows
     k = len(basis)
+    matchable = {}
 
     def candidates():
         for i in range(k):
@@ -635,6 +716,13 @@ def invertible_in_space(space, m, n=None, seed=None):
             yield {i: rng.randint(-5, 5) for i in range(k)}
 
     for coeffs in candidates():
+        used = frozenset(i for i, c in coeffs.items() if c)
+        ok = matchable.get(used)
+        if ok is None:
+            ok = matchable[used] = _has_perfect_matching(
+                _support_masks([basis[i] for i in used], n))
+        if not ok:
+            continue
         acc = {}
         for i, c in coeffs.items():
             if c:

@@ -1,15 +1,22 @@
 """Independent exact oracles used by the test suite.
 
-Everything here goes through sympy, which shares no code with the package:
-scalars become symbolic radical expressions, matrices become sympy Matrices,
-and agreement is checked by exact symbolic simplification.
+Everything here but the reference search goes through sympy, which shares
+no code with the package: scalars become symbolic radical expressions,
+matrices become sympy Matrices, and agreement is checked by exact symbolic
+simplification.  ``reference_invertible_search`` is the invertible search
+without its structural test, the reference for the search's witnesses.
 """
 
 from __future__ import annotations
 
+import itertools
+import os
+import random
+
 import sympy
 
-from totsym.field import Scalar
+from totsym.field import ZERO, Scalar
+from totsym.linalg import vec_to_matrix
 
 _SYM_BASIS = (
     sympy.Integer(1),
@@ -131,3 +138,48 @@ def sym_rows_equal(ours, theirs) -> bool:
             and all(len(a) == len(b) and all(sym_equal(to_sympy(x), y)
                                               for x, y in zip(a, b))
                     for a, b in zip(ours, theirs)))
+
+
+def oracle_det(m):
+    """Determinant of a square matrix of Scalars, by sympy."""
+    return matrix_to_sympy(m).det(method="berkowitz")
+
+
+def reference_invertible_search(space, n, seed=None):
+    """The search for an invertible element of a subspace of vectorised
+    n-by-n matrices with a determinant on every candidate: the same
+    candidates as ``linalg.invertible_in_space``, in the same order and from
+    the same random draws, combined densely.
+
+    Returns (the first invertible candidate or None, candidates tried).
+    """
+    basis = space.basis
+    k = len(basis)
+    if k == 0:
+        return None, 0
+
+    def candidates():
+        for i in range(k):
+            yield {i: 1}
+        for i, j in itertools.combinations(range(k), 2):
+            yield {i: 1, j: 1}
+            yield {i: 1, j: -1}
+        if k <= 4 and n <= 8:
+            for coeffs in itertools.product(range(-2, 3), repeat=k):
+                if any(coeffs):
+                    yield dict(enumerate(coeffs))
+        rng = random.Random(int(os.environ.get("TSS_SEED", "0"))
+                            if seed is None else seed)
+        for _ in range(300):
+            yield {i: rng.randint(-5, 5) for i in range(k)}
+
+    tried = 0
+    for coeffs in candidates():
+        tried += 1
+        v = [ZERO] * (n * n)
+        for i, c in coeffs.items():
+            v = [x + Scalar.rational(c) * y for x, y in zip(v, basis[i])]
+        x = vec_to_matrix(v, n)
+        if not x.det().is_zero():
+            return x, tried
+    return None, tried

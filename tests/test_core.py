@@ -165,6 +165,34 @@ def test_verify_from_scratch_ignores_witness():
     assert q * diag(1, 2) == diag(2, 1) * q
 
 
+NOT_EXISTS = ("no invertible {} exists for transposition ({}, {}): "
+              "the solution supports admit no perfect matching")
+
+
+@pytest.mark.parametrize("pattern", [
+    ((0, 0, 1), (0, 1, 1)),
+    ((0, 0, 1), (1, 1, 0)),
+    ((0, 0, 1, 1), (0, 1, 1, 1), (0, 0, 0, 1)),
+])
+def test_near_miss_diagonals_are_proved_not_symmetric(pattern):
+    # some adjacent pair has different spectra, yet every transposition
+    # leaves a nonzero intertwiner space: its supports cannot match
+    t = Tss([diag(*(Fraction(3, 2) if x else -2 for x in d)) for d in pattern])
+    cert = verify_tss(t, from_scratch=True)
+    j = cert.failing_transposition
+    assert cert.verdict == NOT_TOTALLY_SYMMETRIC
+    assert cert.detail == NOT_EXISTS.format("intertwiner", j, j + 1)
+
+
+def test_all_singular_intertwiners_with_matching_supports_are_not_proved():
+    # the intertwiners of this pair are the multiples of the all-ones
+    # matrix: every entry is free, and every element is singular
+    t = Tss([M((1, 1, 0), (0, 1, 1), (1, 0, 1)), M((2, 0, 0), (0, 1, 1), (0, 1, 1))])
+    cert = verify_tss(t)
+    assert cert.verdict == NOT_TOTALLY_SYMMETRIC
+    assert cert.detail == "no invertible intertwiner found for transposition (0, 1)"
+
+
 # ----------------------------------------------------- verify_arrangement
 
 
@@ -195,6 +223,9 @@ def test_four_lines_in_plane_rejected():
     cert = verify_arrangement(a)
     assert cert.verdict == NOT_TOTALLY_SYMMETRIC
     assert cert.failing_transposition is not None
+    # the cross-ratio leaves only P = 0, whose support is empty
+    j = cert.failing_transposition
+    assert cert.detail == NOT_EXISTS.format("transport", j, j + 1)
 
 
 # ------------------------------------------------------------ realization

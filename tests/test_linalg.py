@@ -1,8 +1,9 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from totsym.field import I_UNIT, ONE, SQRT2, ZERO, ZETA, Scalar
 from totsym.linalg import (
@@ -19,6 +20,7 @@ from totsym.linalg import (
     matrix_to_vec,
     outer,
     solve,
+    structurally_singular,
     vec_to_matrix,
 )
 
@@ -26,8 +28,10 @@ from oracles import (
     matrix_to_sympy,
     oracle_algebra_dimension,
     oracle_intertwiner_dimension,
+    oracle_det,
     oracle_kernel,
     oracle_rref,
+    reference_invertible_search,
     sym_equal,
     sym_rows_equal,
     to_sympy,
@@ -524,9 +528,12 @@ def test_full_algebra_closure_is_matrix_units(gens):
 
 # ------------------------------------------ invertible search: golden values
 #
-# The exact witness and the number of determinants tried, for one space per
-# phase of the search.  A change to the search order, to the random draws
-# or to the arithmetic shows up here.
+# The exact witness for one space per phase of the search, the number of
+# candidates the reference search (a determinant on every candidate) tries
+# before it, and the number of determinants the search itself computes,
+# once the structural test has skipped the singular candidates.  A change
+# to the search order, to the random draws or to the arithmetic shows up
+# here.
 
 
 def diag(*xs):
@@ -534,7 +541,7 @@ def diag(*xs):
                    for i, x in enumerate(xs)])
 
 
-def counted_search(monkeypatch, mats, n, seed=None):
+def counted_search(monkeypatch, space, n, seed=None):
     calls = []
     det = Matrix.det
 
@@ -543,7 +550,6 @@ def counted_search(monkeypatch, mats, n, seed=None):
         return det(self)
 
     monkeypatch.setattr(Matrix, "det", counting)
-    space = Subspace([matrix_to_vec(x) for x in mats], n * n)
     found = invertible_in_space(space, n, seed=seed)
     monkeypatch.setattr(Matrix, "det", det)
     return found, len(calls)
@@ -551,28 +557,126 @@ def counted_search(monkeypatch, mats, n, seed=None):
 
 E = matrix_unit
 GOLDEN_SEARCHES = {
-    # phase: (basis, n, seed, witness, determinants tried)
+    # phase: (basis, n, seed, witness, candidates tried, determinants tried)
     "single": ([E(2, 0, 0), M((0, 1), (SQRT2, 0))], 2, None,
-               M((0, 1), (SQRT2, 0)), 2),
+               M((0, 1), (SQRT2, 0)), 2, 1),
     "pair_sum": ([E(2, 0, 0), E(2, 0, 1), E(2, 1, 0), E(2, 1, 1)], 2, None,
-                 Matrix.identity(2), 9),
+                 Matrix.identity(2), 9, 1),
     "pair_difference": ([M((0, 0, 1), (0, 0, 2), (-1, 1, 0)),
                          M((0, 0, 0), (1, 0, 1), (-1, -1, 0))], 3, None,
-                        M((0, 0, 1), (-1, 0, 1), (0, 2, 0)), 4),
+                        M((0, 0, 1), (-1, 0, 1), (0, 2, 0)), 4, 2),
     "grid": ([diag(ONE, ZERO, ONE, ONE) + E(4, 0, 1) * SQRT2, diag(0, 1, 1, -1)], 4, None,
              Matrix([[-2, Scalar.rational(-2) * SQRT2, 0, 0], [0, -1, 0, 0], [0, 0, -3, 0],
-                     [0, 0, 0, -1]]), 6),
+                     [0, 0, 0, -1]]), 6, 4),
     "random_after_grid": ([diag(1, 0, 1, 1, 1, 1, 2, 2), diag(0, 1, 1, -1, 2, -2, 1, -1)],
-                          8, 3, diag(2, 5, 7, -3, 12, -8, 9, -1), 32),
+                          8, 3, diag(2, 5, 7, -3, 12, -8, 9, -1), 32, 21),
     "random": ([E(3, 0, 0), E(3, 0, 1), E(3, 0, 2), E(3, 1, 1) + E(3, 1, 2) * SQRT2,
                 E(3, 2, 2)], 3, 5,
-               M((4, -1, 0), (0, 5, Scalar.rational(5) * SQRT2), (0, 0, 3)), 26),
+               M((4, -1, 0), (0, 5, Scalar.rational(5) * SQRT2), (0, 0, 3)), 26, 1),
 }
 
 
 @pytest.mark.parametrize("phase", sorted(GOLDEN_SEARCHES))
 def test_invertible_in_space_golden(monkeypatch, phase):
-    mats, n, seed, witness, attempts = GOLDEN_SEARCHES[phase]
-    found, tried = counted_search(monkeypatch, mats, n, seed)
+    mats, n, seed, witness, candidates, determinants = GOLDEN_SEARCHES[phase]
+    space = Subspace([matrix_to_vec(x) for x in mats], n * n)
+    found, tried = counted_search(monkeypatch, space, n, seed)
     assert found == witness
-    assert tried == attempts
+    assert tried == determinants
+    assert reference_invertible_search(space, n, seed) == (witness, candidates)
+
+
+def test_invertible_in_space_rejects_a_space_of_the_wrong_size():
+    # K^10 does not hold vectorised 3x3 matrices; the search must not drop
+    # a coordinate and return a matrix outside the space
+    with pytest.raises(ValueError):
+        invertible_in_space(Subspace.full(10), 3)
+    with pytest.raises(ValueError):
+        invertible_in_space(Subspace.full(6), 2, 2)
+    with pytest.raises(ValueError):
+        structurally_singular(Subspace.full(10), 3)
+    assert invertible_in_space(Subspace.full(6), 2, 3) is None  # not square
+
+
+# ------------------------------------- invertible search: structural test
+
+# a nonzero pattern entry: a scalar of K with an irrational part now and then
+pattern_scalar = st.sampled_from(
+    [ONE, -ONE, Scalar.rational(2), SQRT2, I_UNIT, ZETA, ONE + SQRT2])
+
+
+@st.composite
+def sparse_spans(draw):
+    """Spaces spanned by a few sparse n-by-n matrices over K, 2 <= n <= 5."""
+    n = draw(st.integers(2, 5))
+    entries = st.dictionaries(st.integers(0, n * n - 1), pattern_scalar,
+                              min_size=n, max_size=2 * n)
+    mats = draw(st.lists(entries, min_size=1, max_size=4))
+    return Subspace(mats, n * n), n
+
+
+ALL_ONES_2 = Subspace([{p: ONE for p in range(4)}], 4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_spans(), st.integers(0, 2**16))
+# singular only through cancellation: span(J), and the rank-one matrices
+# (1, 1)^T (x, y), whose supports together match
+@example((ALL_ONES_2, 2), 0)
+@example((Subspace([matrix_to_vec(M((1, 0), (1, 0))),
+                    matrix_to_vec(M((0, 1), (0, 1)))], 4), 2), 1)
+def test_invertible_in_space_matches_the_reference_search(space_n, seed):
+    space, n = space_n
+    found = invertible_in_space(space, n, seed=seed)
+    assert found == reference_invertible_search(space, n, seed)[0]
+    if structurally_singular(space, n):
+        assert found is None
+
+
+@st.composite
+def patterns(draw):
+    """An n-by-n 0/1 pattern, n <= 6, as the set of its (row, column) cells."""
+    n = draw(st.integers(1, 6))
+    masks = draw(st.lists(st.integers(0, 2**n - 1), min_size=n, max_size=n))
+    return n, {(r, c) for r, mask in enumerate(masks) for c in range(n) if mask >> c & 1}
+
+
+def cells(*rows):
+    return len(rows), {(r, c) for r, row in enumerate(rows) for c in row}
+
+
+@settings(max_examples=80, deadline=None)
+@given(patterns(), st.lists(pattern_scalar, min_size=36, max_size=36))
+# no perfect matching, found only if augmenting paths reassign their columns
+@example(cells((1, 4), (0, 1, 2), (4, 5), (3, 4), (0,), (0,)), [SQRT2] * 36)
+@example(cells((3,), (3, 4, 5), (0, 3, 5), (0, 1, 2, 3, 5), (0, 4, 5), (5,)), [ZETA] * 36)
+def test_structurally_singular_patterns_have_zero_determinant(pattern, values):
+    n, support = pattern
+    fill = {r * n + c: values[6 * r + c] for r, c in support}
+    singular = structurally_singular(Subspace([fill], n * n), n)
+    # a perfect matching of the pattern is a permutation inside it
+    assert singular == (not any(all((r, p[r]) in support for r in range(n))
+                                for p in itertools.permutations(range(n))))
+    if singular:
+        assert sym_equal(oracle_det(vec_to_matrix(
+            [fill.get(p, ZERO) for p in range(n * n)], n)), 0)
+
+
+def test_structural_test_needs_no_recursion():
+    # upper bidiagonal plus the corner (n-1, 0): the last row's first column
+    # is taken, and the augmenting path from it runs through every row
+    n = 3000
+    cells = {r * n + c: ONE for r in range(n) for c in (r, r + 1) if c < n}
+    cells[(n - 1) * n] = ONE
+    assert not structurally_singular(Subspace([cells], n * n), n)
+    del cells[(n - 1) * n + n - 1]  # the last row keeps column 0 alone
+    assert not structurally_singular(Subspace([cells], n * n), n)
+
+
+def test_all_singular_space_with_full_support_is_searched():
+    # every element of span(J) is singular, but its support matches
+    assert not structurally_singular(ALL_ONES_2, 2)
+    assert invertible_in_space(ALL_ONES_2, 2) is None
+    # the zero space and the nilpotent corner are singular by their supports
+    assert structurally_singular(Subspace([], 4), 2)
+    assert structurally_singular(Subspace([matrix_to_vec(E(2, 0, 1))], 4), 2)
