@@ -1,12 +1,12 @@
 """Exact linear algebra over the scalar field: matrices, subspaces, solvers.
 
 Matrices are immutable (rows are tuples of tuples of Scalar), but the work
-done on them is sparse: products skip zero entries, and every elimination
-(determinant, inverse, solve, kernel, subspace bases and intersections,
-algebra closure) goes through one sparse-row Gauss-Jordan routine,
-``_insert``, over rows held as ``{column: nonzero Scalar}``.  Subspaces keep
-that reduced echelon form, which is canonical, so equality of subspaces is
-plain ``==``.
+done on them is sparse: each matrix carries its nonzero rows ``{column:
+nonzero Scalar}`` once they are known, products run over those, and every
+elimination (determinant, inverse, solve, kernel, subspace bases and
+intersections, algebra closure) goes through one sparse-row Gauss-Jordan
+routine, ``_insert``, over rows of that form.  Subspaces keep that reduced
+echelon form, which is canonical, so equality of subspaces is plain ``==``.
 """
 
 import itertools
@@ -46,19 +46,49 @@ def _require_same_ambient(n, m):
         raise ValueError(f"ambient dimensions differ: {n} and {m}")
 
 
-def _matrix(rows):
-    """A Matrix holding a nonempty tuple of equal-length tuples of Scalar as is."""
+def _require_same_shape(a, b, op):
+    if (a.m, a.n) != (b.m, b.n):
+        raise ValueError(f"shape mismatch {a.m}x{a.n} {op} {b.m}x{b.n}")
+
+
+def _from_nonzero(nonzero, n):
+    """The m-by-n Matrix whose rows have the nonzero entries ``nonzero`` (a
+    nonempty sequence of {column: nonzero Scalar}, kept as its cache)."""
+    rows = []
+    for row in nonzero:
+        dense = [ZERO] * n
+        for j, x in row.items():
+            dense[j] = x
+        rows.append(tuple(dense))
     mat = object.__new__(Matrix)
-    object.__setattr__(mat, "rows", rows)
+    object.__setattr__(mat, "rows", tuple(rows))
     object.__setattr__(mat, "m", len(rows))
-    object.__setattr__(mat, "n", len(rows[0]))
+    object.__setattr__(mat, "n", n)
+    object.__setattr__(mat, "_nonzero", tuple(nonzero))
     return mat
 
 
-class Matrix:
-    """A dense m-by-n matrix of Scalars."""
+def _nonzero_rows(mat):
+    """The rows of mat as {column: nonzero Scalar}, computed once per matrix.
 
-    __slots__ = ("rows", "m", "n")
+    The dicts are shared by every caller: copy a row before changing it.
+    """
+    nonzero = mat._nonzero
+    if nonzero is None:
+        nonzero = tuple([_sparse(row) for row in mat.rows])
+        object.__setattr__(mat, "_nonzero", nonzero)
+    return nonzero
+
+
+class Matrix:
+    """A dense m-by-n matrix of Scalars.
+
+    ``rows`` is the dense tuple of rows; the nonzero rows (see
+    ``_nonzero_rows``) are cached alongside on first use and do not take
+    part in equality.
+    """
+
+    __slots__ = ("rows", "m", "n", "_nonzero")
 
     def __init__(self, rows):
         rows = tuple(tuple(as_scalar(x) for x in row) for row in rows)
@@ -70,6 +100,7 @@ class Matrix:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "m", len(rows))
         object.__setattr__(self, "n", width)
+        object.__setattr__(self, "_nonzero", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
@@ -134,10 +165,12 @@ class Matrix:
         return self.m == self.n and self == Matrix.identity(self.n)
 
     def __add__(self, other):
+        _require_same_shape(self, other, "+")
         return Matrix(tuple(tuple(a + b for a, b in zip(r, s))
                             for r, s in zip(self.rows, other.rows)))
 
     def __sub__(self, other):
+        _require_same_shape(self, other, "-")
         return Matrix(tuple(tuple(a - b for a, b in zip(r, s))
                             for r, s in zip(self.rows, other.rows)))
 
@@ -151,19 +184,16 @@ class Matrix:
             return NotImplemented
         if self.n != other.m:
             raise ValueError(f"shape mismatch {self.m}x{self.n} * {other.m}x{other.n}")
-        # only nonzero a[i][k] * b[k][j] contribute
-        other_rows = [_sparse(row).items() for row in other.rows]
+        # only nonzero a[i][k] * b[k][j] contribute, and such a product is
+        # never zero: only entries that were summed can cancel
+        other_rows = _nonzero_rows(other)
         out = []
-        for row in self.rows:
+        for row in _nonzero_rows(self):
             acc = {}
-            for a, b_row in zip(row, other_rows):
-                if b_row and not a.is_zero():
-                    for j, b in b_row:
-                        x = a * b
-                        y = acc.get(j)
-                        acc[j] = x if y is None else y + x
-            out.append(tuple([acc.get(j, ZERO) for j in range(other.n)]))
-        return _matrix(tuple(out))
+            for k, a in row.items():
+                _axpy(acc, a, other_rows[k])
+            out.append(acc)
+        return _from_nonzero(out, other.n)
 
     def __rmul__(self, other):
         if isinstance(other, Scalar):
@@ -178,14 +208,17 @@ class Matrix:
         _require_square(self, "power")
         if k < 0:
             return self.inverse() ** (-k)
-        acc = Matrix.identity(self.n)
+        if k == 0:
+            return Matrix.identity(self.n)
+        acc = None
         base = self
-        while k:
+        while True:
             if k & 1:
-                acc = acc * base
-            base = base * base if k > 1 else base
+                acc = base if acc is None else acc * base
             k >>= 1
-        return acc
+            if not k:
+                return acc
+            base = base * base
 
     def det(self):
         return _det_inverse(self, want_inverse=False)[0]
@@ -222,8 +255,18 @@ def _sparse(v):
 
 def _to_matrix(row, m, n):
     """The m-by-n matrix whose row-major vectorisation is the sparse row."""
-    return _matrix(tuple(tuple([row.get(i * n + j, ZERO) for j in range(n)])
-                         for i in range(m)))
+    nonzero = [{} for _ in range(m)]
+    for p, x in row.items():
+        i, j = divmod(p, n)
+        nonzero[i][j] = x
+    return _from_nonzero(nonzero, n)
+
+
+def _vectorise(mat):
+    """The row-major vectorisation of mat as a fresh sparse row."""
+    n = mat.n
+    return {i * n + j: x for i, row in enumerate(_nonzero_rows(mat))
+            for j, x in row.items()}
 
 
 def _axpy(v, f, row):
@@ -290,8 +333,8 @@ def _det_inverse(mat, want_inverse):
     echelon = {}
     det = ONE
     cols = []
-    for i, row in enumerate(mat.rows):
-        v = _sparse(row)
+    for i, row in enumerate(_nonzero_rows(mat)):
+        v = dict(row)
         if want_inverse:
             v[n + i] = ONE
         hit = _insert(v, echelon)
@@ -303,8 +346,9 @@ def _det_inverse(mat, want_inverse):
         det = -det
     if not want_inverse:
         return det, None
-    return det, _matrix(tuple(tuple([echelon[p].get(n + j, ZERO) for j in range(n)])
-                              for p in range(n)))
+    # every left column is a pivot, so only the right half is left in a row
+    return det, _from_nonzero([{j - n: x for j, x in echelon[p].items()}
+                               for p in range(n)], n)
 
 
 # ---------------------------------------------------------------------------
@@ -316,13 +360,15 @@ def vec(xs):
 
 
 def mat_vec(m, v):
-    nonzero = _sparse(v).items()
+    if len(v) != m.n:
+        raise ValueError(f"shape mismatch {m.m}x{m.n} * vector of length {len(v)}")
+    nonzero = _sparse(v)
     out = []
-    for row in m.rows:
+    for row in _nonzero_rows(m):
         acc = ZERO
-        for j, b in nonzero:
-            a = row[j]
-            if not a.is_zero():
+        for j, a in row.items():
+            b = nonzero.get(j)
+            if b is not None:
                 acc = acc + a * b
         out.append(acc)
     return tuple(out)
@@ -361,7 +407,7 @@ def null_space(rows, n):
 
 def kernel(mat):
     """The right null space, as a canonical Subspace of K^cols."""
-    return null_space([_sparse(row) for row in mat.rows], mat.n)
+    return null_space([dict(row) for row in _nonzero_rows(mat)], mat.n)
 
 
 class NoSolution(ValueError):
@@ -375,9 +421,13 @@ class Singular(ZeroDivisionError):
 def solve(mat, rhs):
     """One exact solution of mat * x = rhs; raises NoSolution if inconsistent."""
     n = mat.n
+    rhs = vec(rhs)
+    if len(rhs) != mat.m:
+        raise ValueError(f"shape mismatch {mat.m}x{n} system, right side of "
+                         f"length {len(rhs)}")
     echelon = {}
-    for row, b in zip(mat.rows, vec(rhs)):
-        v = _sparse(row)
+    for row, b in zip(_nonzero_rows(mat), rhs):
+        v = dict(row)
         if not b.is_zero():
             v[n] = b
         _insert(v, echelon)
@@ -445,7 +495,9 @@ class Subspace:
         return Matrix.from_columns(self.basis)
 
     def contains(self, v):
-        return not _reduce(_sparse(vec(v)), self._echelon)
+        v = vec(v)
+        _require_same_ambient(self.n, len(v))
+        return not _reduce(_sparse(v), self._echelon)
 
     def contains_space(self, other):
         return all(not _reduce(row, self._echelon) for row in other.rows)
@@ -563,14 +615,25 @@ def char_poly(a):
     n = a.n
     coeffs = [ZERO] * (n + 1)
     coeffs[n] = ONE
-    m_k = Matrix.identity(n)
+    m_k = a  # M_1 = A, M_{k+1} = A (M_k + c_k I)
     for k in range(1, n + 1):
-        m_k = a * m_k
         c = -(m_k.trace() * Scalar.rational(1, k))
         coeffs[n - k] = c
         if k < n:
-            m_k = m_k + Matrix.scalar(n, c)
+            m_k = a * _shift(m_k, c)
     return Polynomial(coeffs)
+
+
+def _shift(mat, c):
+    """mat + c*I for a square mat, built from and into the nonzero rows."""
+    if c.is_zero():
+        return mat
+    nonzero = []
+    for i, row in enumerate(_nonzero_rows(mat)):
+        row = dict(row)
+        _axpy(row, ONE, {i: c})
+        nonzero.append(row)
+    return _from_nonzero(nonzero, mat.n)
 
 
 # ---------------------------------------------------------------------------
@@ -591,8 +654,11 @@ def intertwiner_space(as_, bs):
     m = bs[0].n
     rows = []
     for a, b in zip(as_, bs):
-        a_cols = [_sparse(col) for col in zip(*a.rows)]
-        b_rows = [_sparse(row) for row in b.rows]
+        a_cols = [{} for _ in range(a.n)]
+        for i, row in enumerate(_nonzero_rows(a)):
+            for j, x in row.items():
+                a_cols[j][i] = x
+        b_rows = _nonzero_rows(b)
         # entry (r, c) of X a - b X, unknowns X[p, q] at index p*n + q
         for r in range(m):
             for c in range(n):
@@ -751,13 +817,13 @@ def algebra_closure(gens):
     full = n * n
     echelon = {}
     frontier = [x for x in [*gens, Matrix.identity(n)]
-                if _insert(_sparse(matrix_to_vec(x)), echelon)]
+                if _insert(_vectorise(x), echelon)]
     while frontier and len(echelon) < full:
         nxt = []
         for x in frontier:
             for g in gens:
                 prod = x * g
-                if _insert(_sparse(matrix_to_vec(prod)), echelon):
+                if _insert(_vectorise(prod), echelon):
                     nxt.append(prod)
                     if len(echelon) == full:
                         return [_to_matrix({p: ONE}, n, n) for p in range(full)]

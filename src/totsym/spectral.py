@@ -155,22 +155,24 @@ def depth_profile(t, lam):
 
     The table entry mu(j) is taken from the canonical subset {0..j-1}; for
     k <= 5 every same-size subset is cross-checked to give the same
-    dimension.
+    dimension.  Each meet over a sorted index tuple is its prefix's meet
+    intersected once more, so subsets sharing a prefix share its work.
     """
     lam = as_scalar(lam)
     firsts = [generalized_eigenspace(a, lam, 1) for a in t.elements]
     if all(e.dim == 0 for e in firsts):
         raise NotAnEigenvalue(f"{lam!r} is not an eigenvalue")
+    meets = {(i,): e for i, e in enumerate(firsts)}
 
     def meet(indices):
-        out = Subspace.full(t.n)
-        for i in indices:
-            out = out.intersection(firsts[i])
+        out = meets.get(indices)
+        if out is None:
+            out = meets[indices] = meet(indices[:-1]).intersection(firsts[indices[-1]])
         return out
 
     mu = []
     for j in range(1, t.k + 1):
-        dim = meet(range(j)).dim
+        dim = meet(tuple(range(j))).dim
         if t.k <= 5:
             ensure(all(meet(s).dim == dim for s in combinations(range(t.k), j)),
                    f"{j}-fold eigenspace dimension depends on the subset")

@@ -4,7 +4,9 @@ Everything here but the reference search goes through sympy, which shares
 no code with the package: scalars become symbolic radical expressions,
 matrices become sympy Matrices, and agreement is checked by exact symbolic
 simplification.  ``reference_invertible_search`` is the invertible search
-without its structural test, the reference for the search's witnesses.
+without its structural test, the reference for the search's witnesses, and
+``reference_depth_table`` is the depth table with every j-fold eigenspace
+intersected from scratch, the reference for ``spectral.depth_profile``.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import random
 import sympy
 
 from totsym.field import ZERO, Scalar
-from totsym.linalg import vec_to_matrix
+from totsym.linalg import Subspace, vec_to_matrix
 
 _SYM_BASIS = (
     sympy.Integer(1),
@@ -183,3 +185,25 @@ def reference_invertible_search(space, n, seed=None):
         if not x.det().is_zero():
             return x, tried
     return None, tried
+
+
+def reference_meet(firsts, indices, n):
+    """The intersection of the subspaces ``firsts[i]`` over indices, taken
+    one at a time from all of K^n."""
+    out = Subspace.full(n)
+    for i in indices:
+        out = out.intersection(firsts[i])
+    return out
+
+
+def reference_depth_table(firsts, n):
+    """The depth table of the eigenspaces ``firsts`` of k elements: entry j
+    is the dimension of their j-fold intersection, or None when two j-subsets
+    give different dimensions.  Every subset is intersected from scratch."""
+    k = len(firsts)
+    table = []
+    for j in range(1, k + 1):
+        dims = {reference_meet(firsts, s, n).dim
+                for s in itertools.combinations(range(k), j)}
+        table.append(dims.pop() if len(dims) == 1 else None)
+    return table

@@ -21,8 +21,10 @@ from totsym.linalg import (
     outer,
     solve,
     structurally_singular,
+    vec,
     vec_to_matrix,
 )
+from totsym.linalg import _shift, _sparse, _to_matrix
 
 from oracles import (
     matrix_to_sympy,
@@ -75,11 +77,24 @@ def test_block_assembly():
     assert top.rows[0][2] == ZERO
 
 
-def test_mul_and_pow():
+def test_mul_and_pow(monkeypatch):
     a = M((0, -1), (1, 0))
     assert a * a == -Matrix.identity(2)
     assert a ** 4 == Matrix.identity(2)
     assert a ** -1 == a.transpose()
+    assert a ** -2 == -Matrix.identity(2)
+    assert a ** -3 == a
+    b = M((1, 2), (0, 3))
+    assert b ** 0 == Matrix.identity(2)
+    assert M((0, 1), (0, 0)) ** 0 == Matrix.identity(2)
+    assert b ** 5 == b * b * b * b * b
+    assert b ** -2 == (b * b).inverse()
+    # square-and-multiply from the first factor: no product with I
+    products = []
+    mul = Matrix.__mul__
+    monkeypatch.setattr(Matrix, "__mul__", lambda x, y: products.append(y) or mul(x, y))
+    assert b ** 1 == b and products == []
+    assert b ** 5 == M((1, 242), (0, 243)) and len(products) == 3
     assert (a * ZETA).rows[0][1] == -ZETA
     assert ZETA * a == a * ZETA
 
@@ -331,6 +346,15 @@ def test_shape_checks_raise_value_error():
         lambda: char_poly(wide),
         lambda: algebra_closure([Matrix.identity(2), Matrix.identity(3)]),
         lambda: algebra_closure([wide]),
+        lambda: Matrix.identity(2) + Matrix.identity(3),
+        lambda: Matrix.identity(2) - Matrix.identity(3),
+        lambda: wide + wide.transpose(),
+        lambda: mat_vec(Matrix.identity(3), vec((1, 2))),
+        lambda: mat_vec(Matrix.identity(3), vec((1, 2, 3, 4))),
+        lambda: solve(Matrix.identity(3), (1, 2)),
+        lambda: solve(Matrix.identity(3), (1, 2, 3, 4)),
+        lambda: Subspace([(1, 0, 0)], 3).contains((1, 0)),
+        lambda: Subspace([(1, 0, 0)], 3).contains((1, 0, 0, 0)),
     ]
     for check in checks:
         with pytest.raises(ValueError):
@@ -680,3 +704,86 @@ def test_all_singular_space_with_full_support_is_searched():
     # the zero space and the nilpotent corner are singular by their supports
     assert structurally_singular(Subspace([], 4), 2)
     assert structurally_singular(Subspace([matrix_to_vec(E(2, 0, 1))], 4), 2)
+
+
+# ------------------------------------------------------ cached nonzero rows
+#
+# A Matrix caches its rows as {column: nonzero Scalar}.  Producers that
+# build that form fill the cache, consumers read it; it must always be the
+# nonzero entries of the dense rows, and reading it must not change it.
+
+k_entry = (st.sampled_from([ZERO, ZERO, ZERO, ONE, -ONE, SQRT2, I_UNIT, ZETA])
+           | small_scalar)
+
+
+def k_matrices(m, n):
+    return st.lists(st.lists(k_entry, min_size=n, max_size=n),
+                    min_size=m, max_size=m).map(Matrix)
+
+
+def cache_is_exact(mat):
+    return mat._nonzero == tuple(_sparse(row) for row in mat.rows)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_cached_rows_are_exact_for_every_producer(data):
+    m, k, n = (data.draw(st.integers(1, 6)) for _ in range(3))
+    a = data.draw(k_matrices(m, k))
+    b, c = data.draw(k_matrices(k, n)), data.draw(k_matrices(k, n))
+    # [a | a] [b; c - b] = a c: every term of a b cancels against a term of -a b
+    cancelling = Matrix.block([[a, a]]) * Matrix.block([[b], [c - b]])
+    assert cancelling == a * c
+    produced = [a * b, cancelling, a * c]
+    flat = {p: x for p, x in enumerate(matrix_to_vec(a)) if not x.is_zero()}
+    assert _to_matrix(flat, m, k) == a
+    produced.append(_to_matrix(flat, m, k))
+    s = data.draw(k_matrices(n, n))
+    _, inv = s.det_inverse()
+    if inv is not None:
+        assert inv * s == Matrix.identity(n)
+        produced += [inv, s.inverse()]
+    shift = data.draw(k_entry)
+    assert _shift(s, shift) == s + Matrix.scalar(n, shift)
+    produced.append(_shift(s, shift))
+    # every product char_poly forms, operands included
+    steps = []
+    mul = Matrix.__mul__
+
+    def recording(x, y):
+        out = mul(x, y)
+        steps.extend([x, y, out])
+        return out
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Matrix, "__mul__", recording)
+        char_poly(s)
+    produced += steps
+    if n <= 3:
+        produced += algebra_closure([s, data.draw(k_matrices(n, n))])
+    for mat in produced:
+        assert mat._nonzero is not None and cache_is_exact(mat)
+
+
+def outcome(call):
+    try:
+        return call()
+    except (ValueError, ZeroDivisionError) as e:
+        return type(e)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_consumers_leave_the_cached_rows_unchanged(data):
+    m, n = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
+    a = data.draw(k_matrices(m, n))
+    s = data.draw(k_matrices(n, n))
+    v = tuple(data.draw(st.lists(k_entry, min_size=n, max_size=n)))
+    rhs = tuple(data.draw(st.lists(k_entry, min_size=m, max_size=m)))
+    calls = [lambda: kernel(a), lambda: solve(a, rhs), lambda: mat_vec(a, v),
+             lambda: a * s, s.det, s.inverse, s.det_inverse, lambda: s * s]
+    for call in calls:
+        first = outcome(call)
+        assert outcome(call) == first
+        assert all(x._nonzero is None or cache_is_exact(x) for x in (a, s))
+    assert cache_is_exact(a) and cache_is_exact(s)

@@ -4,7 +4,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from totsym.catalog import (
@@ -42,6 +42,8 @@ from totsym.spectral import (
     jfold,
 )
 from totsym.suite import halfdim_nonexistence_suite, rep_obstruction_suite
+
+from oracles import reference_depth_table
 
 
 def diag(*entries):
@@ -221,6 +223,39 @@ def test_depth_below_cardinality_on_irreducible_sets():
     for t in (standard(4, 2, 1), partition_construction([1, 1, 2])):
         for lam in set(t.params):
             assert depth_profile(t, lam).depth < t.k
+
+
+@st.composite
+def disguised_diagonal_sets(draw):
+    """Up to five diagonal matrices of size n <= 4 with entries in {0, 1, 2},
+    seen through a unit upper triangular change of basis."""
+    n = draw(st.integers(1, 4))
+    entries = st.lists(st.integers(0, 2), min_size=n, max_size=n)
+    diagonals = draw(st.lists(entries, min_size=1, max_size=5))
+    p = Matrix([[1 if i == j else (draw(st.integers(-1, 1)) if j > i else 0)
+                 for j in range(n)] for i in range(n)])
+    p_inv = p.inverse()
+    return Tss([p * diag(*d) * p_inv for d in diagonals])
+
+
+@settings(max_examples=40, deadline=None)
+@given(disguised_diagonal_sets(), st.integers(0, 2))
+@example(standard(4, 2, 1), 2)
+@example(standard(4, 2, 1), 1)
+@example(partition_construction([1, 1, 2]), 1)
+@example(ncsimplex(4), 1)
+@example(Tss([diag(2, 2)] * 3), 2)
+def test_depth_profile_matches_the_from_scratch_reference(t, lam):
+    firsts = [generalized_eigenspace(a, lam, 1) for a in t.elements]
+    table = reference_depth_table(firsts, t.n)
+    if all(e.dim == 0 for e in firsts):
+        with pytest.raises(NotAnEigenvalue):
+            depth_profile(t, lam)
+    elif None in table:  # the subset cross-check must refuse the set
+        with pytest.raises(InvariantViolation):
+            depth_profile(t, lam)
+    else:
+        assert depth_profile(t, lam).mu == tuple(table)
 
 
 def test_eigenspace_transport():
