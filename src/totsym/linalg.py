@@ -174,6 +174,19 @@ class Matrix:
         return Matrix(tuple(tuple(a - b for a, b in zip(r, s))
                             for r, s in zip(self.rows, other.rows)))
 
+    def shift(self, c):
+        """self + c*I, built from and into the nonzero rows."""
+        _require_square(self, "shift")
+        c = as_scalar(c)
+        if c.is_zero():
+            return self
+        nonzero = []
+        for i, row in enumerate(_nonzero_rows(self)):
+            row = dict(row)
+            _axpy(row, ONE, {i: c})
+            nonzero.append(row)
+        return _from_nonzero(nonzero, self.n)
+
     def __neg__(self):
         return Matrix(tuple(tuple(-a for a in r) for r in self.rows))
 
@@ -579,7 +592,7 @@ class Polynomial:
     def eval_matrix(self, a):
         acc = Matrix.zero(a.n)
         for c in reversed(self.coeffs):
-            acc = acc * a + Matrix.scalar(a.n, c)
+            acc = (acc * a).shift(c)
         return acc
 
     def deflate(self, root):
@@ -620,20 +633,8 @@ def char_poly(a):
         c = -(m_k.trace() * Scalar.rational(1, k))
         coeffs[n - k] = c
         if k < n:
-            m_k = a * _shift(m_k, c)
+            m_k = a * m_k.shift(c)
     return Polynomial(coeffs)
-
-
-def _shift(mat, c):
-    """mat + c*I for a square mat, built from and into the nonzero rows."""
-    if c.is_zero():
-        return mat
-    nonzero = []
-    for i, row in enumerate(_nonzero_rows(mat)):
-        row = dict(row)
-        _axpy(row, ONE, {i: c})
-        nonzero.append(row)
-    return _from_nonzero(nonzero, mat.n)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ from .field import (
     sqrt_restricted,
 )
 from .linalg import (
-    Matrix,
     Polynomial,
     Subspace,
     algebra_closure,
@@ -75,7 +74,7 @@ def generalized_eigenspace(a, lam, c):
     if c < 1:
         raise ValueError("need degree c >= 1")
     lam = as_scalar(lam)
-    return kernel((a - Matrix.scalar(a.n, lam)) ** c)
+    return kernel(a.shift(-lam) ** c)
 
 
 @dataclass(frozen=True, slots=True)
@@ -281,7 +280,7 @@ def classify_commutative(t, pool=()):
             return ClassificationResult(
                 NOT_CLASSIFIED,
                 detail=f"eigenvalue discovery stalled: {found!r}")
-        eigenspaces = [(r, kernel(a - Matrix.scalar(t.n, r)))
+        eigenspaces = [(r, kernel(a.shift(-r)))
                        for r in dict.fromkeys(found)]
         if sum(e.dim for _, e in eigenspaces) < t.n:
             return ClassificationResult(NON_DIAGONALIZABLE)
@@ -304,7 +303,7 @@ def classify_commutative(t, pool=()):
     for i in range(t.k):
         classes = sorted({col[i] for col in columns}, key=Scalar.sort_key)
         if len(classes) > 1:
-            witness = kernel(t.elements[i] - Matrix.scalar(t.n, classes[0]))
+            witness = kernel(t.elements[i].shift(-classes[0]))
             return ClassificationResult(REDUCIBLE, subspace=witness)
     if t.n > 1:
         line = Subspace([blocks[0][0].basis[0]], t.n)
@@ -354,7 +353,7 @@ def _invariant_submodule(t, basis):
     found = discover_eigenvalues(t.elements[0], t.params)
     roots = found.roots if isinstance(found, Incomplete) else found
     for r in dict.fromkeys(roots):
-        eigen = kernel(t.elements[0] - Matrix.scalar(t.n, r))
+        eigen = kernel(t.elements[0].shift(-r))
         for v in eigen.basis:
             module = Subspace([mat_vec(b, v) for b in basis], t.n)
             if module.dim < t.n:

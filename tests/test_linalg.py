@@ -24,7 +24,7 @@ from totsym.linalg import (
     vec,
     vec_to_matrix,
 )
-from totsym.linalg import _shift, _sparse, _to_matrix
+from totsym.linalg import _sparse, _to_matrix
 
 from oracles import (
     matrix_to_sympy,
@@ -250,6 +250,10 @@ def test_polynomial_eval_and_repr():
     assert p(ONE) == Scalar.rational(2)
     assert Polynomial([0, 0, 0]) == Polynomial([0])
     assert "x" in repr(p)
+    a = M((1, 2), (0, 3))
+    assert p.eval_matrix(a) == a * a + Matrix.identity(2)
+    assert a.shift(ZERO) is a
+    assert a.shift(-ONE) == a - Matrix.identity(2)
 
 
 # ------------------------------------------------- intertwiners / algebras
@@ -349,6 +353,7 @@ def test_shape_checks_raise_value_error():
         lambda: Matrix.identity(2) + Matrix.identity(3),
         lambda: Matrix.identity(2) - Matrix.identity(3),
         lambda: wide + wide.transpose(),
+        lambda: wide.shift(ONE),
         lambda: mat_vec(Matrix.identity(3), vec((1, 2))),
         lambda: mat_vec(Matrix.identity(3), vec((1, 2, 3, 4))),
         lambda: solve(Matrix.identity(3), (1, 2)),
@@ -744,8 +749,8 @@ def test_cached_rows_are_exact_for_every_producer(data):
         assert inv * s == Matrix.identity(n)
         produced += [inv, s.inverse()]
     shift = data.draw(k_entry)
-    assert _shift(s, shift) == s + Matrix.scalar(n, shift)
-    produced.append(_shift(s, shift))
+    assert s.shift(shift) == s + Matrix.scalar(n, shift)
+    produced.append(s.shift(shift))
     # every product char_poly forms, operands included
     steps = []
     mul = Matrix.__mul__
