@@ -622,19 +622,80 @@ class Polynomial:
         return " + ".join(terms) if terms else "0"
 
 
-def char_poly(a):
-    """Characteristic polynomial det(xI - A) by Faddeev-LeVerrier (monic)."""
-    _require_square(a, "characteristic polynomial")
+def _hessenberg(a):
+    """The rows {column: nonzero Scalar} of an upper Hessenberg matrix similar
+    to the square matrix a over K (Cohen, A Course in Computational Algebraic
+    Number Theory, Alg. 2.2.9).
+
+    Column c = m - 1 is cleared below row m by similarity transformations:
+    the first row i >= m with a nonzero entry in column c is brought to row
+    m by swapping rows i and m and columns i and m; then for each later row
+    i with a nonzero entry u*h[m][c] there, row i -= u * row m and column
+    m += u * column i.  A column with no such entry is skipped, and so is
+    every zero entry.
+    """
     n = a.n
-    coeffs = [ZERO] * (n + 1)
-    coeffs[n] = ONE
-    m_k = a  # M_1 = A, M_{k+1} = A (M_k + c_k I)
-    for k in range(1, n + 1):
-        c = -(m_k.trace() * Scalar.rational(1, k))
-        coeffs[n - k] = c
-        if k < n:
-            m_k = a * m_k.shift(c)
-    return Polynomial(coeffs)
+    h = [dict(row) for row in _nonzero_rows(a)]
+    for m in range(1, n - 1):
+        c = m - 1
+        i = next((i for i in range(m, n) if c in h[i]), None)
+        if i is None:
+            continue
+        if i != m:
+            h[i], h[m] = h[m], h[i]
+            for row in h:
+                x, y = row.pop(i, None), row.pop(m, None)
+                if x is not None:
+                    row[m] = x
+                if y is not None:
+                    row[i] = y
+        inv = h[m][c].inverse()
+        for i in range(m + 1, n):
+            x = h[i].get(c)
+            if x is None:
+                continue
+            u = x * inv
+            _axpy(h[i], -u, h[m])  # clears h[i][c] exactly
+            for row in h:
+                y = row.get(i)
+                if y is not None:
+                    _axpy(row, u, {m: y})
+    return h
+
+
+def char_poly(a):
+    """Characteristic polynomial det(xI - A) (monic), in O(n^3) field
+    operations and no matrix product.
+
+    A is reduced to an upper Hessenberg matrix H similar to it (see
+    ``_hessenberg``); then p_0 = 1 and, with h the entries of H,
+
+        p_{m+1} = x p_m - sum_{i<=m} h[i][m] t_i p_i,
+        t_i = h[i+1][i] h[i+2][i+1] ... h[m][m-1]  (t_m = 1)
+
+    is the characteristic polynomial of H's leading (m+1)-by-(m+1) block
+    (Cohen, Alg. 2.2.10), so p_n is A's.  A zero subdiagonal entry ends the
+    sum early.
+    """
+    _require_square(a, "characteristic polynomial")
+    h = _hessenberg(a)
+    polys = [[ONE]]  # polys[m]: the leading m-by-m block's, ascending
+    for m in range(a.n):
+        p = [ZERO, *polys[m]]
+        t = ONE  # t_i
+        for i in range(m, -1, -1):
+            if i < m:
+                s = h[i + 1].get(i)
+                if s is None:
+                    break
+                t = t * s
+            e = h[i].get(m)
+            if e is not None:
+                f = e * t
+                for j, y in enumerate(polys[i]):
+                    p[j] = p[j] - f * y
+        polys.append(p)
+    return Polynomial(polys[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -803,12 +864,17 @@ def invertible_in_space(space, m, n=None, seed=None):
 def algebra_closure(gens):
     """Basis of the unital matrix algebra generated by gens.
 
-    The span of I and the generators that is closed under right
-    multiplication by every generator contains every word, so it is the
-    algebra: each new independent element is multiplied on the right by
-    every generator until nothing new appears or the span is all of M_n.
-    The result is returned as a list of matrices whose vectorisations are
-    in reduced echelon form (the standard matrix units when it is M_n).
+    Starts from span{I} and takes the generators in order.  A generator
+    already in the span is skipped: the span is an algebra by then, so it
+    stays closed under it.  Any other generator joins the span and becomes
+    active: every element found before it is multiplied on the right by it,
+    and every element found from then on by every active generator.  The
+    span is then closed under right multiplication by each active
+    generator, so it holds every word in them and is the algebra they
+    generate.  Stops as soon as the span is all of M_n.  The result is
+    returned as a list of matrices whose vectorisations are in reduced
+    echelon form (the standard matrix units when it is M_n), which depends
+    only on the algebra, not on the order or repetition of the generators.
     """
     if not gens:
         raise ValueError("need at least one generator")
@@ -817,16 +883,23 @@ def algebra_closure(gens):
         raise ValueError("generators must be square matrices of one size")
     full = n * n
     echelon = {}
-    frontier = [x for x in [*gens, Matrix.identity(n)]
-                if _insert(_vectorise(x), echelon)]
-    while frontier and len(echelon) < full:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                prod = x * g
+    _insert({i * (n + 1): ONE for i in range(n)}, echelon)  # I
+    found = []  # the elements other than I that enlarged the span
+    active = []
+    for g in gens:
+        if not _insert(_vectorise(g), echelon):
+            continue
+        active.append(g)
+        every = tuple(active)
+        todo = [(x, (g,)) for x in found]  # I * g is g itself
+        found.append(g)
+        todo.append((g, every))
+        for x, hs in todo:
+            for h in hs:
+                prod = x * h
                 if _insert(_vectorise(prod), echelon):
-                    nxt.append(prod)
                     if len(echelon) == full:
                         return [_to_matrix({p: ONE}, n, n) for p in range(full)]
-        frontier = nxt
+                    found.append(prod)
+                    todo.append((prod, every))
     return [_to_matrix({p: ONE, **echelon[p]}, n, n) for p in sorted(echelon)]

@@ -273,7 +273,7 @@ def classify_commutative(t, pool=()):
     if not is_commutative(t):
         raise NotCommutative("elements do not pairwise commute")
     candidates = tuple(pool) + tuple(t.params)
-    blocks = [(Subspace.full(t.n), ())]
+    blocks = None
     for a in t.elements:
         found = discover_eigenvalues(a, candidates)
         if isinstance(found, Incomplete):
@@ -284,6 +284,10 @@ def classify_commutative(t, pool=()):
                        for r in dict.fromkeys(found)]
         if sum(e.dim for _, e in eigenspaces) < t.n:
             return ClassificationResult(NON_DIAGONALIZABLE)
+        if blocks is None:
+            # the first element's eigenspaces are the first blocks
+            blocks = [(e, (r,)) for r, e in eigenspaces if e.dim]
+            continue
         refined = []
         for space, col in blocks:
             for r, e in eigenspaces:
@@ -291,6 +295,8 @@ def classify_commutative(t, pool=()):
                 if piece.dim:
                     refined.append((piece, col + (r,)))
         blocks = refined
+    if blocks is None:
+        blocks = [(Subspace.full(t.n), ())]
 
     columns = [col for _, col in blocks]
     if all(space.dim == 1 for space, _ in blocks) and columns:
@@ -342,8 +348,10 @@ def irreducibility_certificate(t, witness=None):
     witness = witness if witness is not None else t.witness
     if witness is None:
         raise ValueError("needs a realization witness")
-    gens = list(t.elements) + list(witness)
-    basis = algebra_closure(gens)
+    # A_2..A_k are conjugates of A_1 by a realizing witness, so the closure
+    # finds them in its span and skips them; the witness is not trusted, and
+    # an A_i outside the span is still multiplied in
+    basis = algebra_closure([*t.elements[:1], *witness, *t.elements[1:]])
     if len(basis) == t.n * t.n:
         return FullAlgebra(len(basis))
     return ProperAlgebra(len(basis), _invariant_submodule(t, basis))

@@ -1,12 +1,17 @@
 """Independent exact oracles used by the test suite.
 
-Everything here but the reference search goes through sympy, which shares
-no code with the package: scalars become symbolic radical expressions,
-matrices become sympy Matrices, and agreement is checked by exact symbolic
-simplification.  ``reference_invertible_search`` is the invertible search
-without its structural test, the reference for the search's witnesses, and
+Everything here but the ``reference_*`` functions goes through sympy,
+which shares no code with the package: scalars become symbolic radical
+expressions, matrices become sympy Matrices, and agreement is checked by
+exact symbolic simplification.  ``reference_invertible_search`` is the invertible search
+without its structural test, the reference for the search's witnesses;
 ``reference_depth_table`` is the depth table with every j-fold eigenspace
-intersected from scratch, the reference for ``spectral.depth_profile``.
+intersected from scratch, the reference for ``spectral.depth_profile``;
+``reference_char_poly`` is the characteristic polynomial by
+Faddeev-LeVerrier, the reference for ``linalg.char_poly``; and
+``reference_algebra_closure`` closes the span of I and every generator
+under right multiplication by every generator, the reference for
+``linalg.algebra_closure``.
 """
 
 from __future__ import annotations
@@ -17,8 +22,8 @@ import random
 
 import sympy
 
-from totsym.field import ZERO, Scalar
-from totsym.linalg import Subspace, vec_to_matrix
+from totsym.field import ONE, ZERO, Scalar
+from totsym.linalg import Matrix, Polynomial, Subspace, matrix_to_vec, vec_to_matrix
 
 _SYM_BASIS = (
     sympy.Integer(1),
@@ -207,3 +212,38 @@ def reference_depth_table(firsts, n):
                 for s in itertools.combinations(range(k), j)}
         table.append(dims.pop() if len(dims) == 1 else None)
     return table
+
+
+def reference_char_poly(a):
+    """det(xI - A) by Faddeev-LeVerrier: M_1 = A, c_k = -tr(M_k)/k and
+    M_{k+1} = A (M_k + c_k I), so the coefficient of x^(n-k) is c_k."""
+    n = a.n
+    coeffs = [ZERO] * (n + 1)
+    coeffs[n] = ONE
+    m_k = a
+    for k in range(1, n + 1):
+        c = -(m_k.trace() * Scalar.rational(1, k))
+        coeffs[n - k] = c
+        if k < n:
+            m_k = a * m_k.shift(c)
+    return Polynomial(coeffs)
+
+
+def reference_algebra_closure(gens):
+    """The reduced echelon basis, as matrices, of the span of I and gens
+    closed under right multiplication by every generator: each element that
+    enlarges the span is multiplied by every generator in turn."""
+    n = gens[0].n
+    found = [Matrix.identity(n), *gens]
+    span = Subspace([matrix_to_vec(x) for x in found], n * n)
+    while found:
+        new = []
+        for x in found:
+            for g in gens:
+                prod = x * g
+                v = matrix_to_vec(prod)
+                if not span.contains(v):
+                    span = Subspace([*span.basis, v], n * n)
+                    new.append(prod)
+        found = new
+    return [vec_to_matrix(v, n) for v in span.basis]

@@ -33,6 +33,8 @@ from oracles import (
     oracle_det,
     oracle_kernel,
     oracle_rref,
+    reference_algebra_closure,
+    reference_char_poly,
     reference_invertible_search,
     sym_equal,
     sym_rows_equal,
@@ -542,6 +544,10 @@ def test_algebra_closure_proper_is_reduced():
     assert algebra_closure([swap]) == [M((1, 0, 0), (0, 1, 0), (0, 0, 0)),
                                        M((0, 1, 0), (1, 0, 0), (0, 0, 0)),
                                        matrix_unit(3, 2, 2)]
+    # E12 E23 = E13 is found only by multiplying E12, found before E23, by it
+    path = [matrix_unit(3, 0, 1), matrix_unit(3, 1, 2)]
+    assert algebra_closure(path) == [Matrix.identity(3), matrix_unit(3, 0, 1),
+                                     matrix_unit(3, 0, 2), matrix_unit(3, 1, 2)]
 
 
 @pytest.mark.parametrize("gens", [
@@ -751,19 +757,13 @@ def test_cached_rows_are_exact_for_every_producer(data):
     shift = data.draw(k_entry)
     assert s.shift(shift) == s + Matrix.scalar(n, shift)
     produced.append(s.shift(shift))
-    # every product char_poly forms, operands included
-    steps = []
+    # char_poly reduces to Hessenberg form in place of forming products
+    products = []
     mul = Matrix.__mul__
-
-    def recording(x, y):
-        out = mul(x, y)
-        steps.extend([x, y, out])
-        return out
-
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(Matrix, "__mul__", recording)
+        patch.setattr(Matrix, "__mul__", lambda x, y: products.append(y) or mul(x, y))
         char_poly(s)
-    produced += steps
+    assert products == []
     if n <= 3:
         produced += algebra_closure([s, data.draw(k_matrices(n, n))])
     for mat in produced:
@@ -786,9 +786,86 @@ def test_consumers_leave_the_cached_rows_unchanged(data):
     v = tuple(data.draw(st.lists(k_entry, min_size=n, max_size=n)))
     rhs = tuple(data.draw(st.lists(k_entry, min_size=m, max_size=m)))
     calls = [lambda: kernel(a), lambda: solve(a, rhs), lambda: mat_vec(a, v),
-             lambda: a * s, s.det, s.inverse, s.det_inverse, lambda: s * s]
+             lambda: a * s, s.det, s.inverse, s.det_inverse, lambda: s * s,
+             lambda: char_poly(s)]
     for call in calls:
         first = outcome(call)
         assert outcome(call) == first
         assert all(x._nonzero is None or cache_is_exact(x) for x in (a, s))
     assert cache_is_exact(a) and cache_is_exact(s)
+
+
+# ------------------------------- char_poly and closure against references
+#
+# char_poly reduces to Hessenberg form, and algebra_closure skips generators
+# already in its span; both must give exactly what their references give.
+
+k_nonzero = k_entry.filter(lambda x: not x.is_zero())
+
+
+@st.composite
+def hessenberg_cases(draw, n=None):
+    """Square K matrices (n <= 6 unless given) of the shapes the Hessenberg
+    reduction treats differently."""
+    n = draw(st.integers(1, 6)) if n is None else n
+    kind = draw(st.sampled_from(["diagonal", "permutation", "block", "companion",
+                                 "zero subdiagonal", "swap", "dense"]))
+    if kind == "diagonal":
+        return Matrix([[draw(k_entry) if i == j else ZERO for j in range(n)]
+                       for i in range(n)])
+    if kind == "permutation":
+        rows = [[ZERO] * n for _ in range(n)]
+        for i, j in enumerate(draw(st.permutations(range(n)))):
+            rows[i][j] = draw(k_nonzero)
+        return Matrix(rows)
+    if kind == "companion":
+        c = draw(st.lists(k_entry, min_size=n, max_size=n))
+        return Matrix([[ONE if i == j + 1 else ZERO for j in range(n - 1)] + [-c[i]]
+                       for i in range(n)])
+    if kind == "block" and n > 1:
+        a = draw(st.integers(1, n - 1))
+        return Matrix.block([[draw(k_matrices(a, a)), Matrix.zero(a, n - a)],
+                             [Matrix.zero(n - a, a), draw(k_matrices(n - a, n - a))]])
+    rows = [list(row) for row in draw(k_matrices(n, n)).rows]
+    if kind == "zero subdiagonal" and n > 1:
+        # block upper triangular: column a - 1 stays zero from row a down, so
+        # the reduction skips it and the recurrence meets h[a][a-1] = 0
+        a = draw(st.integers(1, n - 1))
+        for i in range(a, n):
+            rows[i][:a] = [ZERO] * a
+    if kind == "swap" and n > 2:
+        # h[1][0] = 0 below a nonzero entry further down: the first step swaps
+        rows[1][0] = ZERO
+        rows[draw(st.integers(2, n - 1))][0] = draw(k_nonzero)
+    return Matrix(rows)
+
+
+@settings(max_examples=80, deadline=None)
+@given(hessenberg_cases())
+# a row/column swap: at the first column, and at the second after a plain step
+@example(M((1, 0, ZETA), (0, SQRT2, 1), (4, 1, 0)))
+@example(M((1, 2, 0, 0), (3, 0, 1, 0), (0, 0, 1, 2), (0, 5, I_UNIT, 1)))
+# a zero subdiagonal: a column with nothing to clear, before one to clear
+@example(M((1, 2, 3), (0, ZETA, 5), (0, 0, 6)))
+@example(M((2, 1, 0, 1), (0, 1, 3, 0), (0, 2, SQRT2, 1), (0, 1, 0, 2)))
+def test_char_poly_matches_faddeev_leverrier(a):
+    assert char_poly(a).coeffs == reference_char_poly(a).coeffs
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_algebra_closure_ignores_generator_order_and_products(data):
+    n = data.draw(st.integers(1, 3))
+    # scaled matrix units give path algebras, where a product missed shows
+    units = st.builds(lambda p, x: _to_matrix({p: x}, n, n),
+                      st.integers(0, n * n - 1), k_nonzero)
+    gens = data.draw(st.lists(hessenberg_cases(n) | units, min_size=1, max_size=3))
+    basis = algebra_closure(gens)
+    assert basis == reference_algebra_closure(gens)
+    assert algebra_closure(data.draw(st.permutations(gens))) == basis
+    extended = list(gens)
+    for _ in range(data.draw(st.integers(1, 3))):
+        i, j = (data.draw(st.integers(0, len(extended) - 1)) for _ in range(2))
+        extended.append(extended[i] * extended[j])
+    assert algebra_closure(extended) == basis
+    assert algebra_closure(data.draw(st.permutations(extended))) == basis

@@ -41,9 +41,10 @@ from totsym.spectral import (
     irreducibility_certificate,
     jfold,
 )
+from totsym.spectral import _invariant_submodule
 from totsym.suite import halfdim_nonexistence_suite, rep_obstruction_suite
 
-from oracles import reference_depth_table
+from oracles import reference_algebra_closure, reference_depth_table
 
 
 def diag(*entries):
@@ -395,6 +396,8 @@ def test_certificate_degenerate_scalar():
 def test_certificate_needs_witness():
     with pytest.raises(ValueError):
         irreducibility_certificate(Tss([diag(1, 2), diag(2, 1)]))
+    with pytest.raises(ValueError):  # no elements and no witness matrices
+        irreducibility_certificate(Tss([], n=2), [])
 
 
 @pytest.mark.parametrize("k,p", [(1, 1), (2, 1), (1, 2), (2, 2)])
@@ -403,6 +406,43 @@ def test_induction_preserves_full_algebra(k, p):
     assert isinstance(irreducibility_certificate(base), FullAlgebra)
     out = induction(base, p, 5)
     assert isinstance(irreducibility_certificate(out), FullAlgebra)
+
+
+def test_certificate_closure_product_count(monkeypatch):
+    # the closure takes A_1 and the witness first, so it finds A_2..A_k in
+    # its span and skips them; char_poly forms no product.  With every
+    # element multiplied in, and Faddeev-LeVerrier, these were 96 and 87.
+    full, proper = standard(4), sporadic4()
+    products = []
+    mul = Matrix.__mul__
+    monkeypatch.setattr(Matrix, "__mul__", lambda x, y: products.append(y) or mul(x, y))
+    assert irreducibility_certificate(full) == FullAlgebra(16)
+    assert len(products) == 54
+    products.clear()
+    assert irreducibility_certificate(proper).dim == 12
+    assert len(products) == 44
+
+
+def _identities(t):
+    return [Matrix.identity(t.n)] * (t.k - 1)
+
+
+@pytest.mark.parametrize("t, witness", [
+    (standard(3, 1, 2), _identities(standard(3, 1, 2))),
+    (standard(4, 3, -1), list(reversed(standard(4, 3, -1).witness))),
+    (permutation_type([1, 2, 3]), _identities(permutation_type([1, 2, 3]))),
+    (sporadic4(), _identities(sporadic4())),
+    (suspension_simplex(3, 2), list(reversed(suspension_simplex(3, 2).witness))),
+])
+def test_certificate_does_not_trust_the_witness(t, witness):
+    # a witness that does not realize the set: A_2..A_k may lie outside the
+    # algebra of A_1 and the witness, and must still be multiplied in
+    basis = reference_algebra_closure(list(t.elements) + list(witness))
+    cert = irreducibility_certificate(t, witness)
+    if len(basis) == t.n * t.n:
+        assert cert == FullAlgebra(t.n * t.n)
+    else:
+        assert cert == ProperAlgebra(len(basis), _invariant_submodule(t, basis))
 
 
 # -------------------------------------------------------------------- suites
