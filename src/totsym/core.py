@@ -22,6 +22,7 @@ from .linalg import (
     Matrix,
     Singular,
     Subspace,
+    conjugate_space,
     intertwiner_space,
     invertible_in_space,
     kernel,
@@ -347,12 +348,60 @@ def _no_invertible_detail(what, j, space, n):
     return f"no invertible {what} found for transposition ({j}, {j + 1})"
 
 
+def _transposition_spaces(members, n, solve):
+    """Yield S_j, the solution space of the adjacent transposition (j, j+1),
+    for j = 0, ..., k-2 in turn (k >= 2), each as a canonical Subspace.
+
+    ``solve(members, targets)`` is the space of matrices that move each
+    member to its target (``intertwiner_space`` or ``_transport_space``).
+    S_0 is solved directly.  A caller stops at the first S_j with no
+    invertible element, so when S_1 is asked for, S_0 had one.  Then, for
+    k >= 4, the space of the k-cycle c = (0 1 ... k-1) (targets
+    members[1:] + members[:1]) is solved and searched once: with an
+    invertible C in it, tau_{j+1} = c tau_j c^-1 gives S_{j+1} = C S_j C^-1,
+    and the canonical echelon form makes that the same Subspace as a direct
+    solve.  For k <= 3, where the cycle would save no solve, or when no
+    such C is found, each S_j is solved directly.
+    """
+    k = len(members)
+    space = solve(members, _swap(members, 0))
+    yield space
+    cycle = None
+    if k >= 4:
+        cycle = invertible_in_space(solve(members, members[1:] + members[:1]), n)
+    if cycle is None:
+        for j in range(1, k - 1):
+            yield solve(members, _swap(members, j))
+        return
+    cycle_inv = cycle.inverse()
+    for _ in range(1, k - 1):
+        space = conjugate_space(space, cycle, cycle_inv)
+        yield space
+
+
+def _search_transpositions(members, n, solve, what):
+    """Certificate from an invertible element of each transposition space,
+    or naming the first space where the search found none."""
+    found = []
+    for j, space in enumerate(_transposition_spaces(list(members), n, solve)):
+        p = invertible_in_space(space, n)
+        if p is None:
+            return Certificate(
+                NOT_TOTALLY_SYMMETRIC, failing_transposition=j,
+                detail=_no_invertible_detail(what, j, space, n))
+        found.append(p)
+    return Certificate(TOTALLY_SYMMETRIC, witness=RealizationWitness(found))
+
+
 def verify_tss(t, from_scratch=False):
     """Certify total symmetry of a matrix set.
 
     The bundled witness, if any, is rechecked first; when absent, invalid,
-    or when from_scratch is set, each adjacent transposition is solved as
-    an intertwiner system and an invertible solution is searched for.  A
+    or when from_scratch is set, each adjacent transposition's intertwiner
+    space is searched for an invertible element.  For k >= 4 two systems
+    are solved, for (0, 1) and for the k-cycle, and the other spaces are
+    the first one conjugated by the cycle's witness (see
+    ``_transposition_spaces``); a smaller set solves each space.  A
     NotTotallySymmetric verdict names the first transposition whose
     solution space held no invertible element we could find; its detail
     says "exists" instead of "found" when the supports of that space prove
@@ -363,16 +412,7 @@ def verify_tss(t, from_scratch=False):
     if t.witness is not None and not from_scratch:
         if _witness_realizes_tss(t.elements, t.witness):
             return Certificate(TOTALLY_SYMMETRIC, witness=t.witness)
-    found = []
-    for j in range(t.k - 1):
-        space = intertwiner_space(list(t.elements), _swap(t.elements, j))
-        p = invertible_in_space(space, t.n)
-        if p is None:
-            return Certificate(
-                NOT_TOTALLY_SYMMETRIC, failing_transposition=j,
-                detail=_no_invertible_detail("intertwiner", j, space, t.n))
-        found.append(p)
-    return Certificate(TOTALLY_SYMMETRIC, witness=RealizationWitness(found))
+    return _search_transpositions(t.elements, t.n, intertwiner_space, "intertwiner")
 
 
 def _annihilator(space):
@@ -400,23 +440,17 @@ def verify_arrangement(a, from_scratch=False):
     """Certify total symmetry of a subspace arrangement.
 
     Transport of a plane is encoded linearly: P maps W_i into W_{sigma(i)},
-    which together with invertibility of P gives equality of images.
+    which together with invertibility of P gives equality of images.  As in
+    ``verify_tss``, k >= 4 planes need two transport systems solved, for
+    (0, 1) and for the k-cycle, and the other spaces are conjugates of the
+    first.
     """
     if a.degenerate:
         return Certificate(DEGENERATE, witness=a.witness)
     if a.witness is not None and not from_scratch:
         if _witness_realizes_planes(a.planes, a.witness):
             return Certificate(TOTALLY_SYMMETRIC, witness=a.witness)
-    found = []
-    for j in range(a.k - 1):
-        space = _transport_space(list(a.planes), _swap(a.planes, j))
-        p = invertible_in_space(space, a.n)
-        if p is None:
-            return Certificate(
-                NOT_TOTALLY_SYMMETRIC, failing_transposition=j,
-                detail=_no_invertible_detail("transport", j, space, a.n))
-        found.append(p)
-    return Certificate(TOTALLY_SYMMETRIC, witness=RealizationWitness(found))
+    return _search_transpositions(a.planes, a.n, _transport_space, "transport")
 
 
 def realize_permutation(witness, sigma, n=None):

@@ -12,6 +12,13 @@ Products are integer convolutions with a single gcd at the end, and the
 inverse conjugates once per step of the tower Q < Q(sqrt2) < Q(sqrt2, sqrt3)
 < K, which needs no elimination.
 
+Most operands in practice are rational, and many are 0 or +-1, so those
+take shortcuts: a sum, difference or product of two rationals is one
+integer operation over one denominator and a two-argument gcd; a product
+with a rational scales the other operand's numerators; and a factor of 1
+returns the other operand, a factor of -1 its negation, with no
+arithmetic at all.  Every shortcut gives the same canonical form.
+
 This field is closed under every operation the rest of the package
 performs (the sixth root of unity zeta, the quadratic root mu of
 3x^2 + 2x + 3, and all matrix entries that appear in the catalog live
@@ -23,6 +30,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add, neg, sub
+
+_NO_SURDS = (0,) * 7  # the coordinates after the first of a rational scalar
 
 BASIS_LABELS = ("1", "sqrt2", "sqrt3", "sqrt6", "i", "i*sqrt2", "i*sqrt3", "i*sqrt6")
 
@@ -90,6 +99,15 @@ def _reduced(nums, den):
     return _make(tuple(nums), den)
 
 
+def _rational(p, q):
+    """The rational Scalar p/q for integers p and q > 0, in lowest terms."""
+    g = gcd(p, q)
+    if g != 1:
+        p //= g
+        q //= g
+    return _make((p, 0, 0, 0, 0, 0, 0, 0), q)
+
+
 def _ratio(x):
     """(numerator, denominator) of a rational given as int, Fraction or text."""
     if type(x) is int:
@@ -154,6 +172,10 @@ class Scalar:
         a, d, b, e = self.nums, self.den, other.nums, other.den
         if not any(b):
             return self
+        if a[1:] == _NO_SURDS and b[1:] == _NO_SURDS:
+            if d == e:
+                return _rational(a[0] + b[0], d)
+            return _rational(a[0] * e + b[0] * d, d * e)
         if d == e:
             return _reduced(tuple(map(add, a, b)), d)
         return _reduced(tuple([x * e + y * d for x, y in zip(a, b)]), d * e)
@@ -162,6 +184,10 @@ class Scalar:
         a, d, b, e = self.nums, self.den, other.nums, other.den
         if not any(b):
             return self
+        if a[1:] == _NO_SURDS and b[1:] == _NO_SURDS:
+            if d == e:
+                return _rational(a[0] - b[0], d)
+            return _rational(a[0] * e - b[0] * d, d * e)
         if d == e:
             return _reduced(tuple(map(sub, a, b)), d)
         return _reduced(tuple([x * e - y * d for x, y in zip(a, b)]), d * e)
@@ -173,16 +199,29 @@ class Scalar:
         if not isinstance(other, Scalar):
             return NotImplemented
         a, b = self.nums, other.nums
-        # a rational factor (the usual case for catalog entries) only scales
-        if not any(a[1:]):
-            x = a[0]
-            if not x:
-                return ZERO
+        # a rational factor (the usual case for catalog entries) only scales,
+        # and a factor of 0, 1 or -1 needs no arithmetic at all
+        if a[1:] == _NO_SURDS:
+            x, d = a[0], self.den
+            if d == 1:
+                if x == 1:
+                    return other
+                if x == -1:
+                    return _make(tuple(map(neg, b)), other.den)
+                if not x:
+                    return ZERO
+            if b[1:] == _NO_SURDS:
+                return _rational(x * b[0], d * other.den)
             nums = tuple([x * y for y in b])
-        elif not any(b[1:]):
-            y = b[0]
-            if not y:
-                return ZERO
+        elif b[1:] == _NO_SURDS:
+            y, e = b[0], other.den
+            if e == 1:
+                if y == 1:
+                    return self
+                if y == -1:
+                    return _make(tuple(map(neg, a)), self.den)
+                if not y:
+                    return ZERO
             nums = tuple([x * y for x in a])
         else:
             nums = _convolve(a, b)
@@ -219,14 +258,17 @@ class Scalar:
     def __pow__(self, e):
         if e < 0:
             return self.inverse() ** (-e)
-        out = ONE
+        if e == 0:
+            return ONE
+        acc = None
         base = self
-        while e:
+        while True:
             if e & 1:
-                out = out * base
-            base = base * base
+                acc = base if acc is None else acc * base
             e >>= 1
-        return out
+            if not e:
+                return acc
+            base = base * base
 
     def __eq__(self, other):
         return (isinstance(other, Scalar) and self.nums == other.nums
@@ -310,6 +352,7 @@ def sqrt_restricted(q):
 
 ZERO = Scalar.rational(0)
 ONE = Scalar.rational(1)
+MINUS_ONE = Scalar.rational(-1)
 TWO = Scalar.rational(2)
 HALF = Scalar.rational(1, 2)
 I_UNIT = Scalar.basis_element(4)

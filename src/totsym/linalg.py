@@ -13,7 +13,7 @@ import itertools
 import os
 import random
 
-from .field import ONE, ZERO, Scalar, as_scalar
+from .field import MINUS_ONE, ONE, ZERO, Scalar, as_scalar
 
 __all__ = [
     "Matrix",
@@ -23,6 +23,7 @@ __all__ = [
     "Subspace",
     "algebra_closure",
     "char_poly",
+    "conjugate_space",
     "intertwiner_space",
     "invertible_in_space",
     "kernel",
@@ -283,7 +284,23 @@ def _vectorise(mat):
 
 
 def _axpy(v, f, row):
-    """v += f * row for sparse rows, in place, dropping entries that cancel."""
+    """v += f * row for sparse rows, in place, dropping entries that cancel.
+
+    A factor of 1 or -1 adds or subtracts the entries without multiplying.
+    """
+    plus = f == ONE
+    if plus or f == MINUS_ONE:
+        for j, x in row.items():
+            y = v.get(j)
+            if y is None:
+                v[j] = x if plus else -x
+            else:
+                y = y + x if plus else y - x
+                if y.is_zero():
+                    del v[j]
+                else:
+                    v[j] = y
+        return
     for j, x in row.items():
         x = f * x
         y = v.get(j)
@@ -859,6 +876,16 @@ def invertible_in_space(space, m, n=None, seed=None):
         if not x.det().is_zero():
             return x
     return None
+
+
+def conjugate_space(space, p, p_inv):
+    """The subspace {p·X·p_inv : X in space} of vectorised n-by-n matrices,
+    for an invertible n-by-n p whose inverse is p_inv, as a canonical Subspace.
+    """
+    n = p.n
+    _require_vectorised(space, n, n)
+    return Subspace([_vectorise(p * _to_matrix(row, n, n) * p_inv)
+                     for row in space.rows], space.n)
 
 
 def algebra_closure(gens):

@@ -8,10 +8,12 @@ without its structural test, the reference for the search's witnesses;
 ``reference_depth_table`` is the depth table with every j-fold eigenspace
 intersected from scratch, the reference for ``spectral.depth_profile``;
 ``reference_char_poly`` is the characteristic polynomial by
-Faddeev-LeVerrier, the reference for ``linalg.char_poly``; and
+Faddeev-LeVerrier, the reference for ``linalg.char_poly``;
 ``reference_algebra_closure`` closes the span of I and every generator
 under right multiplication by every generator, the reference for
-``linalg.algebra_closure``.
+``linalg.algebra_closure``; and ``reference_certificate`` solves every
+adjacent transposition's space directly, the reference for the
+from-scratch ``core.verify_tss`` and ``core.verify_arrangement``.
 """
 
 from __future__ import annotations
@@ -22,8 +24,22 @@ import random
 
 import sympy
 
+from totsym.core import (
+    NOT_TOTALLY_SYMMETRIC,
+    TOTALLY_SYMMETRIC,
+    Certificate,
+    RealizationWitness,
+    _no_invertible_detail,
+)
 from totsym.field import ONE, ZERO, Scalar
-from totsym.linalg import Matrix, Polynomial, Subspace, matrix_to_vec, vec_to_matrix
+from totsym.linalg import (
+    Matrix,
+    Polynomial,
+    Subspace,
+    invertible_in_space,
+    matrix_to_vec,
+    vec_to_matrix,
+)
 
 _SYM_BASIS = (
     sympy.Integer(1),
@@ -247,3 +263,23 @@ def reference_algebra_closure(gens):
                     new.append(prod)
         found = new
     return [vec_to_matrix(v, n) for v in span.basis]
+
+
+def reference_certificate(members, n, solve, what):
+    """The from-scratch certificate with the space of each adjacent
+    transposition solved directly by ``solve(members, targets)``
+    (``linalg.intertwiner_space`` or ``core._transport_space``) and searched
+    in turn; ``what`` names the solutions in the detail text."""
+    members = list(members)
+    found = []
+    for j in range(len(members) - 1):
+        targets = list(members)
+        targets[j], targets[j + 1] = targets[j + 1], targets[j]
+        space = solve(members, targets)
+        p = invertible_in_space(space, n)
+        if p is None:
+            return Certificate(
+                NOT_TOTALLY_SYMMETRIC, failing_transposition=j,
+                detail=_no_invertible_detail(what, j, space, n))
+        found.append(p)
+    return Certificate(TOTALLY_SYMMETRIC, witness=RealizationWitness(found))

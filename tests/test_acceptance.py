@@ -25,6 +25,7 @@ from totsym.core import (
     TOTALLY_SYMMETRIC,
     Arrangement,
     Tss,
+    _transport_space,
     half_dim_normal_form,
     involution_checks,
     stabilizer_dimension,
@@ -237,7 +238,16 @@ def test_near_miss_sets_are_rejected():
     for c in (2, 3, 4, 5, -1, -2, -3,
               Fraction(1, 2), Fraction(2, 3), Fraction(-1, 2)):
         a = Arrangement(base + [line(1, c)])
-        assert verify_arrangement(a).verdict == NOT_TOTALLY_SYMMETRIC
+        cert = verify_arrangement(a)
+        assert cert.verdict == NOT_TOTALLY_SYMMETRIC
+        if c == -1:
+            # (0, 1) is realizable but the 4-cycle is not, so (1, 2) is
+            # solved directly and fails
+            assert _transport_space(a.planes, a.planes[1:] + a.planes[:1]).dim == 0
+            assert cert.failing_transposition == 1
+            assert cert.detail == (
+                "no invertible transport exists for transposition (1, 2): "
+                "the solution supports admit no perfect matching")
 
     quadruples = (
         (diag(1, 2, 3), diag(2, 3, 1), diag(3, 1, 2), diag(1, 3, 2)),
@@ -246,6 +256,13 @@ def test_near_miss_sets_are_rejected():
     )
     for quad in quadruples:
         assert verify_tss(Tss(quad)).verdict == NOT_TOTALLY_SYMMETRIC
+    quad = quadruples[2]
+    assert intertwiner_space(list(quad), list(quad[1:] + quad[:1])).dim == 0
+    cert = verify_tss(Tss(quad))
+    assert cert.failing_transposition == 1
+    assert cert.detail == (
+        "no invertible intertwiner exists for transposition (1, 2): "
+        "the solution supports admit no perfect matching")
 
 
 # -------------------------------------------------- oracle cross-verification

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from totsym import catalog
 from totsym.core import (
     DEGENERATE,
     NOT_TOTALLY_SYMMETRIC,
@@ -16,6 +17,9 @@ from totsym.core import (
     StrongWitness,
     Tss,
     Weight,
+    _swap,
+    _transport_space,
+    _transposition_spaces,
     dual_arrangement,
     half_dim_normal_form,
     involution_checks,
@@ -29,8 +33,10 @@ from totsym.core import (
     verify_arrangement,
     verify_tss,
 )
-from totsym.field import ONE, ZETA, ZETA_INV, Scalar
-from totsym.linalg import Matrix, Singular, Subspace
+from totsym.field import ONE, SQRT2, ZERO, ZETA, ZETA_INV, Scalar
+from totsym.linalg import Matrix, Singular, Subspace, conjugate_space, intertwiner_space
+
+from oracles import reference_certificate
 
 
 def diag(*entries):
@@ -191,6 +197,99 @@ def test_all_singular_intertwiners_with_matching_supports_are_not_proved():
     cert = verify_tss(t)
     assert cert.verdict == NOT_TOTALLY_SYMMETRIC
     assert cert.detail == "no invertible intertwiner found for transposition (0, 1)"
+
+
+# ------------------------------------------ transposition spaces from a cycle
+
+
+def _dense_conjugate(t):
+    """The set conjugated by a dense matrix over K (unit lower times unit
+    upper triangular, so invertible)."""
+    n = t.n
+    low = Matrix([[ONE if r == c else (SQRT2 + Scalar.rational(r - c) if r > c else ZERO)
+                   for c in range(n)] for r in range(n)])
+    up = Matrix([[ONE if r == c else (ZETA * Scalar.rational(c - r) if c > r else ZERO)
+                  for c in range(n)] for r in range(n)])
+    p = low * up
+    p_inv = p.inverse()
+    return Tss([p * a * p_inv for a in t.elements])
+
+
+FROM_SCRATCH_CASES = {
+    "standard4": lambda: catalog.standard(4),
+    "ncsimplex4": lambda: catalog.ncsimplex(4),
+    "ncsimplex5": lambda: catalog.ncsimplex(5),
+    "sporadic4": lambda: catalog.sporadic4(),
+    "s5-construction": lambda: catalog.tilde_sigma5_construction(),
+    "partition-0001": lambda: catalog.partition_construction([2, 2, 2, 3]),
+    "partition-0011": lambda: catalog.partition_construction([2, 2, 3, 3]),
+    "simplex3": lambda: catalog.simplex_arrangement(3),
+    "simplex4": lambda: catalog.simplex_arrangement(4),
+    "simplex5": lambda: catalog.simplex_arrangement(5),
+    "dual-simplex3": lambda: catalog.dual_simplex_arrangement(3),
+    "dual-simplex4": lambda: catalog.dual_simplex_arrangement(4),
+    "s5-arrangement": lambda: catalog.tilde_sigma5_arrangement(),
+    "ncsimplex4-dense": lambda: _dense_conjugate(catalog.ncsimplex(4)),
+}
+
+
+def _scratch_parts(obj):
+    """(members, solver, verifier, what) of a set or an arrangement."""
+    if isinstance(obj, Arrangement):
+        return list(obj.planes), _transport_space, verify_arrangement, "transport"
+    return list(obj.elements), intertwiner_space, verify_tss, "intertwiner"
+
+
+@pytest.mark.parametrize("name", sorted(FROM_SCRATCH_CASES))
+def test_transposition_spaces_from_the_cycle_equal_direct_solves(name):
+    obj = FROM_SCRATCH_CASES[name]()
+    members, solve, verify, what = _scratch_parts(obj)
+    assert obj.k >= 4
+    targets = []
+
+    def counting(ms, ts):
+        targets.append(list(ts))
+        return solve(ms, ts)
+
+    spaces = list(_transposition_spaces(members, obj.n, counting))
+    # two systems: (0, 1) and the k-cycle; the rest are conjugates
+    assert targets == [_swap(members, 0), members[1:] + members[:1]]
+    assert len(spaces) == obj.k - 1
+    for j, space in enumerate(spaces):
+        assert space == solve(members, _swap(members, j))
+    cert = verify(obj, from_scratch=True)
+    assert cert.verdict == TOTALLY_SYMMETRIC
+    assert cert == reference_certificate(members, obj.n, solve, what)
+
+
+def test_three_members_solve_each_transposition_directly():
+    t = catalog.ncsimplex(3)
+    members = list(t.elements)
+    targets = []
+
+    def counting(ms, ts):
+        targets.append(list(ts))
+        return intertwiner_space(ms, ts)
+
+    spaces = list(_transposition_spaces(members, t.n, counting))
+    assert targets == [_swap(members, 0), _swap(members, 1)]
+    assert spaces == [intertwiner_space(members, ts) for ts in targets]
+    assert verify_tss(t, from_scratch=True) == reference_certificate(
+        members, t.n, intertwiner_space, "intertwiner")
+
+
+def test_conjugate_space():
+    swap = M((0, 1), (1, 0))
+    upper = Subspace([(0, 1, 0, 0)], 4)  # E12
+    assert conjugate_space(upper, swap, swap) == Subspace([(0, 0, 1, 0)], 4)
+    p = M((1, 1), (0, 1))
+    p_inv = M((1, -1), (0, 1))
+    diagonal = Subspace([(1, 0, 0, 0), (0, 0, 0, 1)], 4)
+    # p·diag(a, b)·p^-1 = [[a, b - a], [0, b]]
+    assert conjugate_space(diagonal, p, p_inv) == Subspace(
+        [(1, -1, 0, 0), (0, 1, 0, 1)], 4)
+    with pytest.raises(ValueError):
+        conjugate_space(Subspace([(1, 0, 0)], 3), swap, swap)
 
 
 # ----------------------------------------------------- verify_arrangement

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 import sympy
@@ -17,10 +17,12 @@ from totsym.field import (
     ZETA,
     ZETA_INV,
     NotRepresentable,
+    MINUS_ONE,
     Scalar,
     constants,
     sqrt_restricted,
 )
+from totsym.linalg import _axpy
 from totsym.serialize import ParseError, scalar_from_json, scalar_to_json
 
 from oracles import sym_equal, to_sympy
@@ -30,6 +32,17 @@ scalars = st.builds(Scalar, st.tuples(*[rationals] * 8))
 coordinate_lists = st.lists(rationals, min_size=8, max_size=8)
 nonzero_rationals = rationals.filter(bool)
 dense_scalars = st.builds(Scalar, st.tuples(*[nonzero_rationals] * 8))
+# the operands of the rational and unit fast paths, drawn as often as the
+# general ones: 0 and +-1, integers, unit fractions and other small
+# fractions, plus scalars with surds
+mixed_scalars = st.one_of(
+    st.sampled_from([ZERO, ONE, MINUS_ONE]),
+    st.integers(-9, 9).map(Scalar.rational),
+    st.builds(Scalar.rational, st.sampled_from([1, -1]), st.integers(2, 6)),
+    st.fractions(min_value=-5, max_value=5, max_denominator=6).map(Scalar.rational),
+    scalars,
+    dense_scalars,
+)
 
 
 def rat(p, q=1):
@@ -96,6 +109,23 @@ def test_division_and_pow():
     assert a ** 0 == ONE
     assert a ** 3 == a * a * a
     assert a ** -2 == (a * a).inverse()
+
+
+@pytest.mark.parametrize("a", [rat(-2, 3), rat(5), ZETA + SQRT2,
+                               Scalar([Fraction(k, 7) - 2 for k in range(1, 9)])])
+def test_pow_matches_repeated_products(a, monkeypatch):
+    for e in range(-2, 6):
+        power = ONE
+        for _ in range(abs(e)):
+            power = power * a
+        assert a ** e == (power if e >= 0 else power.inverse())
+    # square-and-multiply from the first factor: no product with 1 and no
+    # square past the last bit
+    products = []
+    mul = Scalar.__mul__
+    monkeypatch.setattr(Scalar, "__mul__", lambda x, y: products.append(y) or mul(x, y))
+    assert a ** 1 == a and products == []
+    assert a ** 5 == mul(mul(mul(a, a), mul(a, a)), a) and len(products) == 3
 
 
 @settings(max_examples=10, deadline=None)
@@ -182,6 +212,51 @@ def test_views_match_fraction_reference(fx, fy):
         assert s.is_rational() == all(q == 0 for q in ref[1:])
         if s.is_rational():
             assert s.rational_value() == ref[0]
+
+
+def _integer_form(coords):
+    """(nums, den) in canonical form of a vector of Fraction coordinates."""
+    den = lcm(*(q.denominator for q in coords))
+    return tuple(q.numerator * (den // q.denominator) for q in coords), den
+
+
+@settings(max_examples=200, deadline=None)
+@given(mixed_scalars, mixed_scalars)
+def test_fast_paths_match_fraction_reference(a, b):
+    fa, fb = a.c, b.c
+    cases = [
+        (a * b, _reference_product(fa, fb)),
+        (a + b, [u + v for u, v in zip(fa, fb)]),
+        (a - b, [u - v for u, v in zip(fa, fb)]),
+        (-a, [-u for u in fa]),
+    ]
+    for s, ref in cases:
+        assert (s.nums, s.den) == _integer_form(ref)
+        assert _canonical(s)
+
+
+sparse_rows = st.dictionaries(st.integers(0, 5), st.one_of(
+    st.sampled_from([ONE, MINUS_ONE, SQRT2]),
+    st.fractions(min_value=-5, max_value=5, max_denominator=6).filter(bool).map(Scalar.rational),
+    dense_scalars), max_size=6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_rows, sparse_rows, st.lists(st.booleans(), min_size=6, max_size=6),
+       st.sampled_from([ONE, MINUS_ONE]))
+def test_axpy_unit_factors_match_the_general_path(v, row, cancel, f):
+    # some entries of v are exactly -f times row's, so the sum drops them
+    v.update({j: -(f * x) for j, x in row.items() if cancel[j]})
+    want = dict(v)
+    for j, x in row.items():
+        y = want.get(j, ZERO) + f * x
+        if y.is_zero():
+            want.pop(j, None)
+        else:
+            want[j] = y
+    _axpy(v, f, row)
+    assert v == want
+    assert all(not x.is_zero() for x in v.values())
 
 
 def _fraction_parse(text):
