@@ -9,6 +9,7 @@ whose bundled witness passes exact verification.
 """
 
 from itertools import combinations
+from math import factorial, prod
 
 from .core import (
     Arrangement,
@@ -102,15 +103,27 @@ def standard(k, lam=2, nu=1):
     return Tss(elements, witness=witness, params=(lam, nu))
 
 
+# the largest orbit partition_construction builds: 5! admits every weight of
+# up to five values; an orbit of 6! = 720 points already means eleven dense
+# 720x720 matrices
+MAX_ORBIT = 120
+
+
 def partition_construction(w):
     """Diagonal set on the orbit of a weight under coordinate permutations.
 
     Basis vectors are the distinct reorderings f of the weight values;
     element i scales f by f(i), and transpositions act by precomposition.
-    The dimension is the multinomial coefficient of the weight's partition.
+    The dimension is the multinomial coefficient of the weight's partition,
+    and a weight whose orbit exceeds MAX_ORBIT points is refused before
+    anything is built.
     """
     if not isinstance(w, Weight):
         w = Weight(w)
+    size = factorial(w.k) // prod(factorial(m) for m in w.partition)
+    if size > MAX_ORBIT:
+        raise ValueError(f"the orbit of this weight has {size} points, "
+                         f"more than the {MAX_ORBIT} a construction may have")
     orbit = list(w.orbit())
     index = {f: a for a, f in enumerate(orbit)}
     elements = [_diag([f[i] for f in orbit]) for i in range(w.k)]

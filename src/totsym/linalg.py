@@ -557,6 +557,65 @@ class Subspace:
     def is_invariant_under(self, mat):
         return all(self.contains(mat_vec(mat, v)) for v in self.basis)
 
+    def eigenspaces(self, mat, roots):
+        """The nonzero pieces W ∩ ker(mat - r) of this subspace W, as
+        {root: Subspace} in the order of ``roots``, or None when mat does not
+        map W into itself.
+
+        The images mat·b_j of the echelon basis b_1..b_d are reduced against
+        W.  In reduced echelon form a vector of W has its coordinates at the
+        pivots, so those entries of the images make the d-by-d matrix M of
+        mat on W, and each piece is B·ker(M - r).
+        """
+        _require_same_ambient(self.n, mat.n)
+        _require_square(mat, "restriction")
+        pivots, echelon = self.pivots, self._echelon
+        basis = self.rows
+        # the nonzero rows of the n-by-d matrix B: {q: {j: entry q of b_j}}
+        b_rows = {}
+        for j, b in enumerate(basis):
+            for q, x in b.items():
+                b_rows.setdefault(q, {})[j] = x
+        images = [{} for _ in pivots]
+        for i, row in enumerate(_nonzero_rows(mat)):
+            acc = {}
+            for q, a in row.items():
+                b_row = b_rows.get(q)
+                if b_row is not None:
+                    _axpy(acc, a, b_row)
+            for j, x in acc.items():
+                images[j][i] = x
+        m_rows = [{} for _ in pivots]
+        for j, image in enumerate(images):
+            for i, p in enumerate(pivots):
+                x = image.get(p)
+                if x is not None:
+                    m_rows[i][j] = x
+            if _reduce(image, echelon):
+                return None
+        if len(pivots) == 1:
+            lam = m_rows[0].get(0, ZERO)
+            return {lam: self} if lam in roots else {}
+        out, found = {}, 0
+        for r in roots:
+            if found == len(pivots):
+                break  # the pieces found already fill W
+            rows = [dict(row) for row in m_rows]
+            if not r.is_zero():
+                for i, row in enumerate(rows):
+                    _axpy(row, ONE, {i: -r})
+            null = null_space(rows, len(pivots))
+            if null.dim:
+                pieces = []
+                for x in null.rows:
+                    v = {}
+                    for j, c in x.items():
+                        _axpy(v, c, basis[j])
+                    pieces.append(v)
+                out[r] = Subspace(pieces, self.n)
+                found += null.dim
+        return out
+
     def extension_columns(self):
         """Standard basis vectors (lowest index first) completing this
         subspace to all of K^n."""

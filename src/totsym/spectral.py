@@ -65,6 +65,9 @@ class NotCommutative(ValueError):
     """The classification algorithm needs a commutative set."""
 
 
+_NOT_COMMUTATIVE = "elements do not pairwise commute"
+
+
 # ---------------------------------------------------------------------------
 # filtrations
 
@@ -268,11 +271,30 @@ def classify_commutative(t, pool=()):
     Simultaneous eigenspace refinement: each joint eigenline carries the
     k-tuple of eigenvalues its basis vector sees.  The set is the diagonal
     model of a weight exactly when those tuples enumerate a free
-    permutation orbit, each tuple once.
+    permutation orbit, each tuple once.  Raises NotCommutative whenever two
+    elements do not commute, whatever else the refinement finds.
     """
-    if not is_commutative(t):
-        raise NotCommutative("elements do not pairwise commute")
-    candidates = tuple(pool) + tuple(t.params)
+    blocks = _joint_eigenspaces(t, tuple(pool) + tuple(t.params))
+    if isinstance(blocks, ClassificationResult):
+        # the refinement stopped before it proved that the elements commute
+        if not is_commutative(t):
+            raise NotCommutative(_NOT_COMMUTATIVE)
+        return blocks
+    return _classify_blocks(t, blocks)
+
+
+def _joint_eigenspaces(t, candidates):
+    """The joint eigenspaces of the elements as (Subspace, column of
+    eigenvalues) pairs, or the NotClassified / NonDiagonalizable result
+    that stopped the refinement.
+
+    The first element's eigenspaces are the first blocks, and each later
+    element is split on each block by its restriction there.  The earlier
+    elements act as scalars on a block and the blocks make a direct sum of
+    K^n, so an element that moves a block does not commute with them
+    (NotCommutative), and a refinement that reaches the end has proven that
+    all elements pairwise commute.
+    """
     blocks = None
     for a in t.elements:
         found = discover_eigenvalues(a, candidates)
@@ -280,24 +302,26 @@ def classify_commutative(t, pool=()):
             return ClassificationResult(
                 NOT_CLASSIFIED,
                 detail=f"eigenvalue discovery stalled: {found!r}")
-        eigenspaces = [(r, kernel(a.shift(-r)))
-                       for r in dict.fromkeys(found)]
-        if sum(e.dim for _, e in eigenspaces) < t.n:
-            return ClassificationResult(NON_DIAGONALIZABLE)
+        roots = list(dict.fromkeys(found))
         if blocks is None:
-            # the first element's eigenspaces are the first blocks
-            blocks = [(e, (r,)) for r, e in eigenspaces if e.dim]
-            continue
-        refined = []
-        for space, col in blocks:
-            for r, e in eigenspaces:
-                piece = space.intersection(e)
-                if piece.dim:
-                    refined.append((piece, col + (r,)))
+            refined = [(kernel(a.shift(-r)), (r,)) for r in roots]
+        else:
+            refined = []
+            for space, col in blocks:
+                pieces = space.eigenspaces(a, roots)
+                if pieces is None:
+                    raise NotCommutative(_NOT_COMMUTATIVE)
+                refined.extend((piece, col + (r,)) for r, piece in pieces.items())
+        if sum(space.dim for space, _ in refined) < t.n:
+            return ClassificationResult(NON_DIAGONALIZABLE)
         blocks = refined
     if blocks is None:
-        blocks = [(Subspace.full(t.n), ())]
+        return [(Subspace.full(t.n), ())]
+    return blocks
 
+
+def _classify_blocks(t, blocks):
+    """The verdict on a commutative set from its joint eigenspaces."""
     columns = [col for _, col in blocks]
     if all(space.dim == 1 for space, _ in blocks) and columns:
         weight = Weight(sorted(columns[0], key=Scalar.sort_key))

@@ -11,9 +11,11 @@ intersected from scratch, the reference for ``spectral.depth_profile``;
 Faddeev-LeVerrier, the reference for ``linalg.char_poly``;
 ``reference_algebra_closure`` closes the span of I and every generator
 under right multiplication by every generator, the reference for
-``linalg.algebra_closure``; and ``reference_certificate`` solves every
+``linalg.algebra_closure``; ``reference_certificate`` solves every
 adjacent transposition's space directly, the reference for the
-from-scratch ``core.verify_tss`` and ``core.verify_arrangement``.
+from-scratch ``core.verify_tss`` and ``core.verify_arrangement``;
+and ``reference_classify`` meets every block with every eigenspace of the next
+element in all of K^n, the reference for ``spectral.classify_commutative``.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from totsym.core import (
     Certificate,
     RealizationWitness,
     _no_invertible_detail,
+    is_commutative,
 )
 from totsym.field import ONE, ZERO, Scalar
 from totsym.linalg import (
@@ -37,8 +40,18 @@ from totsym.linalg import (
     Polynomial,
     Subspace,
     invertible_in_space,
+    kernel,
     matrix_to_vec,
     vec_to_matrix,
+)
+from totsym.spectral import (
+    NON_DIAGONALIZABLE,
+    NOT_CLASSIFIED,
+    ClassificationResult,
+    Incomplete,
+    NotCommutative,
+    _classify_blocks,
+    discover_eigenvalues,
 )
 
 _SYM_BASIS = (
@@ -283,3 +296,36 @@ def reference_certificate(members, n, solve, what):
                 detail=_no_invertible_detail(what, j, space, n))
         found.append(p)
     return Certificate(TOTALLY_SYMMETRIC, witness=RealizationWitness(found))
+
+
+def reference_classify(t, pool=()):
+    """The commutative classification with its former refinement, the
+    reference for ``spectral.classify_commutative``: commutativity is
+    checked first by all k(k-1) products, and every block is met with every
+    eigenspace of the next element, each computed in all of K^n."""
+    if not is_commutative(t):
+        raise NotCommutative("elements do not pairwise commute")
+    candidates = tuple(pool) + tuple(t.params)
+    blocks = None
+    for a in t.elements:
+        found = discover_eigenvalues(a, candidates)
+        if isinstance(found, Incomplete):
+            return ClassificationResult(
+                NOT_CLASSIFIED,
+                detail=f"eigenvalue discovery stalled: {found!r}")
+        eigenspaces = [(r, kernel(a.shift(-r))) for r in dict.fromkeys(found)]
+        if sum(e.dim for _, e in eigenspaces) < t.n:
+            return ClassificationResult(NON_DIAGONALIZABLE)
+        if blocks is None:
+            blocks = [(e, (r,)) for r, e in eigenspaces if e.dim]
+            continue
+        refined = []
+        for space, col in blocks:
+            for r, e in eigenspaces:
+                piece = space.intersection(e)
+                if piece.dim:
+                    refined.append((piece, col + (r,)))
+        blocks = refined
+    if blocks is None:
+        blocks = [(Subspace.full(t.n), ())]
+    return _classify_blocks(t, blocks)

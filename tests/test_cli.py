@@ -98,6 +98,18 @@ def test_construct_bad_params_exit_2(capsys):
     assert run("construct", "perm", "--lambda", "1,1") == 2
 
 
+@pytest.mark.parametrize("name", ["partition", "perm"])
+def test_construct_refuses_an_oversize_orbit_before_building(name, monkeypatch, capsys):
+    # 8! = 40320 orbit points: the size is refused before any matrix exists
+    built = []
+    init = Matrix.__init__
+    monkeypatch.setattr(Matrix, "__init__",
+                        lambda self, rows: built.append(1) or init(self, rows))
+    assert run("construct", name, "--lambda", "1,2,3,4,5,6,7,8") == 2
+    assert "40320 points" in capsys.readouterr().err
+    assert built == []
+
+
 def test_construct_unknown_name_exit_2():
     with pytest.raises(SystemExit) as exc:
         run("construct", "dodecahedron")

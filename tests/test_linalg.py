@@ -221,6 +221,23 @@ def test_invariance_and_image():
     assert Subspace.full(2).apply(a) == line
 
 
+def test_subspace_eigenspaces_split_inside_the_subspace():
+    # a acts on span(e1, e2) as [[3, 1], [0, 2]], so its pieces are not
+    # coordinate lines; roots without a piece are left out, order is kept
+    a = M((3, 1, 0), (0, 2, 0), (0, 0, 5))
+    roots = [Scalar.rational(r) for r in (5, 2, 3)]
+    plane = Subspace([(1, 0, 0), (0, 1, 0)], 3)
+    pieces = plane.eigenspaces(a, roots)
+    assert list(pieces) == roots[1:]
+    for r, piece in pieces.items():
+        assert piece == plane.intersection(kernel(a.shift(-r)))
+    line = Subspace([(0, 0, 1)], 3)
+    assert line.eigenspaces(a, roots) == {roots[0]: line}
+    assert line.eigenspaces(a, roots[1:]) == {}
+    # a moves e2 out of its line
+    assert Subspace([(0, 1, 0)], 3).eigenspaces(a, roots) is None
+
+
 # ----------------------------------------------------- char poly / spectra
 
 

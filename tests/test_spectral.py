@@ -20,7 +20,7 @@ from totsym.catalog import (
 )
 import totsym
 from totsym.core import InvariantViolation, Tss, half_dim_normal_form, realize_permutation
-from totsym.field import ONE, ZETA, ZETA_INV, Scalar
+from totsym.field import I_UNIT, ONE, SQRT2, SQRT3, SQRT6, ZETA, ZETA_INV, Scalar
 from totsym.linalg import Matrix, Subspace
 from totsym.spectral import (
     IRREDUCIBLE,
@@ -44,7 +44,7 @@ from totsym.spectral import (
 from totsym.spectral import _invariant_submodule
 from totsym.suite import halfdim_nonexistence_suite, rep_obstruction_suite
 
-from oracles import reference_algebra_closure, reference_depth_table
+from oracles import reference_algebra_closure, reference_classify, reference_depth_table
 
 
 def diag(*entries):
@@ -362,6 +362,104 @@ def test_classification_matches_model():
         res = classify_commutative(t)
         model = partition_construction(list(res.weight.values))
         assert isomorphic(t, model) is not None
+
+
+# the weight shapes the benchmark classifies (equal labels, equal values)
+CLASSIFY_SHAPES = ((0, 0, 1), (0, 1, 2), (0, 0, 0, 1), (0, 0, 1, 1),
+                   (0, 0, 1, 2), (0, 0, 0, 0, 1), (0, 0, 0, 1, 1))
+SURDS = (SQRT2, I_UNIT, SQRT3, ZETA, SQRT6, ONE)
+
+
+def conjugated(t):
+    """The set P A_i P^-1 for a unit upper triangular P whose entries above
+    the diagonal are all nonzero and mostly irrational, keeping the hints."""
+    n = t.n
+    p = Matrix([[ONE if i == j else SURDS[(i + 2 * j) % len(SURDS)] if j > i else 0
+                 for j in range(n)] for i in range(n)])
+    p_inv = p.inverse()
+    return Tss([p * a * p_inv for a in t.elements], params=t.params)
+
+
+def jordan(lam, n):
+    return Matrix([[lam if i == j else 1 if j == i + 1 else 0 for j in range(n)]
+                   for i in range(n)])
+
+
+def direct_sum(s, t):
+    return Tss([Matrix.block([[a, Matrix.zero(a.n, b.n)], [Matrix.zero(b.n, a.n), b]])
+                for a, b in zip(s.elements, t.elements)])
+
+
+def _shape_set(shape, disguise):
+    t = partition_construction([(2, -1, 3)[label] for label in shape])
+    return conjugated(t) if disguise else t
+
+
+ROOT_5 = M((0, 5), (1, 0))  # eigenvalues +-sqrt(5), outside K
+
+DIFFERENTIAL_SETS = {
+    **{f"shape{''.join(map(str, s))}{'-disguised' if d else ''}":
+       (lambda s=s, d=d: _shape_set(s, d))
+       for s in CLASSIFY_SHAPES for d in (False, True)},
+    "scalar-plane": lambda: Tss([Matrix.scalar(2, 3)] * 3),
+    "scalar-line": lambda: Tss([M((2,))] * 2),
+    "distinct-scalars-line": lambda: Tss([M((1,)), M((2,))]),
+    "jordan-first": lambda: Tss([jordan(2, 3), jordan(2, 3) * jordan(2, 3)]),
+    "jordan-later": lambda: Tss([diag(1, 1, 2), M((2, 1, 0), (0, 2, 0), (0, 0, 3))]),
+    "jordan-disguised": lambda: conjugated(Tss([diag(1, 1, 2),
+                                                M((2, 1, 0), (0, 2, 0), (0, 0, 3))])),
+    "incomplete-first": lambda: Tss([ROOT_5, Matrix.scalar(2, 5)]),
+    "incomplete-later": lambda: Tss([Matrix.identity(2), ROOT_5]),
+    "sum-of-two-orbits": lambda: direct_sum(partition_construction([1, 2]),
+                                            partition_construction([1, 3])),
+    "sum-of-one-orbit-twice": lambda: direct_sum(partition_construction([1, 1, 2]),
+                                                 partition_construction([1, 1, 2])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL_SETS))
+def test_classification_matches_the_zassenhaus_reference(name):
+    t = DIFFERENTIAL_SETS[name]()
+    assert classify_commutative(t) == reference_classify(t)
+
+
+@settings(max_examples=40, deadline=None)
+@given(disguised_diagonal_sets())
+def test_classification_matches_the_reference_on_disguised_diagonals(t):
+    assert classify_commutative(t) == reference_classify(t)
+
+
+@pytest.mark.parametrize("elements", [
+    # A_2 is diagonalizable but moves the eigenline e_1 of A_1
+    [diag(1, 2), M((1, 0), (1, 2))],
+    # A_1 = I: only A_2 and A_3 fail to commute
+    [Matrix.identity(3), diag(1, 2, 3), M((1, 0, 0), (1, 2, 0), (0, 0, 3))],
+    # A_2 swaps the eigenlines of A_1
+    [diag(1, 2), M((0, 1), (1, 0))],
+    # the first element is not diagonalizable
+    [jordan(1, 2), diag(1, 2)],
+    # the first element's eigenvalues lie outside K
+    [ROOT_5, diag(1, 2)],
+], ids=["moved-eigenline", "identity-first", "swapped-eigenlines", "jordan-first",
+        "incomplete-first"])
+def test_classification_not_commutative_comes_first(elements):
+    t = Tss(elements)
+    for classify in (classify_commutative, reference_classify):
+        with pytest.raises(NotCommutative, match="do not pairwise commute"):
+            classify(t)
+
+
+def test_classification_proves_commutativity_by_refinement(monkeypatch):
+    # every later element is split inside the blocks, and a refinement that
+    # ends has proven that the elements commute
+    calls = []
+    meet = Subspace.intersection
+    monkeypatch.setattr(Subspace, "intersection",
+                        lambda x, y: calls.append("meet") or meet(x, y))
+    monkeypatch.setattr(totsym.spectral, "is_commutative",
+                        lambda t: calls.append("commute") or True)
+    assert classify_commutative(permutation_type([1, 2, 3, 4])).verdict == IRREDUCIBLE
+    assert calls == []
 
 
 # -------------------------------------------------------------- certificates
