@@ -27,6 +27,7 @@ here), so no floating point ever enters.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add, neg, sub
@@ -108,11 +109,30 @@ def _rational(p, q):
     return _make((p, 0, 0, 0, 0, 0, 0, 0), q)
 
 
+# the most decimal digits a spelling of a rational may imply: the limit
+# int() puts on digit strings, where the interpreter has one
+_MAX_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+
+
+def fraction_from_text(text):
+    """Fraction(text), refused (ValueError) when the spelling implies more
+    than _MAX_DIGITS decimal digits, counting mantissa digits plus the size
+    of the exponent: "1e10000000" is 12 characters but a 33-Mbit integer."""
+    mantissa, _, exponent = text.lower().partition("e")
+    digits = sum(c.isdecimal() for c in mantissa)
+    exponent = "".join(c for c in exponent if c.isdecimal()).lstrip("0")
+    if len(exponent) > len(str(_MAX_DIGITS)) or digits + int(exponent or 0) > _MAX_DIGITS:
+        raise ValueError(f"{text[:40]!r} needs more than {_MAX_DIGITS} digits")
+    return Fraction(text)
+
+
 def _ratio(x):
     """(numerator, denominator) of a rational given as int, Fraction or text."""
     if type(x) is int:
         return x, 1
-    if not isinstance(x, Fraction):
+    if isinstance(x, str):
+        x = fraction_from_text(x)
+    elif not isinstance(x, Fraction):
         x = Fraction(x)
     return x.numerator, x.denominator
 

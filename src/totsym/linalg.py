@@ -159,6 +159,15 @@ class Matrix:
             t = t + self.rows[i][i]
         return t
 
+    def diagonal(self):
+        """The diagonal entries of a square diagonal matrix, else None."""
+        if self.m != self.n:
+            return None
+        rows = _nonzero_rows(self)
+        if any(row.keys() - {i} for i, row in enumerate(rows)):
+            return None
+        return tuple(row.get(i, ZERO) for i, row in enumerate(rows))
+
     def is_zero(self):
         return all(x.is_zero() for row in self.rows for x in row)
 
@@ -557,23 +566,23 @@ class Subspace:
     def is_invariant_under(self, mat):
         return all(self.contains(mat_vec(mat, v)) for v in self.basis)
 
-    def eigenspaces(self, mat, roots):
-        """The nonzero pieces W ∩ ker(mat - r) of this subspace W, as
-        {root: Subspace} in the order of ``roots``, or None when mat does not
-        map W into itself.
+    def restriction(self, mat):
+        """The d-by-d matrix M of mat on this nonzero subspace W, in its
+        echelon basis b_1..b_d (mat·b_j = sum_i M[i][j] b_i), or None when
+        mat does not map W into itself.
 
-        The images mat·b_j of the echelon basis b_1..b_d are reduced against
-        W.  In reduced echelon form a vector of W has its coordinates at the
-        pivots, so those entries of the images make the d-by-d matrix M of
-        mat on W, and each piece is B·ker(M - r).
+        The images mat·b_j are reduced against W.  In reduced echelon form a
+        vector of W has its coordinates at the pivots, so those entries of
+        the images make the columns of M.
         """
         _require_same_ambient(self.n, mat.n)
         _require_square(mat, "restriction")
         pivots, echelon = self.pivots, self._echelon
-        basis = self.rows
+        if not pivots:
+            raise ValueError("restriction to the zero subspace")
         # the nonzero rows of the n-by-d matrix B: {q: {j: entry q of b_j}}
         b_rows = {}
-        for j, b in enumerate(basis):
+        for j, b in enumerate(self.rows):
             for q, x in b.items():
                 b_rows.setdefault(q, {})[j] = x
         images = [{} for _ in pivots]
@@ -593,28 +602,24 @@ class Subspace:
                     m_rows[i][j] = x
             if _reduce(image, echelon):
                 return None
-        if len(pivots) == 1:
-            lam = m_rows[0].get(0, ZERO)
-            return {lam: self} if lam in roots else {}
-        out, found = {}, 0
-        for r in roots:
-            if found == len(pivots):
-                break  # the pieces found already fill W
-            rows = [dict(row) for row in m_rows]
-            if not r.is_zero():
-                for i, row in enumerate(rows):
-                    _axpy(row, ONE, {i: -r})
-            null = null_space(rows, len(pivots))
-            if null.dim:
-                pieces = []
-                for x in null.rows:
-                    v = {}
-                    for j, c in x.items():
-                        _axpy(v, c, basis[j])
-                    pieces.append(v)
-                out[r] = Subspace(pieces, self.n)
-                found += null.dim
-        return out
+        return _from_nonzero(m_rows, len(pivots))
+
+    def lift(self, coords):
+        """The subspace B·U of K^n, for a subspace U of K^d given in the
+        coordinates of this subspace's echelon basis b_1..b_d (the columns
+        of B): each x in U goes to sum_j x_j b_j."""
+        _require_same_ambient(self.dim, coords.n)
+        pivots, echelon = self.pivots, self._echelon
+        vectors = []
+        for x in coords.rows:
+            v = {}
+            for j, c in x.items():
+                # b_j is 1 at its pivot, and no other b_i has an entry there
+                p = pivots[j]
+                v[p] = c
+                _axpy(v, c, echelon[p])
+            vectors.append(v)
+        return Subspace(vectors, self.n)
 
     def extension_columns(self):
         """Standard basis vectors (lowest index first) completing this

@@ -11,7 +11,6 @@ pure-Python encoder that ``json.dumps`` uses whenever ``indent`` is set.
 
 import json
 import re
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 
 from .core import (
@@ -32,6 +31,8 @@ from .field import (
     ZETA,
     ZETA_INV,
     Scalar,
+    _MAX_DIGITS,
+    fraction_from_text,
 )
 from .linalg import Matrix, Subspace
 
@@ -98,19 +99,21 @@ def scalar_to_json(s):
 
 
 # The form scalar_to_json writes; any other string goes through Fraction,
-# so the accepted spellings ("1.5", " 1/2", "1e3", ...) are Fraction's.
+# so the accepted spellings ("1.5", " 1/2", "1e3", ...) are Fraction's, with
+# the number of digits they imply bounded (field.fraction_from_text); a
+# string longer than that bound never takes the plain path.
 _PLAIN_FRACTION = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 def _ratio_from_json(x):
     _require(isinstance(x, str), "scalar coordinates must be strings")
-    m = _PLAIN_FRACTION.fullmatch(x)
+    m = _PLAIN_FRACTION.fullmatch(x) if len(x) <= _MAX_DIGITS else None
     if m is not None:
         den = int(m[2]) if m[2] else 1
         if den:
             return int(m[1]), den
     try:
-        q = Fraction(x)
+        q = fraction_from_text(x)
     except (ValueError, ZeroDivisionError):
         raise ParseError(f"bad fraction {x!r}") from None
     return q.numerator, q.denominator
@@ -454,7 +457,7 @@ def parse_scalar(text):
                 product = product * _NAMED[token]
                 continue
             try:
-                q = Fraction(token)
+                q = fraction_from_text(token)
             except (ValueError, ZeroDivisionError):
                 raise ParseError(f"bad scalar token {token!r}") from None
             product = product * Scalar.rational(q)

@@ -201,26 +201,29 @@ class Incomplete:
         return f"Incomplete(roots={list(self.roots)!r}, residual={self.residual!r})"
 
 
-def _candidate_pool(extra):
-    pool = [Scalar.rational(r) for r in range(-3, 4)] + [ZETA, ZETA_INV]
-    for x in extra:
-        x = as_scalar(x)
-        if x not in pool:
-            pool.append(x)
-    return pool
+_FIXED_POOL = (*(Scalar.rational(r) for r in range(-3, 4)), ZETA, ZETA_INV)
 
 
-def discover_eigenvalues(a, pool=()):
+def _candidate_pool(extra, known=()):
+    """The candidates in trial order: ``known``, the fixed pool, ``extra``,
+    each scalar once, at its first place."""
+    return list(dict.fromkeys([*map(as_scalar, known), *_FIXED_POOL,
+                               *map(as_scalar, extra)]))
+
+
+def discover_eigenvalues(a, pool=(), known=()):
     """Eigenvalues of A with multiplicity, sorted, or Incomplete.
 
     Trial deflation of the characteristic polynomial by each candidate in
-    the pool (small rationals, the primitive sixth roots of unity, and any
-    caller-supplied scalars), then a quadratic-formula finish on a residual
-    of degree at most two.
+    turn: the scalars in ``known``, then the pool (small rationals, the
+    primitive sixth roots of unity, and any caller-supplied scalars), then
+    a quadratic-formula finish on a residual of degree at most two.  The
+    order of the candidates changes only the order of the roots of an
+    Incomplete.
     """
     p = char_poly(a)
     roots = []
-    for c in _candidate_pool(pool):
+    for c in _candidate_pool(pool, known):
         while p.degree > 0:
             q, rem = p.deflate(c)
             if not rem.is_zero():
@@ -289,41 +292,84 @@ def _joint_eigenspaces(t, candidates):
     that stopped the refinement.
 
     The first element's eigenspaces are the first blocks, and each later
-    element is split on each block by its restriction there.  The earlier
-    elements act as scalars on a block and the blocks make a direct sum of
-    K^n, so an element that moves a block does not commute with them
-    (NotCommutative), and a refinement that reaches the end has proven that
-    all elements pairwise commute.
+    element is split on each block by its restriction M there: a diagonal
+    M (on a line, always) gives its roots as its entries, any other M has
+    them discovered with the roots already known tried first, and each
+    piece is ker(M - r) lifted back to K^n.  The earlier elements act as
+    scalars on a block and the blocks make a direct sum of K^n, so an
+    element that moves a block does not commute with them (NotCommutative),
+    and a refinement that reaches the end has proven that all elements
+    pairwise commute.
     """
-    blocks = None
-    for a in t.elements:
-        found = discover_eigenvalues(a, candidates)
-        if isinstance(found, Incomplete):
-            return ClassificationResult(
-                NOT_CLASSIFIED,
-                detail=f"eigenvalue discovery stalled: {found!r}")
-        roots = list(dict.fromkeys(found))
-        if blocks is None:
-            refined = [(kernel(a.shift(-r)), (r,)) for r in roots]
-        else:
-            refined = []
-            for space, col in blocks:
-                pieces = space.eigenspaces(a, roots)
-                if pieces is None:
-                    raise NotCommutative(_NOT_COMMUTATIVE)
-                refined.extend((piece, col + (r,)) for r, piece in pieces.items())
-        if sum(space.dim for space, _ in refined) < t.n:
-            return ClassificationResult(NON_DIAGONALIZABLE)
-        blocks = refined
-    if blocks is None:
+    if not t.elements:
         return [(Subspace.full(t.n), ())]
+    first = t.elements[0]
+    found = discover_eigenvalues(first, candidates)
+    if isinstance(found, Incomplete):
+        return _not_classified(found)
+    roots = list(dict.fromkeys(found))
+    blocks = [(kernel(first.shift(-r)), (r,)) for r in roots]
+    known = (*roots, *candidates)
+    for j in range(t.k):
+        if j:
+            blocks = _split_blocks(t, j, blocks, known, candidates)
+            if isinstance(blocks, ClassificationResult):
+                return blocks
+        if sum(space.dim for space, _ in blocks) < t.n:
+            return ClassificationResult(NON_DIAGONALIZABLE)
     return blocks
+
+
+def _split_blocks(t, j, blocks, known, candidates):
+    """The blocks refined by the eigenspaces of element j on each of them,
+    or the NotClassified result of a block whose discovery stalled."""
+    a = t.elements[j]
+    refined = []
+    for space, col in blocks:
+        restricted = space.restriction(a)
+        if restricted is None:
+            raise NotCommutative(_NOT_COMMUTATIVE)
+        entries = restricted.diagonal()
+        if entries is not None:
+            # the eigenvalues are the entries, each piece spanned by basis rows
+            roots = sorted(set(entries), key=Scalar.sort_key)
+            if len(roots) == 1:
+                refined.append((space, col + (roots[0],)))
+                continue
+            rows = space.rows
+            pieces = [Subspace([rows[i] for i, x in enumerate(entries) if x == r],
+                               t.n) for r in roots]
+        else:
+            found = discover_eigenvalues(restricted, known=known)
+            if isinstance(found, Incomplete):
+                return _whole_stall(t, j, candidates)
+            roots = list(dict.fromkeys(found))
+            pieces = [space.lift(kernel(restricted.shift(-r))) for r in roots]
+        refined.extend((piece, col + (r,)) for r, piece in zip(roots, pieces))
+    return refined
+
+
+def _whole_stall(t, j, candidates):
+    """The NotClassified result for a block of element j that stalled, with
+    the detail of whole-element discovery: that of the first of elements
+    1..j that stalls.  A block's characteristic polynomial divides the
+    whole element's, and the block tries every candidate the whole element
+    does, so element j's whole discovery stalls as well."""
+    whole = [discover_eigenvalues(a, candidates) for a in t.elements[1:j + 1]]
+    ensure(isinstance(whole[-1], Incomplete),
+           f"element {j} stalls on a block but not on K^{t.n}")
+    return _not_classified(next(w for w in whole if isinstance(w, Incomplete)))
+
+
+def _not_classified(found):
+    return ClassificationResult(
+        NOT_CLASSIFIED, detail=f"eigenvalue discovery stalled: {found!r}")
 
 
 def _classify_blocks(t, blocks):
     """The verdict on a commutative set from its joint eigenspaces."""
     columns = [col for _, col in blocks]
-    if all(space.dim == 1 for space, _ in blocks) and columns:
+    if t.k and all(space.dim == 1 for space, _ in blocks):
         weight = Weight(sorted(columns[0], key=Scalar.sort_key))
         orbit = list(islice(weight.orbit(), len(columns) + 1))
         if len(columns) == len(orbit) and set(columns) == set(orbit):
@@ -339,7 +385,8 @@ def _classify_blocks(t, blocks):
         line = Subspace([blocks[0][0].basis[0]], t.n)
         return ClassificationResult(REDUCIBLE, subspace=line)
     return ClassificationResult(
-        NOT_CLASSIFIED, detail="distinct scalars on a line")
+        NOT_CLASSIFIED,
+        detail="distinct scalars on a line" if t.k else "the empty set on a line")
 
 
 # ---------------------------------------------------------------------------

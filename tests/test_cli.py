@@ -98,6 +98,13 @@ def test_construct_bad_params_exit_2(capsys):
     assert run("construct", "perm", "--lambda", "1,1") == 2
 
 
+def test_construct_refuses_an_unbounded_exponent(capsys):
+    # "1e10000000" would build a 33-Mbit integer; it is refused unread
+    assert run("construct", "standard", "--k", "3", "--lambda", "1e10000000") == 2
+    err = capsys.readouterr().err
+    assert err == "error: bad scalar token '1e10000000'\n"
+
+
 @pytest.mark.parametrize("name", ["partition", "perm"])
 def test_construct_refuses_an_oversize_orbit_before_building(name, monkeypatch, capsys):
     # 8! = 40320 orbit points: the size is refused before any matrix exists

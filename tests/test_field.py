@@ -16,6 +16,7 @@ from totsym.field import (
     ZERO,
     ZETA,
     ZETA_INV,
+    _MAX_DIGITS,
     NotRepresentable,
     MINUS_ONE,
     Scalar,
@@ -259,8 +260,18 @@ def test_axpy_unit_factors_match_the_general_path(v, row, cancel, f):
     assert all(not x.is_zero() for x in v.values())
 
 
+def _implied_digits(text):
+    """Decimal digits of the mantissa plus the size of the exponent."""
+    mantissa, _, exponent = text.lower().partition("e")
+    digits = sum(c.isdecimal() for c in mantissa)
+    return digits + int("".join(c for c in exponent if c.isdecimal()) or 0)
+
+
 def _fraction_parse(text):
-    """What a scalar coordinate string meant when it was parsed by Fraction."""
+    """What a scalar coordinate string means: Fraction's reading, for a
+    spelling that implies at most _MAX_DIGITS digits."""
+    if _implied_digits(text) > _MAX_DIGITS:
+        return None
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -284,6 +295,26 @@ def _check_coordinate_string(text):
 ])
 def test_scalar_from_json_accepts_what_fraction_accepts(text):
     _check_coordinate_string(text)
+
+
+@pytest.mark.parametrize("text", ["1e5000", "1e-5000", "1e10000000", "0e5000",
+                                  "1.5e4300", "1" * 4301, "1e" + "9" * 30])
+def test_scalar_spellings_beyond_the_digit_bound_are_refused(text):
+    # "1e10000000" is 12 bytes and would build a 33-Mbit integer
+    with pytest.raises(ParseError):
+        scalar_from_json([text] + ["0"] * 7)
+    with pytest.raises(ValueError, match="digits"):
+        Scalar([text] + [0] * 7)
+
+
+def test_scalar_spellings_within_the_digit_bound_are_read():
+    assert scalar_from_json(["1e3"] + ["0"] * 7) == Scalar.rational(1000)
+    assert scalar_from_json(["1.5"] + ["0"] * 7) == Scalar.rational(3, 2)
+    assert scalar_from_json([" 1/2"] + ["0"] * 7) == Scalar.rational(1, 2)
+    assert Scalar(["1e-3", "2.5"] + [0] * 6) == Scalar((Fraction(1, 1000), Fraction(5, 2),
+                                                        0, 0, 0, 0, 0, 0))
+    edge = "1e" + str(_MAX_DIGITS - 1)
+    assert scalar_from_json([edge] + ["0"] * 7) == Scalar.rational(10 ** (_MAX_DIGITS - 1))
 
 
 @settings(max_examples=200, deadline=None)

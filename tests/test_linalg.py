@@ -223,19 +223,58 @@ def test_invariance_and_image():
 
 def test_subspace_eigenspaces_split_inside_the_subspace():
     # a acts on span(e1, e2) as [[3, 1], [0, 2]], so its pieces are not
-    # coordinate lines; roots without a piece are left out, order is kept
+    # coordinate lines; a root of the restriction lifts to W ∩ ker(a - r)
     a = M((3, 1, 0), (0, 2, 0), (0, 0, 5))
-    roots = [Scalar.rational(r) for r in (5, 2, 3)]
     plane = Subspace([(1, 0, 0), (0, 1, 0)], 3)
-    pieces = plane.eigenspaces(a, roots)
-    assert list(pieces) == roots[1:]
-    for r, piece in pieces.items():
+    restricted = plane.restriction(a)
+    assert restricted == M((3, 1), (0, 2))
+    for r in (2, 3):
+        piece = plane.lift(kernel(restricted.shift(-r)))
+        assert piece.dim == 1
         assert piece == plane.intersection(kernel(a.shift(-r)))
     line = Subspace([(0, 0, 1)], 3)
-    assert line.eigenspaces(a, roots) == {roots[0]: line}
-    assert line.eigenspaces(a, roots[1:]) == {}
+    assert line.restriction(a) == M((5,))
+    assert line.lift(Subspace.full(1)) == line
     # a moves e2 out of its line
-    assert Subspace([(0, 1, 0)], 3).eigenspaces(a, roots) is None
+    assert Subspace([(0, 1, 0)], 3).restriction(a) is None
+
+
+def test_restriction_is_in_the_echelon_basis():
+    # W = span((1, 1, 0), (0, 1, 1)) has the echelon basis b1 = (1, 0, -1),
+    # b2 = (0, 1, 1); a swaps e1 and e3, so a·b1 = -b1 and a·b2 = b1 + b2
+    a = M((0, 0, 1), (0, 1, 0), (1, 0, 0))
+    w = Subspace([(1, 1, 0), (0, 1, 1)], 3)
+    assert w.basis == tuple(tuple(Scalar.rational(x) for x in b)
+                            for b in ((1, 0, -1), (0, 1, 1)))
+    assert w.restriction(a) == M((-1, 1), (0, 1))
+    assert w.lift(Subspace.full(2)) == w
+    assert w.lift(Subspace([], 2)).dim == 0
+    with pytest.raises(ValueError):
+        Subspace([], 3).restriction(a)
+    with pytest.raises(ValueError):
+        w.lift(Subspace.full(3))
+
+
+@settings(max_examples=25, deadline=None)
+@given(square_matrices(2), square_matrices(2), small_scalar)
+def test_lifted_kernels_of_the_restriction_are_the_meets(top, bottom, r):
+    # a = P (top ⊕ bottom) P^-1 keeps W = P·span(e1, e2) invariant
+    p = M((1, 0, 1, 0), (1, 1, 0, 0), (0, 1, 1, 1), (0, 0, 1, 2))
+    block = M(*(list(top.rows[i]) + [0, 0] for i in range(2)),
+              *([0, 0] + list(bottom.rows[i]) for i in range(2)))
+    a = p * block * p.inverse()
+    w = Subspace([p.column(0), p.column(1)], 4)
+    restricted = w.restriction(a)
+    assert restricted is not None
+    assert w.lift(kernel(restricted.shift(-r))) == w.intersection(kernel(a.shift(-r)))
+
+
+def test_matrix_diagonal():
+    assert M((1, 0), (0, 2)).diagonal() == (ONE, Scalar.rational(2))
+    assert M((0, 0), (0, 0)).diagonal() == (ZERO, ZERO)
+    assert M((1, 1), (0, 2)).diagonal() is None
+    assert M((0, 0), (1, 0)).diagonal() is None
+    assert M((1, 0, 0), (0, 1, 0)).diagonal() is None
 
 
 # ----------------------------------------------------- char poly / spectra

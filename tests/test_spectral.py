@@ -21,11 +21,12 @@ from totsym.catalog import (
 import totsym
 from totsym.core import InvariantViolation, Tss, half_dim_normal_form, realize_permutation
 from totsym.field import I_UNIT, ONE, SQRT2, SQRT3, SQRT6, ZETA, ZETA_INV, Scalar
-from totsym.linalg import Matrix, Subspace
+from totsym.linalg import Matrix, Subspace, char_poly
 from totsym.spectral import (
     IRREDUCIBLE,
     Incomplete,
     NON_DIAGONALIZABLE,
+    NOT_CLASSIFIED,
     NotAnEigenvalue,
     NotCommutative,
     REDUCIBLE,
@@ -294,6 +295,15 @@ def test_discover_needs_pool_for_larger_rationals():
     assert discover_eigenvalues(a, (4,)) == [Scalar.rational(4)] * 3
 
 
+def test_discover_tries_known_roots_first():
+    # known roots change the order of an Incomplete's roots, nothing else
+    a = M((0, 0, 5, 0, 0), (1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 0, 1, 0),
+          (0, 0, 0, 0, 5))
+    assert discover_eigenvalues(a, (5,)).roots == (ONE, Scalar.rational(5))
+    assert discover_eigenvalues(a, known=(5,)).roots == (Scalar.rational(5), ONE)
+    assert discover_eigenvalues(diag(4, 1, 4), known=(4,)) == [ONE] + [Scalar.rational(4)] * 2
+
+
 @settings(max_examples=15, deadline=None)
 @given(st.lists(st.integers(-3, 3), min_size=2, max_size=4))
 def test_discover_diagonal_matrices(entries):
@@ -385,9 +395,12 @@ def jordan(lam, n):
                    for i in range(n)])
 
 
+def block_sum(a, b):
+    return Matrix.block([[a, Matrix.zero(a.n, b.n)], [Matrix.zero(b.n, a.n), b]])
+
+
 def direct_sum(s, t):
-    return Tss([Matrix.block([[a, Matrix.zero(a.n, b.n)], [Matrix.zero(b.n, a.n), b]])
-                for a, b in zip(s.elements, t.elements)])
+    return Tss([block_sum(a, b) for a, b in zip(s.elements, t.elements)])
 
 
 def _shape_set(shape, disguise):
@@ -460,6 +473,79 @@ def test_classification_proves_commutativity_by_refinement(monkeypatch):
                         lambda t: calls.append("commute") or True)
     assert classify_commutative(permutation_type([1, 2, 3, 4])).verdict == IRREDUCIBLE
     assert calls == []
+
+
+ROOT3_5 = M((0, 0, 5), (1, 0, 0), (0, 1, 0))  # x^3 - 5, no root in K
+
+
+def test_classification_forms_one_whole_characteristic_polynomial(monkeypatch):
+    # only the first element's spectrum is found on K^24; every later one is
+    # read off its restrictions to the blocks
+    sizes = []
+    monkeypatch.setattr(totsym.spectral, "char_poly",
+                        lambda a: sizes.append(a.n) or char_poly(a))
+    assert classify_commutative(permutation_type([1, 2, 3, 4])).verdict == IRREDUCIBLE
+    assert sizes.count(24) == 1
+
+
+def test_classification_stalled_block_reports_the_whole_element():
+    # the block span(e1, e2, e3) of A_1 stalls on x^3 - 5 with no root
+    # found; the detail is the whole A_2's, which also found the root 3
+    t = Tss([diag(1, 1, 1, 2), block_sum(ROOT3_5, M((3,)))])
+    res = classify_commutative(t)
+    assert res.verdict == NOT_CLASSIFIED
+    assert res.detail == ("eigenvalue discovery stalled: "
+                          "Incomplete(roots=[3], residual=-5 + (1)*x^3)")
+    # A_2 stalls on K^6 only (its roots 5, 6, 7 are read off eigenlines),
+    # A_3 on a block: the detail is the first whole stall, A_2's
+    t = Tss([diag(1, 1, 1, 2, 3, 4), diag(1, 1, 1, 5, 6, 7),
+             block_sum(ROOT3_5, Matrix.identity(3))])
+    res = classify_commutative(t)
+    assert res.detail == ("eigenvalue discovery stalled: Incomplete(roots=[1, 1, 1], "
+                          "residual=-210 + (107)*x + (-18)*x^2 + (1)*x^3)")
+
+
+def test_classification_stalled_block_keeps_the_whole_root_order():
+    # the block (all of K^5) tries the known root 5 before 1, the whole
+    # element tries the fixed pool first: the detail keeps [1, 5]
+    t = Tss([Matrix.scalar(5, 5), block_sum(ROOT3_5, diag(1, 5))], params=[5])
+    res = classify_commutative(t)
+    assert res.verdict == NOT_CLASSIFIED
+    assert res.detail == ("eigenvalue discovery stalled: "
+                          "Incomplete(roots=[1, 5], residual=-5 + (1)*x^3)")
+
+
+def test_classification_stalled_block_is_checked_against_the_whole(monkeypatch):
+    # a block that stalls while the whole element does not breaks an
+    # invariant, and says so instead of reporting NotClassified
+    discover = totsym.spectral.discover_eigenvalues
+
+    def stall_on_blocks(a, pool=(), known=()):
+        found = discover(a, pool, known)
+        return Incomplete([], char_poly(a)) if known else found
+
+    monkeypatch.setattr(totsym.spectral, "discover_eigenvalues", stall_on_blocks)
+    t = Tss([diag(1, 1, 2), block_sum(M((0, 1), (1, 0)), M((3,)))])
+    with pytest.raises(InvariantViolation, match="stalls on a block"):
+        classify_commutative(t)
+
+
+def test_classification_finds_roots_outside_the_pool_on_blocks():
+    # the whole second element has the cubic (x-4)(x-5)(x-7), outside the
+    # pool; on the eigenlines of the first its roots are read off
+    t = Tss([diag(1, 2, 3), diag(4, 5, 7)])
+    res = classify_commutative(t)
+    assert res.verdict == REDUCIBLE
+    assert 0 < res.subspace.dim < 3
+    assert all(res.subspace.is_invariant_under(a) for a in t.elements)
+
+
+def test_classification_of_the_empty_set():
+    res = classify_commutative(Tss([], n=1))
+    assert res.verdict == NOT_CLASSIFIED
+    assert "empty set" in res.detail
+    res = classify_commutative(Tss([], n=2))
+    assert res.verdict == REDUCIBLE and res.subspace.dim == 1
 
 
 # -------------------------------------------------------------- certificates
