@@ -9,7 +9,7 @@ whose bundled witness passes exact verification.
 """
 
 from itertools import combinations
-from math import factorial, prod
+from math import comb, factorial, prod
 
 from .core import (
     Arrangement,
@@ -79,6 +79,17 @@ def _diag(entries):
                    for r in range(n)])
 
 
+# the largest ambient dimension a constructor builds, checked before any
+# matrix is: 5! = 120 admits every weight of up to five values
+MAX_DIM = 120
+
+
+def _require_size(dim, what, unit="dimensions"):
+    if dim > MAX_DIM:
+        raise ValueError(f"{what} has {dim} {unit}, more than the {MAX_DIM} "
+                         f"a construction may have")
+
+
 def _perm_matrix(one_line):
     """P with P e_c = e_{sigma(c)} for sigma in one-line, 0-based notation."""
     n = len(one_line)
@@ -97,16 +108,11 @@ def standard(k, lam=2, nu=1):
         raise EqualEigenvalues("slot and background eigenvalues coincide")
     if k < 1:
         raise ValueError("need k >= 1")
+    _require_size(k, "the standard set")
     elements = [_diag([nu if j == i else lam for j in range(k)])
                 for i in range(k)]
     witness = [_perm_matrix(_swap(range(k), j)) for j in range(k - 1)]
     return Tss(elements, witness=witness, params=(lam, nu))
-
-
-# the largest orbit partition_construction builds: 5! admits every weight of
-# up to five values; an orbit of 6! = 720 points already means eleven dense
-# 720x720 matrices
-MAX_ORBIT = 120
 
 
 def partition_construction(w):
@@ -115,15 +121,13 @@ def partition_construction(w):
     Basis vectors are the distinct reorderings f of the weight values;
     element i scales f by f(i), and transpositions act by precomposition.
     The dimension is the multinomial coefficient of the weight's partition,
-    and a weight whose orbit exceeds MAX_ORBIT points is refused before
+    and a weight whose orbit exceeds MAX_DIM points is refused before
     anything is built.
     """
     if not isinstance(w, Weight):
         w = Weight(w)
-    size = factorial(w.k) // prod(factorial(m) for m in w.partition)
-    if size > MAX_ORBIT:
-        raise ValueError(f"the orbit of this weight has {size} points, "
-                         f"more than the {MAX_ORBIT} a construction may have")
+    _require_size(factorial(w.k) // prod(factorial(m) for m in w.partition),
+                  "the orbit of this weight", "points")
     orbit = list(w.orbit())
     index = {f: a for a, f in enumerate(orbit)}
     elements = [_diag([f[i] for f in orbit]) for i in range(w.k)]
@@ -157,6 +161,7 @@ def induction(t, p, lam):
     on the S-block through the original element indexed by sigma_S(i), read
     as lam*I when that index lands in the top block.  Realization matrices
     permute the blocks and twist each by a realized original permutation.
+    The dimension is C(k+p, p) times the original one.
     """
     lam = as_scalar(lam)
     if t.witness is None:
@@ -164,6 +169,7 @@ def induction(t, p, lam):
     if p < 1:
         raise ValueError("need at least one new index")
     k, n = t.k, t.n
+    _require_size(comb(k + p, p) * n, "the induced set")
     kp = k + p
     subsets = list(combinations(range(kp), p))
     index = {s: a for a, s in enumerate(subsets)}
@@ -234,6 +240,7 @@ def simplex_arrangement(n):
     """The n+1 vertex lines of a simplex spanning K^n, strongly witnessed."""
     if n < 1:
         raise ValueError("need n >= 1")
+    _require_size(n, "the simplex arrangement")
     pts = _simplex_points(n)
     wit = _simplex_witness(n)
     reps = [Matrix.from_columns([v]) for v in pts]
@@ -245,6 +252,7 @@ def dual_simplex_arrangement(n):
     """The n+1 hyperplanes cut out by the simplex vertex covectors."""
     if n < 1:
         raise ValueError("need n >= 1")
+    _require_size(n, "the dual simplex arrangement")
     planes = [kernel(Matrix([row])) for row in _simplex_covectors(n)]
     return Arrangement(planes, witness=_simplex_witness(n))
 
@@ -253,6 +261,7 @@ def simplex_system(n):
     """Each simplex line paired with its complementary covector kernel."""
     if n < 1:
         raise ValueError("need n >= 1")
+    _require_size(n, "the simplex system")
     grid = [(Subspace([v], n), kernel(Matrix([c])))
             for v, c in zip(_simplex_points(n), _simplex_covectors(n))]
     return DecompositionSystem(grid, witness=_simplex_witness(n))
@@ -260,6 +269,7 @@ def simplex_system(n):
 
 def suspension_simplex(n, lam=2):
     """The suspension of the simplex lines: pairs (lam*I, point column)."""
+    _require_size(n + 1, "the suspended simplex")
     return suspension(simplex_arrangement(n), as_scalar(lam))
 
 

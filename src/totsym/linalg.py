@@ -1,12 +1,13 @@
 """Exact linear algebra over the scalar field: matrices, subspaces, solvers.
 
-Matrices are immutable (rows are tuples of tuples of Scalar), but the work
-done on them is sparse: each matrix carries its nonzero rows ``{column:
-nonzero Scalar}`` once they are known, products run over those, and every
-elimination (determinant, inverse, solve, kernel, subspace bases and
-intersections, algebra closure) goes through one sparse-row Gauss-Jordan
-routine, ``_insert``, over rows of that form.  Subspaces keep that reduced
-echelon form, which is canonical, so equality of subspaces is plain ``==``.
+A Matrix is immutable and is its rows of nonzero entries ``{column: nonzero
+Scalar}``; the dense tuple of rows is a view built on access for the edges
+that want tuples (printing, documents, submatrices).  Products run over the
+nonzero rows, and every elimination (determinant, inverse, solve, kernel,
+subspace bases and intersections, algebra closure) goes through one
+sparse-row Gauss-Jordan routine, ``_insert``, over rows of that form.
+Subspaces keep that reduced echelon form, which is canonical, so equality of
+subspaces is plain ``==``.
 """
 
 import itertools
@@ -53,152 +54,129 @@ def _require_same_shape(a, b, op):
 
 
 def _from_nonzero(nonzero, n):
-    """The m-by-n Matrix whose rows have the nonzero entries ``nonzero`` (a
-    nonempty sequence of {column: nonzero Scalar}, kept as its cache)."""
-    rows = []
-    for row in nonzero:
-        dense = [ZERO] * n
-        for j, x in row.items():
-            dense[j] = x
-        rows.append(tuple(dense))
-    mat = object.__new__(Matrix)
-    object.__setattr__(mat, "rows", tuple(rows))
-    object.__setattr__(mat, "m", len(rows))
-    object.__setattr__(mat, "n", n)
-    object.__setattr__(mat, "_nonzero", tuple(nonzero))
-    return mat
-
-
-def _nonzero_rows(mat):
-    """The rows of mat as {column: nonzero Scalar}, computed once per matrix.
-
-    The dicts are shared by every caller: copy a row before changing it.
-    """
-    nonzero = mat._nonzero
-    if nonzero is None:
-        nonzero = tuple([_sparse(row) for row in mat.rows])
-        object.__setattr__(mat, "_nonzero", nonzero)
-    return nonzero
+    """The Matrix of width n whose rows are ``nonzero``, a nonempty sequence
+    of {column: nonzero Scalar} that the matrix takes over."""
+    return object.__new__(Matrix)._settle(tuple(nonzero), n)
 
 
 class Matrix:
-    """A dense m-by-n matrix of Scalars.
+    """An m-by-n matrix of Scalars, held as its rows of nonzero entries.
 
-    ``rows`` is the dense tuple of rows; the nonzero rows (see
-    ``_nonzero_rows``) are cached alongside on first use and do not take
-    part in equality.
+    ``_nonzero`` is a tuple of one {column: nonzero Scalar} per row.  No
+    producer stores a zero entry, so equality and hashing read those rows
+    directly.  Readers share the dicts and copy a row before changing it.
+    ``rows`` is the dense tuple of rows, built on each access.
     """
 
-    __slots__ = ("rows", "m", "n", "_nonzero")
+    __slots__ = ("m", "n", "_nonzero")
 
     def __init__(self, rows):
-        rows = tuple(tuple(as_scalar(x) for x in row) for row in rows)
+        rows = [vec(row) for row in rows]
         if not rows:
             raise ValueError("matrix needs at least one row")
         width = len(rows[0])
         if any(len(r) != width for r in rows):
             raise ValueError("ragged rows")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "m", len(rows))
-        object.__setattr__(self, "n", width)
-        object.__setattr__(self, "_nonzero", None)
+        self._settle(tuple(_sparse(r) for r in rows), width)
+
+    def _settle(self, nonzero, n):
+        object.__setattr__(self, "_nonzero", nonzero)
+        object.__setattr__(self, "m", len(nonzero))
+        object.__setattr__(self, "n", n)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
 
+    @property
+    def rows(self):
+        """The dense rows, as a tuple of tuples of Scalar."""
+        n = self.n
+        return tuple(tuple(row.get(j, ZERO) for j in range(n)) for row in self._nonzero)
+
     @classmethod
     def identity(cls, n):
-        return cls(tuple(tuple(ONE if i == j else ZERO for j in range(n))
-                         for i in range(n)))
+        return cls.scalar(n, ONE)
 
     @classmethod
     def zero(cls, m, n=None):
         n = m if n is None else n
-        return cls(tuple(tuple(ZERO for _ in range(n)) for _ in range(m)))
+        return cls([[ZERO] * n] * m)
 
     @classmethod
     def scalar(cls, n, s):
         s = as_scalar(s)
-        return cls(tuple(tuple(s if i == j else ZERO for j in range(n))
-                         for i in range(n)))
+        return cls([[s if i == j else ZERO for j in range(n)] for i in range(n)])
 
     @classmethod
     def from_columns(cls, cols):
-        return cls(tuple(zip(*[tuple(as_scalar(x) for x in c) for c in cols])))
+        return cls(zip(*[vec(c) for c in cols]))
 
     @classmethod
     def block(cls, grid):
         """Assemble a matrix from a 2-d grid of matrix blocks."""
         out_rows = []
         for band in grid:
-            height = band[0].m
-            if any(b.m != height for b in band):
+            if any(b.m != band[0].m for b in band):
                 raise ValueError("block heights differ within a band")
-            for i in range(height):
-                out_rows.append(tuple(itertools.chain.from_iterable(
-                    b.rows[i] for b in band)))
+            out_rows.extend(itertools.chain(*rows) for rows in zip(*(b.rows for b in band)))
         return cls(out_rows)
 
     def column(self, j):
-        return tuple(row[j] for row in self.rows)
+        return tuple(row.get(j, ZERO) for row in self._nonzero)
 
     def columns(self):
         return [self.column(j) for j in range(self.n)]
 
     def submatrix(self, row_idx, col_idx):
-        return Matrix(tuple(tuple(self.rows[i][j] for j in col_idx)
-                            for i in row_idx))
+        rows = self.rows
+        return Matrix(tuple(tuple(rows[i][j] for j in col_idx) for i in row_idx))
 
     def transpose(self):
-        return Matrix(tuple(zip(*self.rows)))
+        return Matrix(zip(*self.rows))
 
     def trace(self):
         _require_square(self, "trace")
-        t = ZERO
-        for i in range(self.m):
-            t = t + self.rows[i][i]
-        return t
+        return sum((row[i] for i, row in enumerate(self._nonzero) if i in row), ZERO)
 
     def diagonal(self):
         """The diagonal entries of a square diagonal matrix, else None."""
         if self.m != self.n:
             return None
-        rows = _nonzero_rows(self)
+        rows = self._nonzero
         if any(row.keys() - {i} for i, row in enumerate(rows)):
             return None
         return tuple(row.get(i, ZERO) for i, row in enumerate(rows))
 
     def is_zero(self):
-        return all(x.is_zero() for row in self.rows for x in row)
+        return not any(self._nonzero)
 
     def is_identity(self):
         return self.m == self.n and self == Matrix.identity(self.n)
 
+    def _plus(self, f, rows):
+        """self + f * (the matrix with the sparse rows given), f = 1 or -1."""
+        out = [dict(row) for row in self._nonzero]
+        for row, add in zip(out, rows):
+            _axpy(row, f, add)
+        return _from_nonzero(out, self.n)
+
     def __add__(self, other):
         _require_same_shape(self, other, "+")
-        return Matrix(tuple(tuple(a + b for a, b in zip(r, s))
-                            for r, s in zip(self.rows, other.rows)))
+        return self._plus(ONE, other._nonzero)
 
     def __sub__(self, other):
         _require_same_shape(self, other, "-")
-        return Matrix(tuple(tuple(a - b for a, b in zip(r, s))
-                            for r, s in zip(self.rows, other.rows)))
+        return self._plus(MINUS_ONE, other._nonzero)
 
     def shift(self, c):
-        """self + c*I, built from and into the nonzero rows."""
+        """self + c*I."""
         _require_square(self, "shift")
         c = as_scalar(c)
-        if c.is_zero():
-            return self
-        nonzero = []
-        for i, row in enumerate(_nonzero_rows(self)):
-            row = dict(row)
-            _axpy(row, ONE, {i: c})
-            nonzero.append(row)
-        return _from_nonzero(nonzero, self.n)
+        return self if c.is_zero() else self._plus(ONE, ({i: c} for i in range(self.n)))
 
     def __neg__(self):
-        return Matrix(tuple(tuple(-a for a in r) for r in self.rows))
+        return self.scale(MINUS_ONE)
 
     def __mul__(self, other):
         if isinstance(other, Scalar):
@@ -209,9 +187,9 @@ class Matrix:
             raise ValueError(f"shape mismatch {self.m}x{self.n} * {other.m}x{other.n}")
         # only nonzero a[i][k] * b[k][j] contribute, and such a product is
         # never zero: only entries that were summed can cancel
-        other_rows = _nonzero_rows(other)
+        other_rows = other._nonzero
         out = []
-        for row in _nonzero_rows(self):
+        for row in self._nonzero:
             acc = {}
             for k, a in row.items():
                 _axpy(acc, a, other_rows[k])
@@ -225,7 +203,10 @@ class Matrix:
 
     def scale(self, s):
         s = as_scalar(s)
-        return Matrix(tuple(tuple(s * x for x in r) for r in self.rows))
+        if s.is_zero():
+            return Matrix.zero(self.m, self.n)
+        return _from_nonzero([{j: s * x for j, x in row.items()} for row in self._nonzero],
+                             self.n)
 
     def __pow__(self, k):
         _require_square(self, "power")
@@ -257,10 +238,11 @@ class Matrix:
         return _det_inverse(self, want_inverse=True)
 
     def __eq__(self, other):
-        return isinstance(other, Matrix) and self.rows == other.rows
+        return (isinstance(other, Matrix) and self.n == other.n
+                and self._nonzero == other._nonzero)
 
     def __hash__(self):
-        return hash(self.rows)
+        return hash((self.n, tuple(frozenset(row.items()) for row in self._nonzero)))
 
     def __repr__(self):
         body = "; ".join(", ".join(repr(x) for x in row) for row in self.rows)
@@ -288,7 +270,7 @@ def _to_matrix(row, m, n):
 def _vectorise(mat):
     """The row-major vectorisation of mat as a fresh sparse row."""
     n = mat.n
-    return {i * n + j: x for i, row in enumerate(_nonzero_rows(mat))
+    return {i * n + j: x for i, row in enumerate(mat._nonzero)
             for j, x in row.items()}
 
 
@@ -372,7 +354,7 @@ def _det_inverse(mat, want_inverse):
     echelon = {}
     det = ONE
     cols = []
-    for i, row in enumerate(_nonzero_rows(mat)):
+    for i, row in enumerate(mat._nonzero):
         v = dict(row)
         if want_inverse:
             v[n + i] = ONE
@@ -399,11 +381,12 @@ def vec(xs):
 
 
 def mat_vec(m, v):
+    v = vec(v)
     if len(v) != m.n:
         raise ValueError(f"shape mismatch {m.m}x{m.n} * vector of length {len(v)}")
     nonzero = _sparse(v)
     out = []
-    for row in _nonzero_rows(m):
+    for row in m._nonzero:
         acc = ZERO
         for j, a in row.items():
             b = nonzero.get(j)
@@ -446,7 +429,7 @@ def null_space(rows, n):
 
 def kernel(mat):
     """The right null space, as a canonical Subspace of K^cols."""
-    return null_space([dict(row) for row in _nonzero_rows(mat)], mat.n)
+    return null_space([dict(row) for row in mat._nonzero], mat.n)
 
 
 class NoSolution(ValueError):
@@ -465,7 +448,7 @@ def solve(mat, rhs):
         raise ValueError(f"shape mismatch {mat.m}x{n} system, right side of "
                          f"length {len(rhs)}")
     echelon = {}
-    for row, b in zip(_nonzero_rows(mat), rhs):
+    for row, b in zip(mat._nonzero, rhs):
         v = dict(row)
         if not b.is_zero():
             v[n] = b
@@ -558,13 +541,31 @@ class Subspace:
         return Subspace([{j - n: x for j, x in ((p, ONE), *row.items())}
                          for p, row in echelon.items() if p >= n], n)
 
+    def _images(self, mat):
+        """The images mat·b_j of the echelon basis b_1..b_d, as sparse rows."""
+        _require_same_ambient(self.n, mat.n)
+        # the nonzero rows of the n-by-d matrix B: {q: {j: entry q of b_j}}
+        b_rows = {}
+        for j, b in enumerate(self.rows):
+            for q, x in b.items():
+                b_rows.setdefault(q, {})[j] = x
+        images = [{} for _ in self.pivots]
+        for i, row in enumerate(mat._nonzero):
+            acc = {}
+            for q, a in row.items():
+                b_row = b_rows.get(q)
+                if b_row is not None:
+                    _axpy(acc, a, b_row)
+            for j, x in acc.items():
+                images[j][i] = x
+        return images
+
     def apply(self, mat):
         """The image subspace mat(W)."""
-        _require_same_ambient(self.n, mat.n)
-        return Subspace([mat_vec(mat, v) for v in self.basis], mat.m)
+        return Subspace(self._images(mat), mat.m)
 
     def is_invariant_under(self, mat):
-        return all(self.contains(mat_vec(mat, v)) for v in self.basis)
+        return not self.pivots or self.restriction(mat) is not None
 
     def restriction(self, mat):
         """The d-by-d matrix M of mat on this nonzero subspace W, in its
@@ -580,22 +581,8 @@ class Subspace:
         pivots, echelon = self.pivots, self._echelon
         if not pivots:
             raise ValueError("restriction to the zero subspace")
-        # the nonzero rows of the n-by-d matrix B: {q: {j: entry q of b_j}}
-        b_rows = {}
-        for j, b in enumerate(self.rows):
-            for q, x in b.items():
-                b_rows.setdefault(q, {})[j] = x
-        images = [{} for _ in pivots]
-        for i, row in enumerate(_nonzero_rows(mat)):
-            acc = {}
-            for q, a in row.items():
-                b_row = b_rows.get(q)
-                if b_row is not None:
-                    _axpy(acc, a, b_row)
-            for j, x in acc.items():
-                images[j][i] = x
         m_rows = [{} for _ in pivots]
-        for j, image in enumerate(images):
+        for j, image in enumerate(self._images(mat)):
             for i, p in enumerate(pivots):
                 x = image.get(p)
                 if x is not None:
@@ -646,12 +633,12 @@ class Subspace:
 
 
 class Polynomial:
-    """Univariate polynomial, coefficients ascending."""
+    """Univariate polynomial, coefficients ascending; zero is ``(ZERO,)``."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        coeffs = [as_scalar(c) for c in coeffs]
+        coeffs = [as_scalar(c) for c in coeffs] or [ZERO]
         while len(coeffs) > 1 and coeffs[-1].is_zero():
             coeffs.pop()
         object.__setattr__(self, "coeffs", tuple(coeffs))
@@ -716,7 +703,7 @@ def _hessenberg(a):
     every zero entry.
     """
     n = a.n
-    h = [dict(row) for row in _nonzero_rows(a)]
+    h = [dict(row) for row in a._nonzero]
     for m in range(1, n - 1):
         c = m - 1
         i = next((i for i in range(m, n) if c in h[i]), None)
@@ -798,10 +785,10 @@ def intertwiner_space(as_, bs):
     rows = []
     for a, b in zip(as_, bs):
         a_cols = [{} for _ in range(a.n)]
-        for i, row in enumerate(_nonzero_rows(a)):
+        for i, row in enumerate(a._nonzero):
             for j, x in row.items():
                 a_cols[j][i] = x
-        b_rows = _nonzero_rows(b)
+        b_rows = b._nonzero
         # entry (r, c) of X a - b X, unknowns X[p, q] at index p*n + q
         for r in range(m):
             for c in range(n):

@@ -291,32 +291,27 @@ def _joint_eigenspaces(t, candidates):
     eigenvalues) pairs, or the NotClassified / NonDiagonalizable result
     that stopped the refinement.
 
-    The first element's eigenspaces are the first blocks, and each later
-    element is split on each block by its restriction M there: a diagonal
-    M (on a line, always) gives its roots as its entries, any other M has
-    them discovered with the roots already known tried first, and each
-    piece is ker(M - r) lifted back to K^n.  The earlier elements act as
-    scalars on a block and the blocks make a direct sum of K^n, so an
-    element that moves a block does not commute with them (NotCommutative),
-    and a refinement that reaches the end has proven that all elements
-    pairwise commute.
+    The refinement starts from the one block K^n and splits it by each
+    element in turn, through the element's restriction M to each block: a
+    diagonal M (on a line, always) gives its roots as its entries, any
+    other M has them discovered with the roots already known (element 0's,
+    once it is split, then the candidates) tried first, and each piece is
+    ker(M - r) lifted back to K^n.  The earlier elements act as scalars on
+    a block and the blocks make a direct sum of K^n, so an element that
+    moves a block does not commute with them (NotCommutative), and a
+    refinement that reaches the end has proven that all elements pairwise
+    commute.
     """
-    if not t.elements:
-        return [(Subspace.full(t.n), ())]
-    first = t.elements[0]
-    found = discover_eigenvalues(first, candidates)
-    if isinstance(found, Incomplete):
-        return _not_classified(found)
-    roots = list(dict.fromkeys(found))
-    blocks = [(kernel(first.shift(-r)), (r,)) for r in roots]
-    known = (*roots, *candidates)
+    blocks = [(Subspace.full(t.n), ())]
+    known = candidates
     for j in range(t.k):
-        if j:
-            blocks = _split_blocks(t, j, blocks, known, candidates)
-            if isinstance(blocks, ClassificationResult):
-                return blocks
+        blocks = _split_blocks(t, j, blocks, known, candidates)
+        if isinstance(blocks, ClassificationResult):
+            return blocks
         if sum(space.dim for space, _ in blocks) < t.n:
             return ClassificationResult(NON_DIAGONALIZABLE)
+        if not j:
+            known = (*dict.fromkeys(col[0] for _, col in blocks), *candidates)
     return blocks
 
 
@@ -352,10 +347,10 @@ def _split_blocks(t, j, blocks, known, candidates):
 def _whole_stall(t, j, candidates):
     """The NotClassified result for a block of element j that stalled, with
     the detail of whole-element discovery: that of the first of elements
-    1..j that stalls.  A block's characteristic polynomial divides the
+    0..j that stalls.  A block's characteristic polynomial divides the
     whole element's, and the block tries every candidate the whole element
     does, so element j's whole discovery stalls as well."""
-    whole = [discover_eigenvalues(a, candidates) for a in t.elements[1:j + 1]]
+    whole = [discover_eigenvalues(a, candidates) for a in t.elements[:j + 1]]
     ensure(isinstance(whole[-1], Incomplete),
            f"element {j} stalls on a block but not on K^{t.n}")
     return _not_classified(next(w for w in whole if isinstance(w, Incomplete)))

@@ -14,8 +14,10 @@ under right multiplication by every generator, the reference for
 ``linalg.algebra_closure``; ``reference_certificate`` solves every
 adjacent transposition's space directly, the reference for the
 from-scratch ``core.verify_tss`` and ``core.verify_arrangement``;
-and ``reference_classify`` meets every block with every eigenspace of the next
-element in all of K^n, the reference for ``spectral.classify_commutative``.
+``reference_classify`` meets every block with every eigenspace of the next
+element in all of K^n, the reference for ``spectral.classify_commutative``;
+and ``reference_apply`` maps the dense basis vectors one by one, the
+reference for ``linalg.Subspace.apply``.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from totsym.linalg import (
     Subspace,
     invertible_in_space,
     kernel,
+    mat_vec,
     matrix_to_vec,
     vec_to_matrix,
 )
@@ -256,6 +259,11 @@ def reference_char_poly(a):
         if k < n:
             m_k = a * m_k.shift(c)
     return Polynomial(coeffs)
+
+
+def reference_apply(space, mat):
+    """The image mat(W), spanned by mat times each dense basis vector of W."""
+    return Subspace([mat_vec(mat, v) for v in space.basis], mat.m)
 
 
 def reference_algebra_closure(gens):

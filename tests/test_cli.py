@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import totsym
 
-from totsym.catalog import tilde_sigma5_rep
+from totsym.catalog import standard, tilde_sigma5_rep
 from totsym.cli import main
 from totsym.core import Tss
 from totsym.field import ONE
@@ -105,15 +105,33 @@ def test_construct_refuses_an_unbounded_exponent(capsys):
     assert err == "error: bad scalar token '1e10000000'\n"
 
 
-@pytest.mark.parametrize("name", ["partition", "perm"])
+# one size bound, catalog.MAX_DIM = 120, on the dimension of every construction
+OVERSIZE = {
+    "partition": (("--lambda", "1,2,3,4,5,6,7,8"), "40320 points"),  # 8! points
+    "perm": (("--lambda", "1,2,3,4,5,6,7,8"), "40320 points"),
+    "standard": (("--k", "121"), "121 dimensions"),
+    "ncsimplex": (("--k", "122"), "121 dimensions"),
+    "simplex": (("--n", "121"), "121 dimensions"),
+    "dual-simplex": (("--n", "121"), "121 dimensions"),
+    "suspension-simplex": (("--n", "120"), "121 dimensions"),
+    # C(3 + 9, 9) = 220 copies of the base set's K^3
+    "induction": (("--in", "-", "--p", "9", "--lambda", "5"), "660 dimensions"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVERSIZE))
 def test_construct_refuses_an_oversize_orbit_before_building(name, monkeypatch, capsys):
-    # 8! = 40320 orbit points: the size is refused before any matrix exists
+    # the size is refused before any matrix of the construction exists; the
+    # base set of an induction is built before the count starts
+    base = standard(3)
+    monkeypatch.setattr(totsym.cli, "_base_tss", lambda args: base)
     built = []
     init = Matrix.__init__
     monkeypatch.setattr(Matrix, "__init__",
                         lambda self, rows: built.append(1) or init(self, rows))
-    assert run("construct", name, "--lambda", "1,2,3,4,5,6,7,8") == 2
-    assert "40320 points" in capsys.readouterr().err
+    args, message = OVERSIZE[name]
+    assert run("construct", name, *args) == 2
+    assert message in capsys.readouterr().err
     assert built == []
 
 

@@ -34,6 +34,7 @@ from oracles import (
     oracle_kernel,
     oracle_rref,
     reference_algebra_closure,
+    reference_apply,
     reference_char_poly,
     reference_invertible_search,
     sym_equal,
@@ -108,6 +109,11 @@ def test_outer_and_vec_roundtrip():
     assert p.rows[1][0] == SQRT2 * ZETA
     assert vec_to_matrix(matrix_to_vec(p), 2) == p
     assert mat_vec(Matrix.identity(2), u) == u
+
+
+def test_mat_vec_coerces_plain_numbers():
+    assert mat_vec(M((1, 2), (3, 4)), (1, 0)) == vec((1, 3))
+    assert mat_vec(M((1, 2), (3, 4)), [0, Fraction(1, 2)]) == vec((1, Fraction(2)))
 
 
 @settings(max_examples=20, deadline=None)
@@ -218,6 +224,7 @@ def test_invariance_and_image():
     line = Subspace([(1, 0)], 2)
     assert line.is_invariant_under(a)
     assert not Subspace([(0, 1)], 2).is_invariant_under(a)
+    assert Subspace([], 2).is_invariant_under(a)
     assert Subspace.full(2).apply(a) == line
 
 
@@ -312,6 +319,17 @@ def test_polynomial_eval_and_repr():
     assert p.eval_matrix(a) == a * a + Matrix.identity(2)
     assert a.shift(ZERO) is a
     assert a.shift(-ONE) == a - Matrix.identity(2)
+
+
+def test_polynomial_has_one_zero():
+    zero = Polynomial([])
+    assert zero == Polynomial([0]) == Polynomial([0, 0])
+    assert hash(zero) == hash(Polynomial([0]))
+    assert zero.coeffs == (ZERO,) and zero.degree == 0 and repr(zero) == "0"
+    # deflating a constant leaves the zero quotient and the constant over
+    q, rem = Polynomial([3]).deflate(ZETA)
+    assert q == zero and rem == Scalar.rational(3)
+    assert zero.deflate(1) == (zero, ZERO)
 
 
 # ------------------------------------------------- intertwiners / algebras
@@ -773,11 +791,11 @@ def test_all_singular_space_with_full_support_is_searched():
     assert structurally_singular(Subspace([matrix_to_vec(E(2, 0, 1))], 4), 2)
 
 
-# ------------------------------------------------------ cached nonzero rows
+# ------------------------------------------------------------ nonzero rows
 #
-# A Matrix caches its rows as {column: nonzero Scalar}.  Producers that
-# build that form fill the cache, consumers read it; it must always be the
-# nonzero entries of the dense rows, and reading it must not change it.
+# A Matrix is its rows {column: nonzero Scalar}, and equality and hashing
+# read them.  Every producer must store exactly the nonzero entries, and
+# reading a matrix must not change its rows.
 
 k_entry = (st.sampled_from([ZERO, ZERO, ZERO, ONE, -ONE, SQRT2, I_UNIT, ZETA])
            | small_scalar)
@@ -788,13 +806,16 @@ def k_matrices(m, n):
                     min_size=m, max_size=m).map(Matrix)
 
 
-def cache_is_exact(mat):
-    return mat._nonzero == tuple(_sparse(row) for row in mat.rows)
+def rows_are_exact(mat):
+    return (len(mat._nonzero) == mat.m
+            and all(0 <= j < mat.n and not x.is_zero()
+                    for row in mat._nonzero for j, x in row.items())
+            and mat._nonzero == tuple(_sparse(row) for row in mat.rows))
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.data())
-def test_cached_rows_are_exact_for_every_producer(data):
+def test_rows_hold_exactly_the_nonzero_entries_for_every_producer(data):
     m, k, n = (data.draw(st.integers(1, 6)) for _ in range(3))
     a = data.draw(k_matrices(m, k))
     b, c = data.draw(k_matrices(k, n)), data.draw(k_matrices(k, n))
@@ -823,7 +844,7 @@ def test_cached_rows_are_exact_for_every_producer(data):
     if n <= 3:
         produced += algebra_closure([s, data.draw(k_matrices(n, n))])
     for mat in produced:
-        assert mat._nonzero is not None and cache_is_exact(mat)
+        assert rows_are_exact(mat)
 
 
 def outcome(call):
@@ -835,7 +856,7 @@ def outcome(call):
 
 @settings(max_examples=25, deadline=None)
 @given(st.data())
-def test_consumers_leave_the_cached_rows_unchanged(data):
+def test_readers_leave_the_rows_unchanged(data):
     m, n = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
     a = data.draw(k_matrices(m, n))
     s = data.draw(k_matrices(n, n))
@@ -844,11 +865,40 @@ def test_consumers_leave_the_cached_rows_unchanged(data):
     calls = [lambda: kernel(a), lambda: solve(a, rhs), lambda: mat_vec(a, v),
              lambda: a * s, s.det, s.inverse, s.det_inverse, lambda: s * s,
              lambda: char_poly(s)]
+    rows = [{**row} for x in (a, s) for row in x._nonzero]
     for call in calls:
         first = outcome(call)
         assert outcome(call) == first
-        assert all(x._nonzero is None or cache_is_exact(x) for x in (a, s))
-    assert cache_is_exact(a) and cache_is_exact(s)
+        assert [row for x in (a, s) for row in x._nonzero] == rows
+    assert rows_are_exact(a) and rows_are_exact(s)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_produced_matrices_equal_and_hash_as_their_dense_rows(data):
+    n = data.draw(st.integers(1, 5))
+    a, b = data.draw(k_matrices(n, n)), data.draw(k_matrices(n, n))
+    produced = [a * b, a.shift(data.draw(k_entry)), -a, a - a, a + b]
+    flat = {p: x for p, x in enumerate(matrix_to_vec(a)) if not x.is_zero()}
+    produced.append(_to_matrix(flat, n, n))
+    _, inv = a.det_inverse()
+    if inv is not None:
+        produced += [inv, inv * a]
+    for mat in produced:
+        dense = Matrix(mat.rows)
+        assert mat == dense and hash(mat) == hash(dense)
+    # zero matrices of different widths differ although no row has an entry
+    assert Matrix.zero(n, n) != Matrix.zero(n, n + 1)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_apply_matches_the_dense_images(data):
+    n, m = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
+    vectors = data.draw(st.lists(st.lists(k_entry, min_size=n, max_size=n), max_size=4))
+    space = Subspace(vectors, n)
+    for mat in (data.draw(k_matrices(n, n)), data.draw(k_matrices(m, n))):
+        assert space.apply(mat) == reference_apply(space, mat)
 
 
 # ------------------------------- char_poly and closure against references

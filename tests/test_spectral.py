@@ -478,14 +478,18 @@ def test_classification_proves_commutativity_by_refinement(monkeypatch):
 ROOT3_5 = M((0, 0, 5), (1, 0, 0), (0, 1, 0))  # x^3 - 5, no root in K
 
 
-def test_classification_forms_one_whole_characteristic_polynomial(monkeypatch):
-    # only the first element's spectrum is found on K^24; every later one is
-    # read off its restrictions to the blocks
+def test_classification_forms_a_whole_characteristic_polynomial_only_off_the_diagonal(
+        monkeypatch):
+    # the first element is split on K^n like every later one on its blocks:
+    # a diagonal one has its roots read off, with no characteristic
+    # polynomial on K^24; a disguised one forms exactly one on K^6
     sizes = []
     monkeypatch.setattr(totsym.spectral, "char_poly",
                         lambda a: sizes.append(a.n) or char_poly(a))
     assert classify_commutative(permutation_type([1, 2, 3, 4])).verdict == IRREDUCIBLE
-    assert sizes.count(24) == 1
+    assert sizes.count(24) == 0
+    assert classify_commutative(conjugated(permutation_type([1, 2, 3]))).verdict == IRREDUCIBLE
+    assert sizes.count(6) == 1
 
 
 def test_classification_stalled_block_reports_the_whole_element():
