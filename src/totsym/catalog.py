@@ -79,15 +79,26 @@ def _diag(entries):
                    for r in range(n)])
 
 
-# the largest ambient dimension a constructor builds, checked before any
-# matrix is: 5! = 120 admits every weight of up to five values
+# the largest ambient dimension a constructor builds: 5! = 120 admits every
+# weight of up to five values
 MAX_DIM = 120
+# the most scalar entries a constructor builds, members and witnesses
+# together: 2^17 admits the permutation set of five values, 9 * 120^2
+MAX_ENTRIES = 2 ** 17
 
 
-def _require_size(dim, what, unit="dimensions"):
+def _require_size(dim, what, k, d=None, unit="dimensions"):
+    """Refuse a construction of k members on K^dim before any matrix of it
+    is built: first by its dimension, then by its scalar entries, the
+    members (dim-by-dim matrices, or the d basis vectors of a plane) and
+    the k - 1 witnesses together."""
     if dim > MAX_DIM:
         raise ValueError(f"{what} has {dim} {unit}, more than the {MAX_DIM} "
                          f"a construction may have")
+    entries = k * (dim if d is None else d) * dim + (k - 1) * dim * dim
+    if entries > MAX_ENTRIES:
+        raise ValueError(f"{what} has {entries} scalar entries, more than the "
+                         f"{MAX_ENTRIES} a construction may build")
 
 
 def _perm_matrix(one_line):
@@ -108,7 +119,7 @@ def standard(k, lam=2, nu=1):
         raise EqualEigenvalues("slot and background eigenvalues coincide")
     if k < 1:
         raise ValueError("need k >= 1")
-    _require_size(k, "the standard set")
+    _require_size(k, "the standard set", k)
     elements = [_diag([nu if j == i else lam for j in range(k)])
                 for i in range(k)]
     witness = [_perm_matrix(_swap(range(k), j)) for j in range(k - 1)]
@@ -121,13 +132,13 @@ def partition_construction(w):
     Basis vectors are the distinct reorderings f of the weight values;
     element i scales f by f(i), and transpositions act by precomposition.
     The dimension is the multinomial coefficient of the weight's partition,
-    and a weight whose orbit exceeds MAX_DIM points is refused before
-    anything is built.
+    and a weight whose orbit exceeds MAX_DIM points, or whose set exceeds
+    MAX_ENTRIES scalar entries, is refused before anything is built.
     """
     if not isinstance(w, Weight):
         w = Weight(w)
     _require_size(factorial(w.k) // prod(factorial(m) for m in w.partition),
-                  "the orbit of this weight", "points")
+                  "the orbit of this weight", w.k, unit="points")
     orbit = list(w.orbit())
     index = {f: a for a, f in enumerate(orbit)}
     elements = [_diag([f[i] for f in orbit]) for i in range(w.k)]
@@ -169,7 +180,7 @@ def induction(t, p, lam):
     if p < 1:
         raise ValueError("need at least one new index")
     k, n = t.k, t.n
-    _require_size(comb(k + p, p) * n, "the induced set")
+    _require_size(comb(k + p, p) * n, "the induced set", k + p)
     kp = k + p
     subsets = list(combinations(range(kp), p))
     index = {s: a for a, s in enumerate(subsets)}
@@ -240,7 +251,7 @@ def simplex_arrangement(n):
     """The n+1 vertex lines of a simplex spanning K^n, strongly witnessed."""
     if n < 1:
         raise ValueError("need n >= 1")
-    _require_size(n, "the simplex arrangement")
+    _require_size(n, "the simplex arrangement", n + 1, d=1)
     pts = _simplex_points(n)
     wit = _simplex_witness(n)
     reps = [Matrix.from_columns([v]) for v in pts]
@@ -252,7 +263,7 @@ def dual_simplex_arrangement(n):
     """The n+1 hyperplanes cut out by the simplex vertex covectors."""
     if n < 1:
         raise ValueError("need n >= 1")
-    _require_size(n, "the dual simplex arrangement")
+    _require_size(n, "the dual simplex arrangement", n + 1, d=n - 1)
     planes = [kernel(Matrix([row])) for row in _simplex_covectors(n)]
     return Arrangement(planes, witness=_simplex_witness(n))
 
@@ -261,7 +272,8 @@ def simplex_system(n):
     """Each simplex line paired with its complementary covector kernel."""
     if n < 1:
         raise ValueError("need n >= 1")
-    _require_size(n, "the simplex system")
+    # each row of the grid is n basis vectors of K^n
+    _require_size(n, "the simplex system", n + 1)
     grid = [(Subspace([v], n), kernel(Matrix([c])))
             for v, c in zip(_simplex_points(n), _simplex_covectors(n))]
     return DecompositionSystem(grid, witness=_simplex_witness(n))
@@ -269,7 +281,7 @@ def simplex_system(n):
 
 def suspension_simplex(n, lam=2):
     """The suspension of the simplex lines: pairs (lam*I, point column)."""
-    _require_size(n + 1, "the suspended simplex")
+    _require_size(n + 1, "the suspended simplex", n + 1)
     return suspension(simplex_arrangement(n), as_scalar(lam))
 
 

@@ -9,7 +9,9 @@ group actions.
 
 Verification is witness-first: a bundled witness is rechecked exactly
 (cheap), and a Sylvester-system solver searches for fresh witnesses when
-none is supplied or the bundled one fails.
+none is supplied or the bundled one fails.  Restriction, quotient and
+reduction take their blocks from ``linalg.Subspace``, with no change of
+basis.
 """
 
 from __future__ import annotations
@@ -22,14 +24,14 @@ from .linalg import (
     Matrix,
     Singular,
     Subspace,
+    _from_nonzero,
+    _to_matrix,
     conjugate_space,
     intertwiner_space,
     invertible_in_space,
     kernel,
-    mat_vec,
     null_space,
     structurally_singular,
-    vec_to_matrix,
 )
 
 TOTALLY_SYMMETRIC = "TotallySymmetric"
@@ -298,12 +300,11 @@ class DecompositionSystem:
         k = len(grid)
         if witness is not None:
             _check_witness(witness, k, n)
-            for j, p in enumerate(witness):
-                for i in range(k):
-                    for m in range(parts):
-                        if grid[i][m].apply(p) != grid[_swap(range(k), j)[i]][m]:
-                            raise ValueError(
-                                f"witness {j} does not transport row {i}, part {m}")
+            # each column of the grid is carried onto itself, part by part;
+            # with each row a direct sum of K^n, containment is equality
+            if not all(_realizes(column, witness, Subspace.maps_into)
+                       for column in zip(*grid)):
+                raise ValueError("the witness does not transport rows onto rows")
         _assign(self, grid=grid, witness=witness, n=n, k=k, parts=parts)
 
 
@@ -319,22 +320,18 @@ class Certificate:
 # verification
 
 
-def _witness_realizes_tss(elements, witness):
+def _realizes(members, witness, holds):
+    """Whether every P_j of the witness is invertible and holds(m, P_j, t)
+    for each member m and its target t under the transposition (j, j+1).
+
+    For transport, ``holds`` is ``Subspace.maps_into``, containment
+    P·W ⊆ T: an invertible P maps W onto a space of W's dimension, so
+    containment in a T of that dimension is equality.
+    """
     for j, p in enumerate(witness):
         if p.det().is_zero():
             return False
-        target = _swap(elements, j)
-        if any(p * a != b * p for a, b in zip(elements, target)):
-            return False
-    return True
-
-
-def _witness_realizes_planes(planes, witness):
-    for j, p in enumerate(witness):
-        if p.det().is_zero():
-            return False
-        target = _swap(planes, j)
-        if any(w.apply(p) != t for w, t in zip(planes, target)):
+        if not all(holds(m, p, t) for m, t in zip(members, _swap(members, j))):
             return False
     return True
 
@@ -410,7 +407,7 @@ def verify_tss(t, from_scratch=False):
     if t.degenerate:
         return Certificate(DEGENERATE, witness=t.witness)
     if t.witness is not None and not from_scratch:
-        if _witness_realizes_tss(t.elements, t.witness):
+        if _realizes(t.elements, t.witness, lambda a, p, b: p * a == b * p):
             return Certificate(TOTALLY_SYMMETRIC, witness=t.witness)
     return _search_transpositions(t.elements, t.n, intertwiner_space, "intertwiner")
 
@@ -419,7 +416,7 @@ def _annihilator(space):
     """Row vectors f with f·w = 0 for all w in the subspace."""
     if space.dim == 0:
         return Subspace.full(space.n)
-    return kernel(Matrix(space.basis))
+    return kernel(_from_nonzero(space.rows, space.n))
 
 
 def _transport_space(planes, targets):
@@ -448,7 +445,7 @@ def verify_arrangement(a, from_scratch=False):
     if a.degenerate:
         return Certificate(DEGENERATE, witness=a.witness)
     if a.witness is not None and not from_scratch:
-        if _witness_realizes_planes(a.planes, a.witness):
+        if _realizes(a.planes, a.witness, Subspace.maps_into):
             return Certificate(TOTALLY_SYMMETRIC, witness=a.witness)
     return _search_transpositions(a.planes, a.n, _transport_space, "transport")
 
@@ -502,56 +499,30 @@ def isomorphic(a, b):
 # restriction / quotient, duality, reduction
 
 
-def _basis_change_through(space):
-    """Invertible U whose first dim(space) columns span the space, the rest
-    standard vectors in index order."""
-    cols = list(space.basis) + space.extension_columns()
-    return Matrix.from_columns(cols)
-
-
-def _split_conjugate(mats, u, u_inv, d):
-    """Conjugate each matrix by U and split into (top-left d, bottom-right)."""
-    tops, bottoms = [], []
-    n = u.n
-    for m in mats:
-        c = u_inv * m * u
-        if d < n:
-            low_left = c.submatrix(range(d, n), range(d))
-            if not low_left.is_zero():
-                raise NotInvariant("subspace is not invariant")
-            bottoms.append(c.submatrix(range(d, n), range(d, n)))
-        tops.append(c.submatrix(range(d), range(d)))
-    return tops, bottoms
-
-
 def restriction_quotient(t, space, witness=None):
     """Restrict a matrix set to an invariant subspace and form the quotient.
 
-    Returns (restriction, quotient); the quotient is None when the subspace
-    is the whole space, the restriction None when it is zero.  Witnesses
-    carry over by restriction and projection.  Raises NotInvariant if the
-    subspace fails invariance under any element or witness matrix.
+    Returns (restriction, quotient), each read off the subspace's echelon
+    form by ``Subspace.restriction`` and ``Subspace.quotient``; the quotient
+    is None when the subspace is the whole space, the restriction None when
+    it is zero.  Witnesses carry over by restriction and projection.
+    Raises NotInvariant if the subspace fails invariance under any element
+    or witness matrix.
     """
+    if space.n != t.n:
+        raise ValueError(f"a subspace of K^{space.n} in a set acting on K^{t.n}")
     witness = t.witness if witness is None else _coerce_witness(witness)
-    mats = list(t.elements) + (list(witness) if witness is not None else [])
-    for m in mats:
-        if not space.is_invariant_under(m):
+    if space.dim in (0, t.n):
+        whole = Tss(t.elements, witness=witness, params=t.params)
+        return (whole, None) if space.dim else (None, whole)
+    parts = []
+    for part in (space.restriction, space.quotient):
+        elements = [part(a) for a in t.elements]
+        blocks = None if witness is None else [part(p) for p in witness]
+        if None in elements or None in (blocks or ()):
             raise NotInvariant("subspace is not invariant")
-    d = space.dim
-    if d == 0:
-        return None, Tss(t.elements, witness=witness, params=t.params)
-    u = _basis_change_through(space)
-    u_inv = u.inverse()
-    el_tops, el_bottoms = _split_conjugate(t.elements, u, u_inv, d)
-    if witness is not None:
-        w_tops, w_bottoms = _split_conjugate(list(witness), u, u_inv, d)
-    else:
-        w_tops = w_bottoms = None
-    restriction = Tss(el_tops, witness=w_tops, params=t.params)
-    if d == t.n:
-        return restriction, None
-    quotient = Tss(el_bottoms, witness=w_bottoms, params=t.params)
-    return restriction, quotient
+        parts.append(Tss(elements, witness=blocks, params=t.params))
+    return tuple(parts)
 
 
 def dual_arrangement(a):
@@ -567,33 +538,28 @@ def dual_arrangement(a):
 def reduce_arrangement(a):
     """Quotient out the common intersection Q of all planes.
 
-    The result lives in K^(n-q) via a basis extending Q; witnesses descend
-    to the quotient blocks.  Already-reduced arrangements are returned
-    unchanged.
+    The result lives in K^n/Q = K^(n-q), in the coordinates of
+    ``Subspace.quotient``: the planes are their images there
+    (``Subspace.modulo``) and the witnesses descend to their quotient
+    matrices.  Already-reduced arrangements are returned unchanged.
     """
     q = a.planes[0]
     for w in a.planes[1:]:
         q = q.intersection(w)
     if q.dim == 0:
         return a
-    u = _basis_change_through(q)
-    u_inv = u.inverse()
-    qd = q.dim
-    new_planes = []
-    for w in a.planes:
-        imgs = [mat_vec(u_inv, v)[qd:] for v in w.basis]
-        new_planes.append(Subspace(imgs, a.n - qd))
     witness = None
     if a.witness is not None:
-        _, bottoms = _split_conjugate(list(a.witness), u, u_inv, qd)
-        witness = RealizationWitness(bottoms)
-    return Arrangement(new_planes, witness=witness)
+        witness = [q.quotient(p) for p in a.witness]
+        if None in witness:
+            raise NotInvariant("subspace is not invariant")
+    return Arrangement([w.modulo(q) for w in a.planes], witness=witness)
 
 
 def stabilizer_dimension(a):
     """Dimension and basis of {A : A·W_i ⊆ W_i for all i}."""
     space = _transport_space(list(a.planes), list(a.planes))
-    return space.dim, [vec_to_matrix(v, a.n) for v in space.basis]
+    return space.dim, [_to_matrix(row, a.n, a.n) for row in space.rows]
 
 
 def half_dim_normal_form(a):

@@ -7,7 +7,10 @@ nonzero rows, and every elimination (determinant, inverse, solve, kernel,
 subspace bases and intersections, algebra closure) goes through one
 sparse-row Gauss-Jordan routine, ``_insert``, over rows of that form.
 Subspaces keep that reduced echelon form, which is canonical, so equality of
-subspaces is plain ``==``.
+subspaces is plain ``==``.  A Subspace is also where a matrix meets a
+subspace: containment of images (``maps_into``), the restriction, the
+quotient and the image in a quotient are all read off that form, in the
+echelon basis of W and the cosets of the non-pivot unit vectors for K^n/W.
 """
 
 import itertools
@@ -564,8 +567,16 @@ class Subspace:
         """The image subspace mat(W)."""
         return Subspace(self._images(mat), mat.m)
 
+    def maps_into(self, mat, target):
+        """Whether mat maps this subspace W of K^n into the subspace target
+        of K^m, for an m-by-n mat: every image of W's echelon basis reduces
+        to zero against target's.  No image subspace is built."""
+        _require_same_ambient(target.n, mat.m)
+        echelon = target._echelon
+        return all(not _reduce(image, echelon) for image in self._images(mat))
+
     def is_invariant_under(self, mat):
-        return not self.pivots or self.restriction(mat) is not None
+        return self.maps_into(mat, self)
 
     def restriction(self, mat):
         """The d-by-d matrix M of mat on this nonzero subspace W, in its
@@ -576,7 +587,6 @@ class Subspace:
         vector of W has its coordinates at the pivots, so those entries of
         the images make the columns of M.
         """
-        _require_same_ambient(self.n, mat.n)
         _require_square(mat, "restriction")
         pivots, echelon = self.pivots, self._echelon
         if not pivots:
@@ -590,6 +600,33 @@ class Subspace:
             if _reduce(image, echelon):
                 return None
         return _from_nonzero(m_rows, len(pivots))
+
+    def _cosets(self, rows):
+        """The cosets of the sparse rows (consumed) in K^n/W, as sparse rows
+        in the basis of the cosets of e_f for the non-pivot columns f, in
+        increasing order.  A row reduced against W is zero at every pivot,
+        so it is sum x_f e_f, and its coset is sum x_f [e_f]."""
+        echelon = self._echelon
+        index = {f: i for i, f in enumerate(f for f in range(self.n) if f not in echelon)}
+        return [{index[f]: x for f, x in _reduce(row, echelon).items()} for row in rows]
+
+    def quotient(self, mat):
+        """The matrix of mat on K^n/W, for a proper subspace W, in the basis
+        of ``_cosets``, or None when mat does not map W into itself: its
+        column f is the coset of mat·e_f, for each non-pivot column f."""
+        free = [f for f in range(self.n) if f not in self._echelon]
+        if not free:
+            raise ValueError("quotient by the whole space")
+        if not self.maps_into(mat, self):
+            return None
+        columns = self._cosets(_sparse(mat.column(f)) for f in free)
+        return _from_nonzero(columns, len(free)).transpose()
+
+    def modulo(self, q):
+        """The image of this subspace in K^n/q, a subspace of K^(n - dim q)
+        in the coordinates of ``q.quotient``."""
+        _require_same_ambient(self.n, q.n)
+        return Subspace(q._cosets(self.rows), q.n - q.dim)
 
     def lift(self, coords):
         """The subspace B·U of K^n, for a subspace U of K^d given in the
@@ -608,21 +645,13 @@ class Subspace:
             vectors.append(v)
         return Subspace(vectors, self.n)
 
-    def extension_columns(self):
-        """Standard basis vectors (lowest index first) completing this
-        subspace to all of K^n."""
-        out = []
-        for j in range(self.n):
-            if j not in self.pivots:
-                out.append(tuple(ONE if t == j else ZERO for t in range(self.n)))
-        return out
-
     def __eq__(self, other):
         return (isinstance(other, Subspace) and self.n == other.n
                 and self._echelon == other._echelon)
 
     def __hash__(self):
-        return hash((self.n, self.basis))
+        return hash((self.n, tuple((p, frozenset(self._echelon[p].items()))
+                                   for p in self.pivots)))
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, n={self.n})"
@@ -857,10 +886,10 @@ def _has_perfect_matching(masks):
     return True
 
 
-def _require_vectorised(space, m, n):
-    if space.n != m * n:
+def _require_vectorised(space, n):
+    if space.n != n * n:
         raise ValueError(
-            f"a space in K^{space.n} does not hold vectorised {m}x{n} matrices")
+            f"a space in K^{space.n} does not hold vectorised {n}x{n} matrices")
 
 
 def structurally_singular(space, n):
@@ -872,12 +901,12 @@ def structurally_singular(space, n):
     (Konig-Hall), so no element is invertible; this is exact and needs no
     field arithmetic.  False says only that the supports allow one.
     """
-    _require_vectorised(space, n, n)
+    _require_vectorised(space, n)
     return not _has_perfect_matching(_support_masks(space.rows, n))
 
 
-def invertible_in_space(space, m, n=None, seed=None):
-    """Search a subspace of vectorised m-by-n matrices for an invertible one.
+def invertible_in_space(space, n, seed=None):
+    """Search a subspace of vectorised n-by-n matrices for an invertible one.
 
     Deterministic sweeps first (single basis elements, pairwise sums and
     differences, then a small integer-coefficient grid when the dimension
@@ -889,9 +918,8 @@ def invertible_in_space(space, m, n=None, seed=None):
     Returns a Matrix or None, which is exact when the whole space is
     structurally singular (see ``structurally_singular``).
     """
-    n = m if n is None else n
-    _require_vectorised(space, m, n)
-    if m != n or space.dim == 0 or structurally_singular(space, n):
+    _require_vectorised(space, n)
+    if space.dim == 0 or structurally_singular(space, n):
         return None
     basis = space.rows
     k = len(basis)
@@ -923,7 +951,7 @@ def invertible_in_space(space, m, n=None, seed=None):
         for i, c in coeffs.items():
             if c:
                 _axpy(acc, Scalar.rational(c), basis[i])
-        x = _to_matrix(acc, m, n)
+        x = _to_matrix(acc, n, n)
         if not x.det().is_zero():
             return x
     return None
@@ -934,7 +962,7 @@ def conjugate_space(space, p, p_inv):
     for an invertible n-by-n p whose inverse is p_inv, as a canonical Subspace.
     """
     n = p.n
-    _require_vectorised(space, n, n)
+    _require_vectorised(space, n)
     return Subspace([_vectorise(p * _to_matrix(row, n, n) * p_inv)
                      for row in space.rows], space.n)
 

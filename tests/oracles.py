@@ -16,8 +16,12 @@ adjacent transposition's space directly, the reference for the
 from-scratch ``core.verify_tss`` and ``core.verify_arrangement``;
 ``reference_classify`` meets every block with every eigenspace of the next
 element in all of K^n, the reference for ``spectral.classify_commutative``;
-and ``reference_apply`` maps the dense basis vectors one by one, the
-reference for ``linalg.Subspace.apply``.
+``reference_apply`` maps the dense basis vectors one by one, the
+reference for ``linalg.Subspace.apply``; and
+``reference_restriction_quotient`` and ``reference_reduce_arrangement``
+conjugate by a dense change of basis U = [basis | standard vectors] and
+cut blocks out of U^-1 M U, the references for
+``core.restriction_quotient`` and ``core.reduce_arrangement``.
 """
 
 from __future__ import annotations
@@ -31,8 +35,11 @@ import sympy
 from totsym.core import (
     NOT_TOTALLY_SYMMETRIC,
     TOTALLY_SYMMETRIC,
+    Arrangement,
     Certificate,
+    NotInvariant,
     RealizationWitness,
+    Tss,
     _no_invertible_detail,
     is_commutative,
 )
@@ -337,3 +344,70 @@ def reference_classify(t, pool=()):
     if blocks is None:
         blocks = [(Subspace.full(t.n), ())]
     return _classify_blocks(t, blocks)
+
+
+def _basis_change_through(space):
+    """Invertible U whose first dim(space) columns are the echelon basis of
+    the space, the rest the standard vectors e_f off its pivots, in order."""
+    n = space.n
+    extension = [tuple(ONE if t == f else ZERO for t in range(n))
+                 for f in range(n) if f not in space.pivots]
+    return Matrix.from_columns(list(space.basis) + extension)
+
+
+def _split_conjugate(mats, u, u_inv, d):
+    """Conjugate each matrix by U and split into (top-left d, bottom-right),
+    raising NotInvariant when the bottom-left block is not zero."""
+    tops, bottoms = [], []
+    n = u.n
+    for m in mats:
+        c = u_inv * m * u
+        if d < n:
+            if not c.submatrix(range(d, n), range(d)).is_zero():
+                raise NotInvariant("subspace is not invariant")
+            bottoms.append(c.submatrix(range(d, n), range(d, n)))
+        tops.append(c.submatrix(range(d), range(d)))
+    return tops, bottoms
+
+
+def reference_restriction_quotient(t, space, witness=None):
+    """(restriction, quotient) of a matrix set by a dense change of basis,
+    the reference for ``core.restriction_quotient``."""
+    if witness is None:
+        witness = t.witness
+    mats = list(t.elements) + list(witness or ())
+    if not all(space.is_invariant_under(m) for m in mats):
+        raise NotInvariant("subspace is not invariant")
+    d = space.dim
+    if d == 0:
+        return None, Tss(t.elements, witness=witness, params=t.params)
+    u = _basis_change_through(space)
+    u_inv = u.inverse()
+    el_tops, el_bottoms = _split_conjugate(t.elements, u, u_inv, d)
+    w_tops = w_bottoms = None
+    if witness is not None:
+        w_tops, w_bottoms = _split_conjugate(list(witness), u, u_inv, d)
+    restriction = Tss(el_tops, witness=w_tops, params=t.params)
+    if d == t.n:
+        return restriction, None
+    return restriction, Tss(el_bottoms, witness=w_bottoms, params=t.params)
+
+
+def reference_reduce_arrangement(a):
+    """The arrangement modulo the common intersection Q of its planes, in
+    the coordinates of a dense change of basis through Q, the reference for
+    ``core.reduce_arrangement``."""
+    q = a.planes[0]
+    for w in a.planes[1:]:
+        q = q.intersection(w)
+    if q.dim == 0:
+        return a
+    u = _basis_change_through(q)
+    u_inv = u.inverse()
+    qd = q.dim
+    planes = [Subspace([mat_vec(u_inv, v)[qd:] for v in w.basis], a.n - qd)
+              for w in a.planes]
+    witness = None
+    if a.witness is not None:
+        witness = RealizationWitness(_split_conjugate(list(a.witness), u, u_inv, qd)[1])
+    return Arrangement(planes, witness=witness)

@@ -105,7 +105,9 @@ def test_construct_refuses_an_unbounded_exponent(capsys):
     assert err == "error: bad scalar token '1e10000000'\n"
 
 
-# one size bound, catalog.MAX_DIM = 120, on the dimension of every construction
+# two size bounds, checked in turn before any matrix is built: catalog.MAX_DIM
+# = 120 on the dimension of every construction, then catalog.MAX_ENTRIES =
+# 2^17 on the scalar entries of its members and witnesses
 OVERSIZE = {
     "partition": (("--lambda", "1,2,3,4,5,6,7,8"), "40320 points"),  # 8! points
     "perm": (("--lambda", "1,2,3,4,5,6,7,8"), "40320 points"),
@@ -119,8 +121,22 @@ OVERSIZE = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(OVERSIZE))
-def test_construct_refuses_an_oversize_orbit_before_building(name, monkeypatch, capsys):
+# one step past the largest admitted size of each family: within MAX_DIM,
+# but (2k - 1) n^2 entries for k members on K^n, k n d + (k - 1) n^2 for k
+# planes of dimension d, over MAX_ENTRIES
+OVERWORK = {
+    "partition": (("--lambda", "1,1,1,2,3,4"), "158400 scalar entries"),  # 120 points
+    "standard": (("--k", "41"), "136161 scalar entries"),
+    "ncsimplex": (("--k", "42"), "139523 scalar entries"),
+    "simplex": (("--n", "51"), "135303 scalar entries"),
+    "dual-simplex": (("--n", "41"), "137801 scalar entries"),
+    "suspension-simplex": (("--n", "40"), "136161 scalar entries"),
+    # C(3 + 4, 4) = 35 copies of K^3, with 7 members and 6 witnesses
+    "induction": (("--in", "-", "--p", "4", "--lambda", "5"), "143325 scalar entries"),
+}
+
+
+def _refused_before_building(name, args, message, monkeypatch, capsys):
     # the size is refused before any matrix of the construction exists; the
     # base set of an induction is built before the count starts
     base = standard(3)
@@ -129,10 +145,49 @@ def test_construct_refuses_an_oversize_orbit_before_building(name, monkeypatch, 
     init = Matrix.__init__
     monkeypatch.setattr(Matrix, "__init__",
                         lambda self, rows: built.append(1) or init(self, rows))
-    args, message = OVERSIZE[name]
     assert run("construct", name, *args) == 2
     assert message in capsys.readouterr().err
     assert built == []
+
+
+@pytest.mark.parametrize("name", sorted(OVERSIZE))
+def test_construct_refuses_an_oversize_orbit_before_building(name, monkeypatch, capsys):
+    _refused_before_building(name, *OVERSIZE[name], monkeypatch, capsys)
+
+
+@pytest.mark.parametrize("name", sorted(OVERWORK))
+def test_construct_refuses_too_many_entries_before_building(name, monkeypatch, capsys):
+    _refused_before_building(name, *OVERWORK[name], monkeypatch, capsys)
+
+
+class Built(Exception):
+    pass
+
+
+# the largest admitted size of each family, which passes both bounds
+ADMITTED = {
+    "perm": ("--lambda", "1,2,3,4,5"),
+    "standard": ("--k", "40"),
+    "ncsimplex": ("--k", "41"),
+    "simplex": ("--n", "50"),
+    "dual-simplex": ("--n", "40"),
+    "suspension-simplex": ("--n", "39"),
+    "induction": ("--in", "-", "--p", "3", "--lambda", "5"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ADMITTED))
+def test_construct_admits_the_largest_size_of_each_family(name, monkeypatch):
+    # passing both bounds, the construction builds its first matrix
+    base = standard(3)
+    monkeypatch.setattr(totsym.cli, "_base_tss", lambda args: base)
+
+    def refuse(self, rows):
+        raise Built
+
+    monkeypatch.setattr(Matrix, "__init__", refuse)
+    with pytest.raises(Built):
+        run("construct", name, *ADMITTED[name])
 
 
 def test_construct_unknown_name_exit_2():

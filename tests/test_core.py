@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from totsym import catalog
 from totsym.core import (
@@ -33,10 +34,21 @@ from totsym.core import (
     verify_arrangement,
     verify_tss,
 )
-from totsym.field import ONE, SQRT2, ZERO, ZETA, ZETA_INV, Scalar
-from totsym.linalg import Matrix, Singular, Subspace, conjugate_space, intertwiner_space
+from totsym.field import I_UNIT, ONE, SQRT2, ZERO, ZETA, ZETA_INV, Scalar
+from totsym.linalg import (
+    Matrix,
+    Singular,
+    Subspace,
+    conjugate_space,
+    intertwiner_space,
+    mat_vec,
+)
 
-from oracles import reference_certificate
+from oracles import (
+    reference_certificate,
+    reference_reduce_arrangement,
+    reference_restriction_quotient,
+)
 
 
 def diag(*entries):
@@ -432,6 +444,127 @@ def test_restriction_edges():
     assert restr is None and quot == t
 
 
+# Restriction, quotient and reduction read blocks off the echelon form; they
+# must give what a dense change of basis U = [basis | e_f ...] gives, on
+# block-triangular sets disguised by a random change of basis.
+
+entry = st.sampled_from([ZERO, ZERO, ONE, -ONE, Scalar.rational(2), SQRT2, I_UNIT])
+
+
+def matrices(m, n):
+    return st.lists(st.lists(entry, min_size=n, max_size=n),
+                    min_size=m, max_size=m).map(Matrix)
+
+
+nonzero = entry.filter(lambda x: not x.is_zero())
+
+
+@st.composite
+def disguises(draw, n):
+    """A random invertible n-by-n S = L·U·P (L unit lower triangular, U
+    upper triangular with a nonzero diagonal, P a permutation) and S^-1."""
+    lower = [[ONE if i == j else (draw(entry) if i > j else ZERO) for j in range(n)]
+             for i in range(n)]
+    upper = [[draw(nonzero) if i == j else (draw(entry) if i < j else ZERO)
+              for j in range(n)] for i in range(n)]
+    order = draw(st.permutations(range(n)))
+    perm = [[ONE if order[i] == j else ZERO for j in range(n)] for i in range(n)]
+    s = Matrix(lower) * Matrix(upper) * Matrix(perm)
+    return s, s.inverse()
+
+
+@st.composite
+def block_triangular(draw, n, d):
+    """An n-by-n matrix mapping span(e_0 .. e_{d-1}) into itself."""
+    rows = draw(matrices(n, n)).rows
+    return Matrix([[ZERO if i >= d > j else x for j, x in enumerate(row)]
+                   for i, row in enumerate(rows)])
+
+
+@st.composite
+def dimensions(draw):
+    """(n, d) with d among 0, 1, n - 1 and n, or strictly between 0 and n."""
+    n = draw(st.integers(1, 5))
+    return n, draw(st.sampled_from([0, 1, n - 1, n]) | st.integers(1, max(n - 1, 1)))
+
+
+def outcome(call):
+    try:
+        return call()
+    except ValueError as exc:
+        return type(exc)
+
+
+def tss_fields(t):
+    return t if t is None else (t.elements, t.witness, t.params, t.n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_restriction_quotient_matches_the_change_of_basis(data):
+    n, d = data.draw(dimensions())
+    s, s_inv = data.draw(disguises(n))
+    k = data.draw(st.integers(1, 3))
+
+    def member():
+        # now and then a matrix that need not keep the subspace
+        if data.draw(st.integers(0, 9)):
+            return data.draw(block_triangular(n, d))
+        return data.draw(matrices(n, n))
+
+    elements = [s * member() * s_inv for _ in range(k)]
+    witness = None
+    if data.draw(st.booleans()):
+        witness = [s * member() * s_inv for _ in range(k - 1)]
+    t = Tss(elements, witness=witness, params=(2,))
+    space = Subspace(s.columns()[:d], n)
+    ours = outcome(lambda: tuple(map(tss_fields, restriction_quotient(t, space))))
+    theirs = outcome(lambda: tuple(map(tss_fields, reference_restriction_quotient(t, space))))
+    assert ours == theirs
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_reduce_arrangement_matches_the_change_of_basis(data):
+    n, q = data.draw(dimensions())
+    s, s_inv = data.draw(disguises(n))
+    k = data.draw(st.integers(1, 3))
+    r = data.draw(st.integers(0, n - q - 1) if q < n else st.just(0))
+    # each plane is S·(span(e_0 .. e_{q-1}) + span of r vectors off it)
+    units = [[ONE if i == j else ZERO for i in range(n)] for j in range(q)]
+    planes = []
+    for _ in range(k):
+        rest = data.draw(st.lists(st.lists(entry, min_size=n - q, max_size=n - q),
+                                  min_size=r, max_size=r))
+        vectors = units + [[ZERO] * q + v for v in rest]
+        planes.append(Subspace([mat_vec(s, v) for v in vectors], n))
+    assume(len({w.dim for w in planes}) == 1)
+    witness = None
+    if data.draw(st.booleans()):
+        witness = [s * data.draw(block_triangular(n, q)) * s_inv for _ in range(k - 1)]
+    a = Arrangement(planes, witness=witness)
+
+    def fields(r):
+        return (r.planes, r.witness, r.n, r.d, r.k)
+
+    ours = outcome(lambda: fields(reduce_arrangement(a)))
+    assert ours == outcome(lambda: fields(reference_reduce_arrangement(a)))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_reducing_planes_that_are_all_of_k_n(k):
+    # the quotient K^n/K^n is K^0; a witness cannot descend to it
+    a = Arrangement([Subspace.full(2)] * k)
+    if k == 1:
+        r = reduce_arrangement(a)
+        assert (r.n, r.d, r.k) == (0, 0, 1)
+        assert r.planes == reference_reduce_arrangement(a).planes
+        return
+    for reduce in (reduce_arrangement, reference_reduce_arrangement):
+        with pytest.raises(ValueError):
+            reduce(a)
+
+
 # --------------------------------------------------------- dual / reduce
 
 
@@ -585,6 +718,9 @@ def test_decomposition_system_validation():
         DecompositionSystem([[line(1, 0), line(1, 0)]])
     with pytest.raises(ValueError):
         DecompositionSystem(rows, witness=[Matrix.identity(2)])
+    # the zero matrix maps every part into its target, but is not invertible
+    with pytest.raises(ValueError):
+        DecompositionSystem(rows, witness=[Matrix.zero(2)])
 
 
 # ------------------------------------------------------------ record types

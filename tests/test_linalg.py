@@ -209,16 +209,6 @@ def test_grassmann_formula(vs, ws):
         assert u.contains(v) and w.contains(v)
 
 
-def test_extension_columns():
-    u = Subspace([(1, 0, 2, 0), (0, 0, 1, 0)], 4)
-    ext = u.extension_columns()
-    assert len(ext) == 2
-    total = Subspace(list(u.basis) + ext, 4)
-    assert total.dim == 4
-    # lowest-index standard vectors are chosen, in order
-    assert ext[0][1] == ONE and ext[1][3] == ONE
-
-
 def test_invariance_and_image():
     a = M((0, 1), (0, 0))
     line = Subspace([(1, 0)], 2)
@@ -226,6 +216,21 @@ def test_invariance_and_image():
     assert not Subspace([(0, 1)], 2).is_invariant_under(a)
     assert Subspace([], 2).is_invariant_under(a)
     assert Subspace.full(2).apply(a) == line
+
+
+def test_quotient_and_modulo_in_the_coordinates_off_the_pivots():
+    # W = span(e0 + e2): the quotient basis is the cosets of e1, e2
+    a = M((1, 1, 0), (0, 2, 0), (0, 0, 1))
+    w = Subspace([(1, 0, 1)], 3)
+    assert w.is_invariant_under(a)
+    # a·e1 = e0 + 2 e1 = 2 e1 - e2 + (e0 + e2), and a·e2 = e2
+    assert w.quotient(a) == M((2, 0), (-1, 1))
+    assert w.quotient(M((0, 1, 0), (1, 0, 0), (0, 0, 1))) is None
+    assert Subspace([(0, 1, 0)], 3).modulo(w) == Subspace([(1, 0)], 2)
+    assert Subspace([(1, 0, 0)], 3).modulo(w) == Subspace([(0, -1)], 2)
+    assert Subspace([], 3).quotient(a) == a
+    with pytest.raises(ValueError):
+        Subspace.full(3).quotient(a)
 
 
 def test_subspace_eigenspaces_split_inside_the_subspace():
@@ -704,7 +709,6 @@ def test_invertible_in_space_rejects_a_space_of_the_wrong_size():
         invertible_in_space(Subspace.full(6), 2, 2)
     with pytest.raises(ValueError):
         structurally_singular(Subspace.full(10), 3)
-    assert invertible_in_space(Subspace.full(6), 2, 3) is None  # not square
 
 
 # ------------------------------------- invertible search: structural test
@@ -899,6 +903,22 @@ def test_apply_matches_the_dense_images(data):
     space = Subspace(vectors, n)
     for mat in (data.draw(k_matrices(n, n)), data.draw(k_matrices(m, n))):
         assert space.apply(mat) == reference_apply(space, mat)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_maps_into_matches_the_image_subspace(data):
+    n, m = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
+    for rows in (n, m):
+        mat = data.draw(k_matrices(rows, n))
+        w = Subspace(data.draw(st.lists(st.lists(k_entry, min_size=n, max_size=n),
+                                        max_size=3)), n)
+        # a target that holds the image half the time
+        extra = data.draw(st.lists(st.lists(k_entry, min_size=rows, max_size=rows),
+                                   max_size=2))
+        t = Subspace(extra + (list(w.apply(mat).basis) if data.draw(st.booleans()) else []),
+                     rows)
+        assert w.maps_into(mat, t) == t.contains_space(w.apply(mat))
 
 
 # ------------------------------- char_poly and closure against references
