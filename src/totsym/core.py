@@ -24,14 +24,12 @@ from .linalg import (
     Matrix,
     Singular,
     Subspace,
-    _from_nonzero,
-    _to_matrix,
     conjugate_space,
     intertwiner_space,
     invertible_in_space,
-    kernel,
-    null_space,
     structurally_singular,
+    transport_space,
+    vec_to_matrix,
 )
 
 TOTALLY_SYMMETRIC = "TotallySymmetric"
@@ -152,12 +150,6 @@ class StrongWitness:
                 transpositions=tuple(self.transpositions))
 
 
-def _coerce_witness(w):
-    if w is None or isinstance(w, RealizationWitness):
-        return w
-    return RealizationWitness(w)
-
-
 def _check_witness(transpositions, k, n):
     """Raise ValueError unless there are k-1 transposition matrices, each n×n."""
     if len(transpositions) != max(k - 1, 0):
@@ -169,16 +161,31 @@ def _check_witness(transpositions, k, n):
             raise ValueError(f"witness matrix {j} is {p.n}x{p.n}, not {n}x{n}")
 
 
+def _family(members, witness, n):
+    """The canonical (members, witness, k) of an indexed family acting on K^n.
+
+    A realized permutation keeps two equal members equal wherever it sends
+    them, so a symmetric family with one collision has all members equal,
+    and a partial collision collapses to the first member, with no witness.  A family whose members are all equal keeps
+    its k and, without a witness, gets identity witnesses.  Any other
+    witness must hold k-1 transpositions, each n×n.
+    """
+    distinct = len(set(members))
+    if 1 < distinct < len(members):
+        return members[:1], None, 1
+    k = len(members)
+    if witness is not None:
+        witness = RealizationWitness(witness)
+        _check_witness(witness, k, n)
+    elif distinct == 1:
+        witness = RealizationWitness([Matrix.identity(n)] * (k - 1))
+    return members, witness, k
+
+
 @dataclass(frozen=True, slots=True)
 class Tss:
-    """An indexed set of k square matrices over K.
-
-    Duplicate elements force degeneracy: transitivity of the permutation
-    action means a single collision collapses the whole set.  A family
-    whose members are all equal keeps its formal cardinality (the trivial
-    set of size k); a partial collision is canonicalized to the singleton
-    of its first element.  The witness is a certificate, not identity.
-    """
+    """An indexed set of k square matrices over K, in the canonical form of
+    ``_family``.  The witness is a certificate, not identity."""
 
     elements: tuple
     witness: RealizationWitness | None = field(default=None, compare=False)
@@ -190,7 +197,6 @@ class Tss:
 
     def __post_init__(self):
         elements = tuple(self.elements)
-        witness = _coerce_witness(self.witness)
         n = self.n
         if elements:
             n = elements[0].n
@@ -199,15 +205,7 @@ class Tss:
                     raise ValueError("elements must be square and equal-sized")
         elif n is None:
             raise ValueError("empty set needs an explicit ambient dimension")
-        distinct = len(set(elements))
-        if elements and distinct < len(elements) and distinct > 1:
-            elements = (elements[0],)
-            witness = None
-        k = len(elements)
-        if witness is not None:
-            _check_witness(witness, k, n)
-        if witness is None and distinct <= 1 and k >= 1:
-            witness = RealizationWitness([Matrix.identity(n)] * (k - 1))
+        elements, witness, k = _family(elements, self.witness, n)
         _assign(self, elements=elements, witness=witness, n=n, k=k,
                 params=tuple(as_scalar(p) for p in self.params))
 
@@ -221,7 +219,8 @@ class Tss:
 
 @dataclass(frozen=True, slots=True)
 class Arrangement:
-    """An indexed set of k subspaces of K^n, all of dimension d."""
+    """An indexed set of k subspaces of K^n, all of dimension d, in the
+    canonical form of ``_family``; a collapsed family has no strong witness."""
 
     planes: tuple
     witness: RealizationWitness | None = field(default=None, compare=False)
@@ -231,32 +230,24 @@ class Arrangement:
     k: int = field(init=False)
 
     def __post_init__(self):
-        planes = tuple(self.planes)
-        witness = _coerce_witness(self.witness)
-        strong_witness = self.strong_witness
-        if not planes:
+        given = tuple(self.planes)
+        if not given:
             raise ValueError("arrangement needs at least one plane")
-        n = planes[0].n
-        d = planes[0].dim
-        for w in planes:
+        n = given[0].n
+        d = given[0].dim
+        for w in given:
             if w.n != n or w.dim != d:
                 raise ValueError("planes must share ambient and plane dimension")
-        distinct = len(set(planes))
-        if distinct < len(planes) and distinct > 1:
-            planes = (planes[0],)
-            witness = None
+        planes, witness, k = _family(given, self.witness, n)
+        strong_witness = self.strong_witness
+        if k < len(given):  # the family collapsed
             strong_witness = None
-        k = len(planes)
-        if witness is not None:
-            _check_witness(witness, k, n)
-        if strong_witness is not None:
+        elif strong_witness is not None:
             _check_witness(strong_witness.transpositions, k, n)
             reps = strong_witness.representatives
             if len(reps) != k or any(m.m != n or m.n != d for m in reps):
                 raise ValueError(
                     f"a strong witness needs {k} representatives, each {n}x{d}")
-        if witness is None and distinct == 1 and k >= 1:
-            witness = RealizationWitness([Matrix.identity(n)] * (k - 1))
         _assign(self, planes=planes, witness=witness,
                 strong_witness=strong_witness, n=n, d=d, k=k)
 
@@ -282,7 +273,7 @@ class DecompositionSystem:
 
     def __post_init__(self):
         grid = tuple(tuple(row) for row in self.grid)
-        witness = _coerce_witness(self.witness)
+        witness = None if self.witness is None else RealizationWitness(self.witness)
         if not grid or not grid[0]:
             raise ValueError("grid must be non-empty")
         n = grid[0][0].n
@@ -350,7 +341,7 @@ def _transposition_spaces(members, n, solve):
     for j = 0, ..., k-2 in turn (k >= 2), each as a canonical Subspace.
 
     ``solve(members, targets)`` is the space of matrices that move each
-    member to its target (``intertwiner_space`` or ``_transport_space``).
+    member to its target (``intertwiner_space`` or ``transport_space``).
     S_0 is solved directly.  A caller stops at the first S_j with no
     invertible element, so when S_1 is asked for, S_0 had one.  Then, for
     k >= 4, the space of the k-cycle c = (0 1 ... k-1) (targets
@@ -390,6 +381,18 @@ def _search_transpositions(members, n, solve, what):
     return Certificate(TOTALLY_SYMMETRIC, witness=RealizationWitness(found))
 
 
+def _verify(family, members, from_scratch, holds, solve, what):
+    """Degenerate; else the bundled witness if it realizes the family
+    (``_realizes`` with ``holds``) and from_scratch is not set; else the
+    search of ``solve``'s spaces (``_search_transpositions``)."""
+    if family.degenerate:
+        return Certificate(DEGENERATE, witness=family.witness)
+    if family.witness is not None and not from_scratch:
+        if _realizes(members, family.witness, holds):
+            return Certificate(TOTALLY_SYMMETRIC, witness=family.witness)
+    return _search_transpositions(members, family.n, solve, what)
+
+
 def verify_tss(t, from_scratch=False):
     """Certify total symmetry of a matrix set.
 
@@ -404,50 +407,20 @@ def verify_tss(t, from_scratch=False):
     says "exists" instead of "found" when the supports of that space prove
     that there is none.
     """
-    if t.degenerate:
-        return Certificate(DEGENERATE, witness=t.witness)
-    if t.witness is not None and not from_scratch:
-        if _realizes(t.elements, t.witness, lambda a, p, b: p * a == b * p):
-            return Certificate(TOTALLY_SYMMETRIC, witness=t.witness)
-    return _search_transpositions(t.elements, t.n, intertwiner_space, "intertwiner")
-
-
-def _annihilator(space):
-    """Row vectors f with f·w = 0 for all w in the subspace."""
-    if space.dim == 0:
-        return Subspace.full(space.n)
-    return kernel(_from_nonzero(space.rows, space.n))
-
-
-def _transport_space(planes, targets):
-    """Solution space of P·W_i ⊆ T_i for all i, as vectorised matrices."""
-    n = planes[0].n
-    rows = []
-    for w, tgt in zip(planes, targets):
-        ann = _annihilator(tgt)
-        for f in ann.rows:
-            for col in w.rows:
-                # f^T P col = 0: coefficient of P[p][q] is f[p]*col[q]
-                rows.append({p * n + q: x * y for p, x in f.items()
-                             for q, y in col.items()})
-    return null_space(rows, n * n)
+    return _verify(t, t.elements, from_scratch, lambda a, p, b: p * a == b * p,
+                   intertwiner_space, "intertwiner")
 
 
 def verify_arrangement(a, from_scratch=False):
-    """Certify total symmetry of a subspace arrangement.
+    """Certify total symmetry of a subspace arrangement, as ``verify_tss``
+    does a set, with transport for conjugation.
 
-    Transport of a plane is encoded linearly: P maps W_i into W_{sigma(i)},
-    which together with invertibility of P gives equality of images.  As in
-    ``verify_tss``, k >= 4 planes need two transport systems solved, for
-    (0, 1) and for the k-cycle, and the other spaces are conjugates of the
-    first.
+    Transport of a plane is encoded linearly (``linalg.transport_space``):
+    P maps W_i into W_{sigma(i)}, which together with invertibility of P
+    gives equality of images.
     """
-    if a.degenerate:
-        return Certificate(DEGENERATE, witness=a.witness)
-    if a.witness is not None and not from_scratch:
-        if _realizes(a.planes, a.witness, Subspace.maps_into):
-            return Certificate(TOTALLY_SYMMETRIC, witness=a.witness)
-    return _search_transpositions(a.planes, a.n, _transport_space, "transport")
+    return _verify(a, a.planes, from_scratch, Subspace.maps_into, transport_space,
+                   "transport")
 
 
 def realize_permutation(witness, sigma, n=None):
@@ -511,7 +484,7 @@ def restriction_quotient(t, space, witness=None):
     """
     if space.n != t.n:
         raise ValueError(f"a subspace of K^{space.n} in a set acting on K^{t.n}")
-    witness = t.witness if witness is None else _coerce_witness(witness)
+    witness = t.witness if witness is None else RealizationWitness(witness)
     if space.dim in (0, t.n):
         whole = Tss(t.elements, witness=witness, params=t.params)
         return (whole, None) if space.dim else (None, whole)
@@ -527,7 +500,7 @@ def restriction_quotient(t, space, witness=None):
 
 def dual_arrangement(a):
     """The arrangement of annihilators, witnessed by inverse-transposes."""
-    duals = [_annihilator(w) for w in a.planes]
+    duals = [w.annihilator() for w in a.planes]
     witness = None
     if a.witness is not None:
         witness = RealizationWitness(
@@ -558,8 +531,8 @@ def reduce_arrangement(a):
 
 def stabilizer_dimension(a):
     """Dimension and basis of {A : A·W_i ⊆ W_i for all i}."""
-    space = _transport_space(list(a.planes), list(a.planes))
-    return space.dim, [_to_matrix(row, a.n, a.n) for row in space.rows]
+    space = transport_space(a.planes, a.planes)
+    return space.dim, [vec_to_matrix(v, a.n) for v in space.basis]
 
 
 def half_dim_normal_form(a):

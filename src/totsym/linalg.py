@@ -37,6 +37,7 @@ __all__ = [
     "outer",
     "solve",
     "structurally_singular",
+    "transport_space",
     "vec_to_matrix",
 ]
 
@@ -575,6 +576,13 @@ class Subspace:
         echelon = target._echelon
         return all(not _reduce(image, echelon) for image in self._images(mat))
 
+    def annihilator(self):
+        """The row vectors f with f·w = 0 for every w in this subspace, as a
+        subspace of K^n: the kernel of the matrix of its echelon rows."""
+        if not self.pivots:
+            return Subspace.full(self.n)
+        return kernel(_from_nonzero(self.rows, self.n))
+
     def is_invariant_under(self, mat):
         return self.maps_into(mat, self)
 
@@ -825,6 +833,21 @@ def intertwiner_space(as_, bs):
                 _axpy(row, -ONE, {p * n + c: y for p, y in b_rows[r].items()})
                 rows.append(row)
     return null_space(rows, m * n)
+
+
+def transport_space(planes, targets):
+    """The space of n-by-n P with P·W_i ⊆ T_i for every plane W_i and its
+    target T_i, subspaces of K^n, as row-major vectors: f·P·w = 0 for each
+    echelon row w of W_i and each f in the annihilator of T_i."""
+    n = planes[0].n
+    rows = []
+    for w, tgt in zip(planes, targets):
+        for f in tgt.annihilator().rows:
+            for col in w.rows:
+                # the coefficient of P[p][q] is f[p]*col[q]
+                rows.append({p * n + q: x * y for p, x in f.items()
+                             for q, y in col.items()})
+    return null_space(rows, n * n)
 
 
 def _default_seed():

@@ -13,6 +13,7 @@ import json
 import re
 from json.encoder import encode_basestring_ascii as _quote
 
+from .catalog import MAX_DIM
 from .core import (
     Arrangement,
     DecompositionSystem,
@@ -170,9 +171,16 @@ def subspace_to_json(w):
 
 
 def subspace_from_json(data):
+    """A subspace from its basis columns.  The zero space has no entries to
+    back its ambient dimension, so that dimension is bounded by
+    ``catalog.MAX_DIM``: an arrangement on K^n costs n×n witnesses."""
     _require(isinstance(data, dict), "subspace must be an object")
     if _int_field(data, "cols") == 0:
-        return Subspace([], _int_field(data, "rows"))
+        n = _int_field(data, "rows")
+        _require(n >= 0, f"a zero plane needs a nonnegative 'rows', not {n}")
+        _require(n <= MAX_DIM, f"a zero plane in K^{n} has more than the "
+                               f"{MAX_DIM} dimensions a document may give it")
+        return Subspace([], n)
     return Subspace.from_matrix_columns(matrix_from_json(data))
 
 

@@ -296,7 +296,7 @@ def reference_algebra_closure(gens):
 def reference_certificate(members, n, solve, what):
     """The from-scratch certificate with the space of each adjacent
     transposition solved directly by ``solve(members, targets)``
-    (``linalg.intertwiner_space`` or ``core._transport_space``) and searched
+    (``linalg.intertwiner_space`` or ``linalg.transport_space``) and searched
     in turn; ``what`` names the solutions in the detail text."""
     members = list(members)
     found = []

@@ -25,7 +25,6 @@ from totsym.core import (
     TOTALLY_SYMMETRIC,
     Arrangement,
     Tss,
-    _transport_space,
     half_dim_normal_form,
     involution_checks,
     stabilizer_dimension,
@@ -50,6 +49,7 @@ from totsym.linalg import (
     Subspace,
     algebra_closure,
     intertwiner_space,
+    transport_space,
     vec_to_matrix,
 )
 from totsym.spectral import (
@@ -243,7 +243,7 @@ def test_near_miss_sets_are_rejected():
         if c == -1:
             # (0, 1) is realizable but the 4-cycle is not, so (1, 2) is
             # solved directly and fails
-            assert _transport_space(a.planes, a.planes[1:] + a.planes[:1]).dim == 0
+            assert transport_space(a.planes, a.planes[1:] + a.planes[:1]).dim == 0
             assert cert.failing_transposition == 1
             assert cert.detail == (
                 "no invertible transport exists for transposition (1, 2): "

@@ -474,6 +474,84 @@ def test_stabilizer_dimension_one(tmp_path, capsys):
     assert parse(rep.read_text())["payload"]["dim"] == 1
 
 
+def _zero_plane_document(rows):
+    """Two zero planes in K^rows: no entry backs the ambient dimension."""
+    plane = {"rows": rows, "cols": 0, "entries": []}
+    return json.dumps({"kind": "arrangement",
+                       "meta": {"field_basis": FIELD_BASIS, "version": "1"},
+                       "payload": {"d": 0, "k": 2, "n": rows, "planes": [plane, plane],
+                                   "strong": False}})
+
+
+@pytest.mark.parametrize("command", ["verify", "export", "stabilizer"])
+@pytest.mark.parametrize("rows, message", [
+    (1500, "a zero plane in K^1500 has more than the 120 dimensions"),
+    (-3, "a zero plane needs a nonnegative 'rows', not -3"),
+])
+def test_zero_plane_dimension_is_refused_before_building(
+        command, rows, message, tmp_path, monkeypatch, capsys):
+    # a degenerate arrangement of zero planes in K^n would be witnessed by
+    # the n×n identity; its dimension is refused before any matrix exists
+    doc = tmp_path / "zero.json"
+    doc.write_text(_zero_plane_document(rows))
+    built = []
+    init = Matrix.__init__
+    monkeypatch.setattr(Matrix, "__init__",
+                        lambda self, rows: built.append(1) or init(self, rows))
+    assert run(command, "--in", str(doc)) == 2
+    assert message in capsys.readouterr().err
+    assert built == []
+
+
+def test_zero_planes_within_the_bound_still_round_trip(tmp_path, capsys):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    assert run("construct", "dual-simplex", "--n", "1", "--out", str(a)) == 0
+    assert run("export", "--in", str(a), "--out", str(b)) == 0
+    assert a.read_bytes() == b.read_bytes()
+    capsys.readouterr()
+    assert run("verify", "--in", str(a)) == 1
+    assert "Degenerate" in capsys.readouterr().out
+    doc = tmp_path / "zero.json"
+    doc.write_text(_zero_plane_document(120))
+    assert run("export", "--in", str(doc)) == 0
+
+
+# ----------------------------------------------------- README transcript
+
+
+README = Path(__file__).parent.parent / "README.md"
+
+
+def _readme_transcript():
+    """(command, printed lines) for each `$ tss ...` line of README's shell
+    transcript, in order."""
+    steps = []
+    block = next(b for b in README.read_text().split("```sh\n")[1:] if b.startswith("$ tss"))
+    for line in block.split("```")[0].splitlines():
+        if line.startswith("$ "):
+            steps.append((line[2:], []))
+        else:
+            steps[-1][1].append(line)
+    return steps
+
+
+def test_readme_transcript_prints_what_it_shows(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    steps = _readme_transcript()
+    assert steps
+    for command, shown in steps:
+        printed = []
+        # `a && b` runs b after a succeeds; `| tail -1` keeps the last line
+        for part in command.split(" && "):
+            part, _, tail = part.partition(" | tail -")
+            argv = shlex.split(part)
+            assert argv[0] == "tss"
+            assert run(*argv[1:]) == 0, command
+            lines = capsys.readouterr().out.splitlines()
+            printed += lines[-int(tail):] if tail else lines
+        assert printed == shown, command
+
+
 # ----------------------------------------------------------------- suite
 
 

@@ -19,7 +19,6 @@ from totsym.core import (
     Tss,
     Weight,
     _swap,
-    _transport_space,
     _transposition_spaces,
     dual_arrangement,
     half_dim_normal_form,
@@ -42,6 +41,7 @@ from totsym.linalg import (
     conjugate_space,
     intertwiner_space,
     mat_vec,
+    transport_space,
 )
 
 from oracles import (
@@ -110,6 +110,49 @@ def test_arrangement_collision_policy():
     assert b.k == 1 and b.degenerate
     c = Arrangement([l1, l2])
     assert c.k == 2 and not c.degenerate
+
+
+# sets and arrangements share one canonical form: (class, two distinct
+# members on K^2)
+FAMILIES = {
+    "tss": (Tss, diag(1, 2), diag(2, 1)),
+    "arrangement": (Arrangement, line(1, 0), line(0, 1)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(FAMILIES))
+def test_partial_collision_drops_every_witness(kind):
+    cls, a, b = FAMILIES[kind]
+    swaps = [SWAP2, SWAP2]
+    extra = {}
+    if cls is Arrangement:
+        reps = [Matrix([[1], [0]]), Matrix([[1], [0]]), Matrix([[0], [1]])]
+        extra["strong_witness"] = StrongWitness(reps, swaps)
+    family = cls([a, a, b], witness=swaps, **extra)
+    assert family.k == 1 and family.degenerate
+    assert family.witness is None
+    if cls is Arrangement:
+        assert family.strong_witness is None
+
+
+@pytest.mark.parametrize("kind", sorted(FAMILIES))
+def test_all_equal_family_gets_identity_witnesses(kind):
+    cls, a, _ = FAMILIES[kind]
+    family = cls([a] * 4)
+    assert family.k == 4 and family.degenerate
+    assert isinstance(family.witness, RealizationWitness)
+    assert len(family.witness) == 3
+    assert all(p == Matrix.identity(2) for p in family.witness)
+
+
+@pytest.mark.parametrize("kind", sorted(FAMILIES))
+@pytest.mark.parametrize("length", [0, 2])
+def test_witness_of_the_wrong_length_is_refused(kind, length):
+    cls, a, b = FAMILIES[kind]
+    with pytest.raises(ValueError, match="k-1 transposition"):
+        cls([a, b], witness=[SWAP2] * length)
+    with pytest.raises(ValueError, match="k-1 transposition"):
+        cls([a, a], witness=[SWAP2] * length)
 
 
 def test_witness_length_checked():
@@ -248,7 +291,7 @@ FROM_SCRATCH_CASES = {
 def _scratch_parts(obj):
     """(members, solver, verifier, what) of a set or an arrangement."""
     if isinstance(obj, Arrangement):
-        return list(obj.planes), _transport_space, verify_arrangement, "transport"
+        return list(obj.planes), transport_space, verify_arrangement, "transport"
     return list(obj.elements), intertwiner_space, verify_tss, "intertwiner"
 
 

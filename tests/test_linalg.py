@@ -921,6 +921,25 @@ def test_maps_into_matches_the_image_subspace(data):
         assert w.maps_into(mat, t) == t.contains_space(w.apply(mat))
 
 
+@pytest.mark.parametrize("n", [1, 3])
+def test_annihilator_swaps_zero_and_whole_space(n):
+    zero, whole = Subspace([], n), Subspace.full(n)
+    assert zero.annihilator() == whole
+    assert whole.annihilator() == zero
+
+
+@settings(max_examples=12, deadline=None)
+@given(structured_matrices())
+def test_annihilator_matches_oracle_kernel(a):
+    # the rows of a span W; its annihilator is the kernel of those rows
+    w = Subspace(a.rows, a.n)
+    ann = w.annihilator()
+    assert ann.dim == a.n - w.dim
+    assert all(sum((f.get(j, ZERO) * x for j, x in v.items()), ZERO).is_zero()
+               for f in ann.rows for v in w.rows)
+    assert sym_rows_equal(ann.basis, oracle_kernel(sym_rows(a), a.n))
+
+
 # ------------------------------- char_poly and closure against references
 #
 # char_poly reduces to Hessenberg form, and algebra_closure skips generators
