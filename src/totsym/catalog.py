@@ -14,12 +14,11 @@ from math import comb, factorial, prod
 from .core import (
     Arrangement,
     DecompositionSystem,
-    StrongWitness,
     Tss,
     Weight,
-    _swap,
     realize_permutation,
     suspension,
+    swap_adjacent,
 )
 from .field import (
     HALF,
@@ -122,7 +121,7 @@ def standard(k, lam=2, nu=1):
     _require_size(k, "the standard set", k)
     elements = [_diag([nu if j == i else lam for j in range(k)])
                 for i in range(k)]
-    witness = [_perm_matrix(_swap(range(k), j)) for j in range(k - 1)]
+    witness = [_perm_matrix(swap_adjacent(range(k), j)) for j in range(k - 1)]
     return Tss(elements, witness=witness, params=(lam, nu))
 
 
@@ -146,7 +145,7 @@ def partition_construction(w):
     for j in range(w.k - 1):
         rows = [[ZERO] * len(orbit) for _ in range(len(orbit))]
         for b, f in enumerate(orbit):
-            rows[index[tuple(_swap(f, j))]][b] = ONE
+            rows[index[tuple(swap_adjacent(f, j))]][b] = ONE
         witness.append(Matrix(rows))
     return Tss(elements, witness=witness, params=tuple(orbit[0]))
 
@@ -204,7 +203,7 @@ def induction(t, p, lam):
         elements.append(Matrix.block(grid))
     witness = []
     for j in range(kp - 1):
-        tau = _swap(range(kp), j)
+        tau = swap_adjacent(range(kp), j)
         grid = [[zero] * nblocks for _ in range(nblocks)]
         for a, s in enumerate(subsets):
             ts = tuple(sorted(tau[x] for x in s))
@@ -240,7 +239,7 @@ def _simplex_witness(n):
     """Transposition matrices permuting the n+1 simplex points on the nose."""
     mats = []
     for j in range(n - 1):
-        mats.append(_perm_matrix(_swap(range(n), j)))
+        mats.append(_perm_matrix(swap_adjacent(range(n), j)))
     last = [[-ONE if c == n - 1 else (ONE if r == c else ZERO)
              for c in range(n)] for r in range(n)]
     mats.append(Matrix(last))
@@ -256,7 +255,7 @@ def simplex_arrangement(n):
     wit = _simplex_witness(n)
     reps = [Matrix.from_columns([v]) for v in pts]
     return Arrangement([Subspace([v], n) for v in pts], witness=wit,
-                       strong_witness=StrongWitness(reps, wit))
+                       representatives=reps)
 
 
 def dual_simplex_arrangement(n):
@@ -304,8 +303,7 @@ def eigenspace_construction(d, eigenvalues):
             diag.extend([lam] * part.dim)
         u = Matrix.from_columns(cols)
         elements.append(u * _diag(diag) * u.inverse())
-    witness = list(d.witness) if d.witness is not None else None
-    return Tss(elements, witness=witness, params=tuple(eigs))
+    return Tss(elements, witness=d.witness, params=tuple(eigs))
 
 
 def ncsimplex(k, lam=2, mu=1):

@@ -63,7 +63,8 @@ def ensure(condition, message):
         raise InvariantViolation(message)
 
 
-def _swap(seq, j):
+def swap_adjacent(seq, j):
+    """The items of seq as a list, with positions j and j+1 exchanged."""
     out = list(seq)
     out[j], out[j + 1] = out[j + 1], out[j]
     return out
@@ -118,38 +119,6 @@ class Weight:
             word[i + 1:] = reversed(word[i + 1:])
 
 
-@dataclass(frozen=True, slots=True)
-class RealizationWitness:
-    """Invertible matrices; entry j realizes the adjacent transposition (j, j+1)."""
-
-    transpositions: tuple
-
-    def __post_init__(self):
-        _assign(self, transpositions=tuple(self.transpositions))
-
-    def __len__(self):
-        return len(self.transpositions)
-
-    def __iter__(self):
-        return iter(self.transpositions)
-
-    def __getitem__(self, j):
-        return self.transpositions[j]
-
-
-@dataclass(frozen=True, slots=True)
-class StrongWitness:
-    """Plane representatives M_i together with matrices P_j moving them on
-    the nose: P_j · M_i = M_{tau_j(i)} entrywise, not just up to column span."""
-
-    representatives: tuple
-    transpositions: tuple
-
-    def __post_init__(self):
-        _assign(self, representatives=tuple(self.representatives),
-                transpositions=tuple(self.transpositions))
-
-
 def _check_witness(transpositions, k, n):
     """Raise ValueError unless there are k-1 transposition matrices, each n×n."""
     if len(transpositions) != max(k - 1, 0):
@@ -164,21 +133,22 @@ def _check_witness(transpositions, k, n):
 def _family(members, witness, n):
     """The canonical (members, witness, k) of an indexed family acting on K^n.
 
-    A realized permutation keeps two equal members equal wherever it sends
-    them, so a symmetric family with one collision has all members equal,
-    and a partial collision collapses to the first member, with no witness.  A family whose members are all equal keeps
-    its k and, without a witness, gets identity witnesses.  Any other
-    witness must hold k-1 transpositions, each n×n.
+    A witness is a tuple of k-1 invertible n×n matrices; entry j realizes
+    the adjacent transposition (j, j+1).  A realized permutation keeps two
+    equal members equal wherever it sends them, so a symmetric family with
+    one collision has all members equal, and a partial collision collapses
+    to the first member, with no witness.  A family whose members are all
+    equal keeps its k and, without a witness, gets identity witnesses.
     """
     distinct = len(set(members))
     if 1 < distinct < len(members):
         return members[:1], None, 1
     k = len(members)
     if witness is not None:
-        witness = RealizationWitness(witness)
+        witness = tuple(witness)
         _check_witness(witness, k, n)
     elif distinct == 1:
-        witness = RealizationWitness([Matrix.identity(n)] * (k - 1))
+        witness = (Matrix.identity(n),) * (k - 1)
     return members, witness, k
 
 
@@ -188,7 +158,7 @@ class Tss:
     ``_family``.  The witness is a certificate, not identity."""
 
     elements: tuple
-    witness: RealizationWitness | None = field(default=None, compare=False)
+    witness: tuple | None = field(default=None, compare=False)
     n: int | None = None
     # spectral parameters attached at construction; a hint for eigenvalue
     # discovery, carrying no identity weight (like the witness)
@@ -220,11 +190,17 @@ class Tss:
 @dataclass(frozen=True, slots=True)
 class Arrangement:
     """An indexed set of k subspaces of K^n, all of dimension d, in the
-    canonical form of ``_family``; a collapsed family has no strong witness."""
+    canonical form of ``_family``.
+
+    Plane representatives, if given, are k matrices M_i, each n×d, whose
+    columns span W_i; the witness is meant to move them on the nose,
+    P_j · M_i = M_{tau_j(i)} entrywise (``suspension`` checks it).  They
+    need a witness, and a collapsed family drops them with its witness.
+    """
 
     planes: tuple
-    witness: RealizationWitness | None = field(default=None, compare=False)
-    strong_witness: StrongWitness | None = field(default=None, compare=False)
+    witness: tuple | None = field(default=None, compare=False)
+    representatives: tuple | None = field(default=None, compare=False)
     n: int = field(init=False)
     d: int = field(init=False)
     k: int = field(init=False)
@@ -239,17 +215,18 @@ class Arrangement:
             if w.n != n or w.dim != d:
                 raise ValueError("planes must share ambient and plane dimension")
         planes, witness, k = _family(given, self.witness, n)
-        strong_witness = self.strong_witness
+        reps = self.representatives
         if k < len(given):  # the family collapsed
-            strong_witness = None
-        elif strong_witness is not None:
-            _check_witness(strong_witness.transpositions, k, n)
-            reps = strong_witness.representatives
+            reps = None
+        elif reps is not None:
+            if witness is None:
+                raise ValueError("plane representatives need a witness")
+            reps = tuple(reps)
             if len(reps) != k or any(m.m != n or m.n != d for m in reps):
                 raise ValueError(
                     f"a strong witness needs {k} representatives, each {n}x{d}")
-        _assign(self, planes=planes, witness=witness,
-                strong_witness=strong_witness, n=n, d=d, k=k)
+        _assign(self, planes=planes, witness=witness, representatives=reps,
+                n=n, d=d, k=k)
 
     @property
     def degenerate(self):
@@ -266,14 +243,14 @@ class DecompositionSystem:
     and the witness transports rows onto rows, fixing the column index."""
 
     grid: tuple
-    witness: RealizationWitness | None = field(default=None, compare=False)
+    witness: tuple | None = field(default=None, compare=False)
     n: int = field(init=False)
     k: int = field(init=False)
     parts: int = field(init=False)
 
     def __post_init__(self):
         grid = tuple(tuple(row) for row in self.grid)
-        witness = None if self.witness is None else RealizationWitness(self.witness)
+        witness = None if self.witness is None else tuple(self.witness)
         if not grid or not grid[0]:
             raise ValueError("grid must be non-empty")
         n = grid[0][0].n
@@ -302,7 +279,7 @@ class DecompositionSystem:
 @dataclass(frozen=True, slots=True)
 class Certificate:
     verdict: str
-    witness: RealizationWitness | None = None
+    witness: tuple | None = None
     failing_transposition: int | None = None
     detail: str | None = None
 
@@ -322,7 +299,8 @@ def _realizes(members, witness, holds):
     for j, p in enumerate(witness):
         if p.det().is_zero():
             return False
-        if not all(holds(m, p, t) for m, t in zip(members, _swap(members, j))):
+        targets = swap_adjacent(members, j)
+        if not all(holds(m, p, t) for m, t in zip(members, targets)):
             return False
     return True
 
@@ -352,14 +330,14 @@ def _transposition_spaces(members, n, solve):
     such C is found, each S_j is solved directly.
     """
     k = len(members)
-    space = solve(members, _swap(members, 0))
+    space = solve(members, swap_adjacent(members, 0))
     yield space
     cycle = None
     if k >= 4:
         cycle = invertible_in_space(solve(members, members[1:] + members[:1]), n)
     if cycle is None:
         for j in range(1, k - 1):
-            yield solve(members, _swap(members, j))
+            yield solve(members, swap_adjacent(members, j))
         return
     cycle_inv = cycle.inverse()
     for _ in range(1, k - 1):
@@ -378,7 +356,7 @@ def _search_transpositions(members, n, solve, what):
                 NOT_TOTALLY_SYMMETRIC, failing_transposition=j,
                 detail=_no_invertible_detail(what, j, space, n))
         found.append(p)
-    return Certificate(TOTALLY_SYMMETRIC, witness=RealizationWitness(found))
+    return Certificate(TOTALLY_SYMMETRIC, witness=tuple(found))
 
 
 def _verify(family, members, from_scratch, holds, solve, what):
@@ -484,7 +462,8 @@ def restriction_quotient(t, space, witness=None):
     """
     if space.n != t.n:
         raise ValueError(f"a subspace of K^{space.n} in a set acting on K^{t.n}")
-    witness = t.witness if witness is None else RealizationWitness(witness)
+    if witness is None:
+        witness = t.witness
     if space.dim in (0, t.n):
         whole = Tss(t.elements, witness=witness, params=t.params)
         return (whole, None) if space.dim else (None, whole)
@@ -503,8 +482,7 @@ def dual_arrangement(a):
     duals = [w.annihilator() for w in a.planes]
     witness = None
     if a.witness is not None:
-        witness = RealizationWitness(
-            [p.inverse().transpose() for p in a.witness])
+        witness = [p.inverse().transpose() for p in a.witness]
     return Arrangement(duals, witness=witness)
 
 
@@ -591,17 +569,16 @@ def involution_checks(t):
 def suspension(a, lam):
     """Block-triangular commutative set built over a strongly symmetric
     arrangement: elements (λI M_i; 0 λI), witnesses P_j ⊕ I."""
-    if a.strong_witness is None:
+    reps = a.representatives
+    if reps is None:
         raise NoStrongWitness("suspension needs representatives moved on the nose")
     lam = as_scalar(lam)
-    reps = a.strong_witness.representatives
-    ps = a.strong_witness.transpositions
     for i, m in enumerate(reps):
         if Subspace.from_matrix_columns(m) != a.planes[i]:
             raise NoStrongWitness(f"representative {i} does not span its plane")
-    for j, p in enumerate(ps):
+    for j, p in enumerate(a.witness):
         for i, m in enumerate(reps):
-            if p * m != reps[_swap(range(a.k), j)[i]]:
+            if p * m != reps[swap_adjacent(range(a.k), j)[i]]:
                 raise NoStrongWitness(
                     f"transposition {j} does not move representative {i} on the nose")
     n, d = a.n, a.d
@@ -612,5 +589,5 @@ def suspension(a, lam):
     zs = Matrix.zero(n, d)
     zd = Matrix.zero(d, n)
     eyed = Matrix.identity(d)
-    witness = [Matrix.block([[p, zs], [zd, eyed]]) for p in ps]
+    witness = [Matrix.block([[p, zs], [zd, eyed]]) for p in a.witness]
     return Tss(elements, witness=witness, params=(lam,))

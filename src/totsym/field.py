@@ -27,6 +27,7 @@ here), so no floating point ever enters.
 
 from __future__ import annotations
 
+import re
 import sys
 from fractions import Fraction
 from math import gcd, lcm
@@ -126,13 +127,34 @@ def fraction_from_text(text):
     return Fraction(text)
 
 
+# The form serialize.scalar_to_json writes; any other string goes through
+# Fraction, so the accepted spellings ("1.5", " 1/2", "1e3", ...) are
+# Fraction's, with the number of digits they imply bounded
+# (fraction_from_text); a string longer than that bound never takes the
+# plain path.
+_PLAIN_FRACTION = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
+def ratio_from_text(text):
+    """(numerator, denominator) of the rational that text spells, as
+    fraction_from_text reads it; a plain "p" or "p/q" skips Fraction, and
+    its pair need not be in lowest terms."""
+    m = _PLAIN_FRACTION.fullmatch(text) if len(text) <= _MAX_DIGITS else None
+    if m is not None:
+        den = int(m[2]) if m[2] else 1
+        if den:
+            return int(m[1]), den
+    q = fraction_from_text(text)
+    return q.numerator, q.denominator
+
+
 def _ratio(x):
     """(numerator, denominator) of a rational given as int, Fraction or text."""
     if type(x) is int:
         return x, 1
     if isinstance(x, str):
-        x = fraction_from_text(x)
-    elif not isinstance(x, Fraction):
+        return ratio_from_text(x)
+    if not isinstance(x, Fraction):
         x = Fraction(x)
     return x.numerator, x.denominator
 

@@ -10,17 +10,10 @@ pure-Python encoder that ``json.dumps`` uses whenever ``indent`` is set.
 """
 
 import json
-import re
 from json.encoder import encode_basestring_ascii as _quote
 
 from .catalog import MAX_DIM
-from .core import (
-    Arrangement,
-    DecompositionSystem,
-    RealizationWitness,
-    StrongWitness,
-    Tss,
-)
+from .core import Arrangement, DecompositionSystem, Tss
 from .field import (
     BASIS_LABELS,
     I_UNIT,
@@ -32,8 +25,8 @@ from .field import (
     ZETA,
     ZETA_INV,
     Scalar,
-    _MAX_DIGITS,
     fraction_from_text,
+    ratio_from_text,
 )
 from .linalg import Matrix, Subspace
 
@@ -99,25 +92,12 @@ def scalar_to_json(s):
     return [str(n) if d == 1 else f"{n}/{d}" for n, d in s.ratios()]
 
 
-# The form scalar_to_json writes; any other string goes through Fraction,
-# so the accepted spellings ("1.5", " 1/2", "1e3", ...) are Fraction's, with
-# the number of digits they imply bounded (field.fraction_from_text); a
-# string longer than that bound never takes the plain path.
-_PLAIN_FRACTION = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
-
-
 def _ratio_from_json(x):
     _require(isinstance(x, str), "scalar coordinates must be strings")
-    m = _PLAIN_FRACTION.fullmatch(x) if len(x) <= _MAX_DIGITS else None
-    if m is not None:
-        den = int(m[2]) if m[2] else 1
-        if den:
-            return int(m[1]), den
     try:
-        q = fraction_from_text(x)
+        return ratio_from_text(x)
     except (ValueError, ZeroDivisionError):
         raise ParseError(f"bad fraction {x!r}") from None
-    return q.numerator, q.denominator
 
 
 def scalar_from_json(data):
@@ -188,13 +168,11 @@ def subspace_from_json(data):
 # witnesses and the three object kinds
 
 
-def _witness_to_json(w):
-    if isinstance(w, StrongWitness):
-        return {
-            "transpositions": [matrix_to_json(t) for t in w.transpositions],
-            "representatives": [matrix_to_json(t) for t in w.representatives],
-        }
-    return {"transpositions": [matrix_to_json(t) for t in w]}
+def _witness_to_json(witness, representatives=None):
+    out = {"transpositions": [matrix_to_json(t) for t in witness]}
+    if representatives is not None:
+        out["representatives"] = [matrix_to_json(m) for m in representatives]
+    return out
 
 
 def _matrix_list(data, key):
@@ -203,13 +181,16 @@ def _matrix_list(data, key):
     return [matrix_from_json(t) for t in value]
 
 
-def _witness_from_json(data):
+def _witness_from_json(data, what=None):
+    """(transpositions, representatives or None) of a witness object; the
+    witness of a set or a system (``what``) takes no representatives."""
     _require(isinstance(data, dict) and "transpositions" in data,
              "witness must carry a transposition list")
     ts = _matrix_list(data, "transpositions")
-    if "representatives" in data:
-        return StrongWitness(_matrix_list(data, "representatives"), ts)
-    return RealizationWitness(ts)
+    if "representatives" not in data:
+        return ts, None
+    _require(what is None, f"a {what} takes a plain transposition witness")
+    return ts, _matrix_list(data, "representatives")
 
 
 def tss_to_json(t):
@@ -233,9 +214,7 @@ def tss_from_json(data):
     mats = [matrix_from_json(e) for e in elements]
     witness = None
     if "witness" in data:
-        witness = _witness_from_json(data["witness"])
-        _require(isinstance(witness, RealizationWitness),
-                 "a set takes a plain transposition witness")
+        witness, _ = _witness_from_json(data["witness"], "set")
     params = data.get("params", [])
     _require(isinstance(params, list), "field 'params' must be a list")
     params = [scalar_from_json(p) for p in params]
@@ -253,11 +232,10 @@ def arrangement_to_json(a):
         "k": a.k,
         "d": a.d,
         "planes": [subspace_to_json(w) for w in a.planes],
-        "strong": a.strong_witness is not None,
+        "strong": a.representatives is not None,
     }
-    w = a.strong_witness if a.strong_witness is not None else a.witness
-    if w is not None:
-        out["witness"] = _witness_to_json(w)
+    if a.witness is not None:
+        out["witness"] = _witness_to_json(a.witness, a.representatives)
     return out
 
 
@@ -269,17 +247,15 @@ def arrangement_from_json(data):
     spaces = [subspace_from_json(p) for p in planes]
     strong = data.get("strong", False)
     _require(isinstance(strong, bool), "field 'strong' must be a boolean")
-    witness = _witness_from_json(data["witness"]) if "witness" in data else None
-    strong_witness = None
+    witness = reps = None
+    if "witness" in data:
+        witness, reps = _witness_from_json(data["witness"])
     if strong:
-        _require(isinstance(witness, StrongWitness),
+        _require(reps is not None,
                  "strong flag set but no representative matrices present")
-        strong_witness = witness
-    if isinstance(witness, StrongWitness):
-        # the plain witness is rechecked by verify; the strong one is kept
-        witness = RealizationWitness(witness.transpositions)
-    try:
-        a = Arrangement(spaces, witness=witness, strong_witness=strong_witness)
+    try:  # representatives are kept only under the strong flag
+        a = Arrangement(spaces, witness=witness,
+                        representatives=reps if strong else None)
     except ValueError as e:
         raise ParseError(str(e)) from None
     _require(a.n == n and a.k == k and a.d == d,
@@ -308,7 +284,9 @@ def system_from_json(data):
     for row in grid:
         _require(isinstance(row, list) and row, "grid rows must be non-empty")
         rows.append([subspace_from_json(w) for w in row])
-    witness = _witness_from_json(data["witness"]) if "witness" in data else None
+    witness = None
+    if "witness" in data:
+        witness, _ = _witness_from_json(data["witness"], "system")
     try:
         s = DecompositionSystem(rows, witness=witness)
     except ValueError as e:

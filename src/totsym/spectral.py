@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations, islice
 
-from .core import Weight, _assign, ensure, is_commutative
+from .core import Weight, ensure, is_commutative
 from .field import (
     TWO,
     ZETA,
@@ -100,7 +100,7 @@ class EigenFiltration:
                f"filtration quotient dimensions {jumps} increase")
         ensure(all(dims[c] >= c * jumps[c - 1] for c in range(1, len(dims))),
                f"filtration dimensions {dims[1:]} are too small for their quotients")
-        _assign(self, spaces=spaces)
+        object.__setattr__(self, "spaces", spaces)
 
     @property
     def dims(self):
@@ -148,8 +148,9 @@ class DepthProfile:
         mu = tuple(self.mu)
         ensure(all(a >= b for a, b in zip(mu, mu[1:])),
                f"depth table {mu} increases")
-        _assign(self, mu=mu,
-                depth=max((j + 1 for j, m in enumerate(mu) if m > 0), default=0))
+        depth = max((j + 1 for j, m in enumerate(mu) if m > 0), default=0)
+        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "depth", depth)
 
 
 def depth_profile(t, lam):
@@ -194,7 +195,7 @@ class Incomplete:
     residual: Polynomial
 
     def __post_init__(self):
-        _assign(self, roots=tuple(self.roots))
+        object.__setattr__(self, "roots", tuple(self.roots))
 
     def __repr__(self):
         # the detail of a NotClassified report, so its text is fixed

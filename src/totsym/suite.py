@@ -240,7 +240,7 @@ def _catalog_checks():
 
     ok = all(verify_arrangement(simplex_arrangement(n)).verdict
              == TOTALLY_SYMMETRIC and
-             simplex_arrangement(n).strong_witness is not None
+             simplex_arrangement(n).representatives is not None
              for n in (2, 3, 4))
     checks.append(_check("catalog.simplex_family", ok,
                          "lines verify with representative witnesses, n = 2..4"))

@@ -38,7 +38,6 @@ from totsym.core import (
     Arrangement,
     Certificate,
     NotInvariant,
-    RealizationWitness,
     Tss,
     _no_invertible_detail,
     is_commutative,
@@ -310,7 +309,7 @@ def reference_certificate(members, n, solve, what):
                 NOT_TOTALLY_SYMMETRIC, failing_transposition=j,
                 detail=_no_invertible_detail(what, j, space, n))
         found.append(p)
-    return Certificate(TOTALLY_SYMMETRIC, witness=RealizationWitness(found))
+    return Certificate(TOTALLY_SYMMETRIC, witness=tuple(found))
 
 
 def reference_classify(t, pool=()):
@@ -409,5 +408,5 @@ def reference_reduce_arrangement(a):
               for w in a.planes]
     witness = None
     if a.witness is not None:
-        witness = RealizationWitness(_split_conjugate(list(a.witness), u, u_inv, qd)[1])
+        witness = tuple(_split_conjugate(list(a.witness), u, u_inv, qd)[1])
     return Arrangement(planes, witness=witness)

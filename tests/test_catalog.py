@@ -282,7 +282,7 @@ def test_simplex_lines_n2():
     cert = verify_arrangement(a)
     assert cert.verdict == TOTALLY_SYMMETRIC
     assert cert.witness is a.witness
-    assert a.strong_witness is not None
+    assert a.representatives is not None
 
 
 def test_simplex_one_dimensional_is_degenerate():

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import totsym
 
-from totsym.catalog import standard, tilde_sigma5_rep
+from totsym.catalog import simplex_arrangement, simplex_system, standard, tilde_sigma5_rep
 from totsym.cli import main
 from totsym.core import Tss
 from totsym.field import ONE
@@ -270,6 +270,49 @@ def test_non_list_field_exit_2(tmp_path, capsys, spec, field):
     for command in ("export", "verify"):
         assert run(command, "--in", str(path)) == 2
         assert f"{field[-1]!r} must be a list" in capsys.readouterr().err
+
+
+def _run_script(*argv, text):
+    """`tss *argv` in a fresh process, as the installed script runs, with
+    text on stdin."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(totsym.__file__)))
+    code = "import sys\nfrom totsym.cli import main\nsys.exit(main())\n"
+    return subprocess.run([sys.executable, "-c", code, *argv], input=text, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("obj, what", [
+    (lambda: simplex_system(2), "system"),
+    (lambda: standard(3), "set"),
+])
+def test_representatives_on_a_set_or_system_exit_2(obj, what):
+    # only an arrangement's witness moves plane representatives
+    reps = to_document(simplex_arrangement(2))["payload"]["witness"]["representatives"]
+    data = json.loads(emit(to_document(obj())))
+    data["payload"]["witness"]["representatives"] = reps
+    out = _run_script("export", "--in", "-", text=json.dumps(data))
+    assert out.returncode == 2
+    assert f"a {what} takes a plain transposition witness" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
+def test_representatives_without_the_strong_flag(tmp_path, capsys):
+    path, data = _constructed(tmp_path, "simplex --n 2")
+    data["payload"]["strong"] = False
+    path.write_text(json.dumps(data))
+    out = tmp_path / "out.json"
+    assert run("export", "--in", str(path), "--out", str(out)) == 0
+    exported = json.loads(out.read_text())["payload"]
+    assert exported["strong"] is False
+    assert exported["witness"] == {
+        "transpositions": data["payload"]["witness"]["transpositions"]}
+    # malformed representatives are refused even where they would be dropped
+    data["payload"]["witness"]["representatives"][1]["entries"].pop()
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    for command in ("export", "verify", "stabilizer"):
+        assert run(command, "--in", str(path)) == 2
+        assert "entry count does not match" in capsys.readouterr().err
 
 
 def test_deeply_nested_document_exit_2(tmp_path, capsys):

@@ -14,11 +14,8 @@ from totsym.core import (
     NoStrongWitness,
     NotComplementary,
     NotInvariant,
-    RealizationWitness,
-    StrongWitness,
     Tss,
     Weight,
-    _swap,
     _transposition_spaces,
     dual_arrangement,
     half_dim_normal_form,
@@ -30,6 +27,7 @@ from totsym.core import (
     restriction_quotient,
     stabilizer_dimension,
     suspension,
+    swap_adjacent,
     verify_arrangement,
     verify_tss,
 )
@@ -127,12 +125,12 @@ def test_partial_collision_drops_every_witness(kind):
     extra = {}
     if cls is Arrangement:
         reps = [Matrix([[1], [0]]), Matrix([[1], [0]]), Matrix([[0], [1]])]
-        extra["strong_witness"] = StrongWitness(reps, swaps)
+        extra["representatives"] = reps
     family = cls([a, a, b], witness=swaps, **extra)
     assert family.k == 1 and family.degenerate
     assert family.witness is None
     if cls is Arrangement:
-        assert family.strong_witness is None
+        assert family.representatives is None
 
 
 @pytest.mark.parametrize("kind", sorted(FAMILIES))
@@ -140,7 +138,7 @@ def test_all_equal_family_gets_identity_witnesses(kind):
     cls, a, _ = FAMILIES[kind]
     family = cls([a] * 4)
     assert family.k == 4 and family.degenerate
-    assert isinstance(family.witness, RealizationWitness)
+    assert isinstance(family.witness, tuple)
     assert len(family.witness) == 3
     assert all(p == Matrix.identity(2) for p in family.witness)
 
@@ -176,13 +174,28 @@ def test_witness_shape_checked():
 def test_strong_witness_shape_checked():
     lines = [line(1, 0), line(0, 1)]
     reps = [Matrix([[1], [0]]), Matrix([[0], [1]])]
-    assert Arrangement(lines, strong_witness=StrongWitness(reps, [SWAP2])).k == 2
-    for bad in (StrongWitness(reps, [Matrix.identity(3)]),
-                StrongWitness(reps, []),
-                StrongWitness(reps[:1], [SWAP2]),
-                StrongWitness([Matrix.identity(2)] * 2, [SWAP2])):
+    assert Arrangement(lines, witness=[SWAP2], representatives=reps).k == 2
+    for witness, bad in (([Matrix.identity(3)], reps),
+                         ([], reps),
+                         ([SWAP2], reps[:1]),
+                         ([SWAP2], [Matrix.identity(2)] * 2),
+                         (None, reps)):
         with pytest.raises(ValueError):
-            Arrangement(lines, strong_witness=bad)
+            Arrangement(lines, witness=witness, representatives=bad)
+
+
+def test_representatives_need_a_witness():
+    lines = [line(1, 0), line(0, 1)]
+    reps = [Matrix([[1], [0]]), Matrix([[0], [1]])]
+    with pytest.raises(ValueError, match="plane representatives need a witness"):
+        Arrangement(lines, representatives=reps)
+
+
+def test_all_equal_family_with_representatives_gets_identity_witnesses():
+    reps = [Matrix([[1], [0]])] * 3
+    a = Arrangement([line(1, 0)] * 3, representatives=reps)
+    assert a.witness == (Matrix.identity(2),) * 2
+    assert a.representatives == tuple(reps)
 
 
 # ------------------------------------------------------------- verify_tss
@@ -308,10 +321,10 @@ def test_transposition_spaces_from_the_cycle_equal_direct_solves(name):
 
     spaces = list(_transposition_spaces(members, obj.n, counting))
     # two systems: (0, 1) and the k-cycle; the rest are conjugates
-    assert targets == [_swap(members, 0), members[1:] + members[:1]]
+    assert targets == [swap_adjacent(members, 0), members[1:] + members[:1]]
     assert len(spaces) == obj.k - 1
     for j, space in enumerate(spaces):
-        assert space == solve(members, _swap(members, j))
+        assert space == solve(members, swap_adjacent(members, j))
     cert = verify(obj, from_scratch=True)
     assert cert.verdict == TOTALLY_SYMMETRIC
     assert cert == reference_certificate(members, obj.n, solve, what)
@@ -327,7 +340,7 @@ def test_three_members_solve_each_transposition_directly():
         return intertwiner_space(ms, ts)
 
     spaces = list(_transposition_spaces(members, t.n, counting))
-    assert targets == [_swap(members, 0), _swap(members, 1)]
+    assert targets == [swap_adjacent(members, 0), swap_adjacent(members, 1)]
     assert spaces == [intertwiner_space(members, ts) for ts in targets]
     assert verify_tss(t, from_scratch=True) == reference_certificate(
         members, t.n, intertwiner_space, "intertwiner")
@@ -718,8 +731,7 @@ def test_involutions_need_invertible():
 def s1_arrangement():
     full = Subspace([(1,)], 1)
     reps = [Matrix([[1]]), Matrix([[-1]])]
-    strong = StrongWitness(reps, [Matrix([[-1]])])
-    return Arrangement([full, full], strong_witness=strong)
+    return Arrangement([full, full], witness=[Matrix([[-1]])], representatives=reps)
 
 
 def test_suspension_emits_printed_pair():
@@ -742,9 +754,10 @@ def test_suspension_needs_strong_witness():
         suspension(Arrangement(s2_lines()), ONE)
     # representative spanning the wrong plane is rejected
     full = Subspace([(1,)], 1)
-    bad = StrongWitness([Matrix([[1]]), Matrix([[2]])], [Matrix([[2]])])
+    bad = Arrangement([full, full], witness=[Matrix([[2]])],
+                      representatives=[Matrix([[1]]), Matrix([[2]])])
     with pytest.raises(NoStrongWitness):
-        suspension(Arrangement([full, full], strong_witness=bad), ONE)
+        suspension(bad, ONE)
 
 
 # -------------------------------------------------- decomposition systems
@@ -772,11 +785,9 @@ def test_decomposition_system_validation():
 LINES = [line(1, 0), line(0, 1)]
 REPS = [Matrix([[1], [0]]), Matrix([[0], [1]])]
 RECORDS = {
-    "RealizationWitness": lambda: RealizationWitness([SWAP2]),
-    "StrongWitness": lambda: StrongWitness(REPS, [SWAP2]),
     "Tss": lambda: Tss([diag(1, 2), diag(2, 1)], witness=[SWAP2], params=(1,)),
     "Arrangement": lambda: Arrangement(
-        LINES, witness=[SWAP2], strong_witness=StrongWitness(REPS, [SWAP2])),
+        LINES, witness=[SWAP2], representatives=REPS),
     "DecompositionSystem": lambda: DecompositionSystem(
         [LINES, LINES[::-1]], witness=[SWAP2]),
     "Weight": lambda: Weight([1, 2, 2]),
@@ -811,7 +822,7 @@ def test_identity_ignores_witness_and_params():
 
 
 def test_certificate_shape():
-    c = Certificate(TOTALLY_SYMMETRIC, witness=RealizationWitness([SWAP2]))
+    c = Certificate(TOTALLY_SYMMETRIC, witness=(SWAP2,))
     assert c.verdict == TOTALLY_SYMMETRIC and c.failing_transposition is None
 
 

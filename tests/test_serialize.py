@@ -12,7 +12,7 @@ from totsym.catalog import (
     standard,
     tilde_sigma5_arrangement,
 )
-from totsym.core import Certificate, RealizationWitness, verify_arrangement, verify_tss
+from totsym.core import Arrangement, Certificate, verify_arrangement, verify_tss
 from totsym.field import I_UNIT, MU_SPORADIC, ONE, SQRT2, ZETA, Scalar
 from totsym.linalg import Matrix, Subspace
 from totsym.serialize import (
@@ -127,11 +127,26 @@ def test_arrangement_round_trip_keeps_strong_flag():
     a = simplex_arrangement(3)
     a2 = from_document(parse(emit(to_document(a))), expect="arrangement")
     assert a2 == a
-    assert a2.strong_witness is not None
+    assert a2.representatives is not None
     b = dual_simplex_arrangement(3)
     b2 = from_document(parse(emit(to_document(b))), expect="arrangement")
     assert b2 == b
-    assert b2.strong_witness is None and b2.witness is not None
+    assert b2.representatives is None and b2.witness is not None
+
+
+@pytest.mark.parametrize("make", [
+    lambda: simplex_arrangement(3),
+    # representatives that are not the catalog's, with a witness of their own
+    lambda: Arrangement([Subspace([(1, 0)], 2), Subspace([(0, 1)], 2)],
+                        witness=[Matrix([[0, 2], [1, 0]])],
+                        representatives=[Matrix([[1], [0]]), Matrix([[0], [1]])]),
+])
+def test_arrangement_round_trip_keeps_witness_and_representatives(make):
+    a = make()
+    a2 = from_document(parse(emit(to_document(a))), expect="arrangement")
+    assert type(a2.witness) is tuple and a2.witness == a.witness
+    assert type(a2.representatives) is tuple
+    assert a2.representatives == a.representatives
 
 
 def test_system_round_trip():
@@ -224,7 +239,7 @@ def test_kind_mismatch():
 def test_certificate_payload_fields():
     d = certificate_to_json(Certificate(
         "NotTotallySymmetric",
-        witness=RealizationWitness([Matrix([[1]])]),
+        witness=(Matrix([[1]]),),
         failing_transposition=0,
         detail="no invertible intertwiner"))
     assert d["verdict"] == "NotTotallySymmetric"
