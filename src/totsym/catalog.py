@@ -141,12 +141,8 @@ def partition_construction(w):
     orbit = list(w.orbit())
     index = {f: a for a, f in enumerate(orbit)}
     elements = [_diag([f[i] for f in orbit]) for i in range(w.k)]
-    witness = []
-    for j in range(w.k - 1):
-        rows = [[ZERO] * len(orbit) for _ in range(len(orbit))]
-        for b, f in enumerate(orbit):
-            rows[index[tuple(swap_adjacent(f, j))]][b] = ONE
-        witness.append(Matrix(rows))
+    witness = [_perm_matrix([index[tuple(swap_adjacent(f, j))] for f in orbit])
+               for j in range(w.k - 1)]
     return Tss(elements, witness=witness, params=tuple(orbit[0]))
 
 

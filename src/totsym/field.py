@@ -30,7 +30,7 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from operator import add, neg, sub
 
 _NO_SURDS = (0,) * 7  # the coordinates after the first of a rational scalar
@@ -358,33 +358,27 @@ def as_scalar(x):
     return x if isinstance(x, Scalar) else Scalar.rational(x)
 
 
-def _squarefree_split(m):
-    """m = f*f*s with s squarefree; returns (f, s)."""
-    f, s, p = 1, m, 2
-    while p * p <= s:
-        while s % (p * p) == 0:
-            s //= p * p
-            f *= p
-        p += 1 if p == 2 else 2
-    return f, s
-
-
 def sqrt_restricted(q):
     """Exact square root of a rational whose squarefree part lies in {1, 2, 3, 6}.
 
     Negative inputs pick up a factor of i.  The branch is fixed by requiring
     the leading (first nonzero) surd coordinate to be nonnegative.  Raises
-    NotRepresentable for any other rational.
+    NotRepresentable for any other rational.  With |q| = m / den(q)^2, the
+    squarefree part s of m is unique, so m = f*f*s is found by an integer
+    square root of m // s for each allowed s, with no factoring.
     """
     q = Fraction(q)
     if q == 0:
         return ZERO
     mag = abs(q)
     m = mag.numerator * mag.denominator
-    f, s = _squarefree_split(m)
-    if s not in (1, 2, 3, 6):
-        raise NotRepresentable(f"sqrt({q}) is outside the field (squarefree part {s})")
-    idx = {1: 0, 2: 1, 3: 2, 6: 3}[s]
+    for idx, s in enumerate((1, 2, 3, 6)):
+        f = isqrt(m // s)
+        if f * f * s == m:
+            break
+    else:
+        raise NotRepresentable(
+            f"sqrt({q}) is outside the field: its squarefree part is not 1, 2, 3 or 6")
     if q < 0:
         idx += 4
     ratios = [(0, 1)] * 8

@@ -16,6 +16,7 @@ echelon basis of W and the cosets of the non-pivot unit vectors for K^n/W.
 import itertools
 import os
 import random
+from dataclasses import dataclass
 
 from .field import MINUS_ONE, ONE, ZERO, Scalar, as_scalar
 
@@ -34,7 +35,6 @@ __all__ = [
     "mat_vec",
     "matrix_to_vec",
     "null_space",
-    "outer",
     "solve",
     "structurally_singular",
     "transport_space",
@@ -63,6 +63,7 @@ def _from_nonzero(nonzero, n):
     return object.__new__(Matrix)._settle(tuple(nonzero), n)
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class Matrix:
     """An m-by-n matrix of Scalars, held as its rows of nonzero entries.
 
@@ -72,7 +73,9 @@ class Matrix:
     ``rows`` is the dense tuple of rows, built on each access.
     """
 
-    __slots__ = ("m", "n", "_nonzero")
+    m: int
+    n: int
+    _nonzero: tuple
 
     def __init__(self, rows):
         rows = [vec(row) for row in rows]
@@ -88,9 +91,6 @@ class Matrix:
         object.__setattr__(self, "m", len(nonzero))
         object.__setattr__(self, "n", n)
         return self
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Matrix is immutable")
 
     @property
     def rows(self):
@@ -240,10 +240,6 @@ class Matrix:
     def det_inverse(self):
         """(det, inverse) in one elimination; inverse is None when singular."""
         return _det_inverse(self, want_inverse=True)
-
-    def __eq__(self, other):
-        return (isinstance(other, Matrix) and self.n == other.n
-                and self._nonzero == other._nonzero)
 
     def __hash__(self):
         return hash((self.n, tuple(frozenset(row.items()) for row in self._nonzero)))
@@ -405,12 +401,6 @@ def matrix_to_vec(m):
     return tuple(x for row in m.rows for x in row)
 
 
-def outer(u, v):
-    """Column u times row v."""
-    u, v = vec(u), vec(v)
-    return Matrix(tuple(tuple(a * b for b in v) for a in u))
-
-
 def vec_to_matrix(v, m, n=None):
     n = m if n is None else n
     if len(v) != m * n:
@@ -463,6 +453,7 @@ def solve(mat, rhs):
                  for p in range(n))
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class Subspace:
     """A subspace of K^n held as a canonical reduced-echelon basis.
 
@@ -471,7 +462,9 @@ class Subspace:
     Scalar}); ``basis`` gives the dense rows and ``rows`` the sparse ones.
     """
 
-    __slots__ = ("n", "pivots", "_echelon")
+    n: int
+    pivots: tuple
+    _echelon: dict
 
     def __init__(self, vectors, n):
         echelon = {}
@@ -489,9 +482,6 @@ class Subspace:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "pivots", tuple(sorted(echelon)))
         object.__setattr__(self, "_echelon", echelon)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Subspace is immutable")
 
     @classmethod
     def full(cls, n):
@@ -583,9 +573,6 @@ class Subspace:
             return Subspace.full(self.n)
         return kernel(_from_nonzero(self.rows, self.n))
 
-    def is_invariant_under(self, mat):
-        return self.maps_into(mat, self)
-
     def restriction(self, mat):
         """The d-by-d matrix M of mat on this nonzero subspace W, in its
         echelon basis b_1..b_d (mat·b_j = sum_i M[i][j] b_i), or None when
@@ -653,10 +640,6 @@ class Subspace:
             vectors.append(v)
         return Subspace(vectors, self.n)
 
-    def __eq__(self, other):
-        return (isinstance(other, Subspace) and self.n == other.n
-                and self._echelon == other._echelon)
-
     def __hash__(self):
         return hash((self.n, tuple((p, frozenset(self._echelon[p].items()))
                                    for p in self.pivots)))
@@ -669,19 +652,17 @@ class Subspace:
 # polynomials and the characteristic polynomial
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class Polynomial:
     """Univariate polynomial, coefficients ascending; zero is ``(ZERO,)``."""
 
-    __slots__ = ("coeffs",)
+    coeffs: tuple
 
-    def __init__(self, coeffs):
-        coeffs = [as_scalar(c) for c in coeffs] or [ZERO]
+    def __post_init__(self):
+        coeffs = [as_scalar(c) for c in self.coeffs] or [ZERO]
         while len(coeffs) > 1 and coeffs[-1].is_zero():
             coeffs.pop()
         object.__setattr__(self, "coeffs", tuple(coeffs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Polynomial is immutable")
 
     @property
     def degree(self):
@@ -710,12 +691,6 @@ class Polynomial:
             out.append(acc)
         rem = out.pop()
         return Polynomial(list(reversed(out))), rem
-
-    def __eq__(self, other):
-        return isinstance(other, Polynomial) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
 
     def __repr__(self):
         terms = []

@@ -375,7 +375,7 @@ def reference_restriction_quotient(t, space, witness=None):
     if witness is None:
         witness = t.witness
     mats = list(t.elements) + list(witness or ())
-    if not all(space.is_invariant_under(m) for m in mats):
+    if not all(space.maps_into(m, space) for m in mats):
         raise NotInvariant("subspace is not invariant")
     d = space.dim
     if d == 0:

@@ -272,13 +272,13 @@ def test_non_list_field_exit_2(tmp_path, capsys, spec, field):
         assert f"{field[-1]!r} must be a list" in capsys.readouterr().err
 
 
-def _run_script(*argv, text):
+def _run_script(*argv, text, timeout=120):
     """`tss *argv` in a fresh process, as the installed script runs, with
     text on stdin."""
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(totsym.__file__)))
     code = "import sys\nfrom totsym.cli import main\nsys.exit(main())\n"
     return subprocess.run([sys.executable, "-c", code, *argv], input=text, env=env,
-                          capture_output=True, text=True, timeout=120)
+                          capture_output=True, text=True, timeout=timeout)
 
 
 @pytest.mark.parametrize("obj, what", [
@@ -485,6 +485,20 @@ def test_classify_stalled_discovery_keeps_its_detail(tmp_path):
         "detail": "eigenvalue discovery stalled: "
                   "Incomplete(roots=[2], residual=-5 + (1)*x^3)",
         "dim": 4,
+        "verdict": "NotClassified",
+    }
+
+
+def test_classify_large_rational_discriminant_is_bounded():
+    # x^2 - c for an 18-digit prime c: the restricted square root of c is
+    # refused by integer square roots, not after trial division up to sqrt(c)
+    t = Tss([Matrix([[0, 10**18 + 3], [1, 0]])])
+    out = _run_script("classify", "--in", "-", text=emit(to_document(t)), timeout=10)
+    assert out.returncode == 1
+    assert parse(out.stdout)["payload"] == {
+        "detail": "eigenvalue discovery stalled: "
+                  "Incomplete(roots=[], residual=-1000000000000000003 + (1)*x^2)",
+        "dim": 2,
         "verdict": "NotClassified",
     }
 

@@ -388,12 +388,25 @@ def test_sqrt_restricted_fixed_values():
     assert sqrt_restricted(-1) == I_UNIT
     assert sqrt_restricted(-32) == rat(4) * (I_UNIT * SQRT2)
     assert sqrt_restricted(Fraction(1, 2)) == SQRT2 * rat(1, 2)
+    f = 12345678901234567891
+    assert sqrt_restricted(6 * f**2) == rat(f) * SQRT6
 
 
-@pytest.mark.parametrize("q", [5, 7, 10, -5, Fraction(1, 5), Fraction(7, 3)])
+# 10**18 + 3 is prime: its square root is refused without factoring it
+@pytest.mark.parametrize("q", [5, 7, 10, -5, Fraction(1, 5), Fraction(7, 3), 10**18 + 3])
 def test_sqrt_restricted_rejects(q):
-    with pytest.raises(NotRepresentable):
+    with pytest.raises(NotRepresentable, match="squarefree part is not 1, 2, 3 or 6"):
         sqrt_restricted(q)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=10**30), st.sampled_from([1, 2, 3, 6]),
+       st.integers(min_value=1, max_value=10**6), st.sampled_from([1, -1]))
+def test_sqrt_restricted_squares_back_on_large_inputs(f, s, den, sign):
+    q = Fraction(sign * f * f * s, den * den)
+    r = sqrt_restricted(q)
+    assert r * r == rat(q)
+    assert next(x for x in r.c if x != 0) >= 0
 
 
 # ----------------------------------------------------------- plumbing

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -18,7 +19,6 @@ from totsym.linalg import (
     kernel,
     mat_vec,
     matrix_to_vec,
-    outer,
     solve,
     structurally_singular,
     vec,
@@ -105,7 +105,7 @@ def test_mul_and_pow(monkeypatch):
 def test_outer_and_vec_roundtrip():
     u = (ONE, SQRT2)
     v = (ZETA, ONE)
-    p = outer(u, v)
+    p = Matrix([[a * b for b in v] for a in u])
     assert p.rows[1][0] == SQRT2 * ZETA
     assert vec_to_matrix(matrix_to_vec(p), 2) == p
     assert mat_vec(Matrix.identity(2), u) == u
@@ -212,9 +212,9 @@ def test_grassmann_formula(vs, ws):
 def test_invariance_and_image():
     a = M((0, 1), (0, 0))
     line = Subspace([(1, 0)], 2)
-    assert line.is_invariant_under(a)
-    assert not Subspace([(0, 1)], 2).is_invariant_under(a)
-    assert Subspace([], 2).is_invariant_under(a)
+    assert line.maps_into(a, line)
+    assert not Subspace([(0, 1)], 2).maps_into(a, Subspace([(0, 1)], 2))
+    assert Subspace([], 2).maps_into(a, Subspace([], 2))
     assert Subspace.full(2).apply(a) == line
 
 
@@ -222,7 +222,7 @@ def test_quotient_and_modulo_in_the_coordinates_off_the_pivots():
     # W = span(e0 + e2): the quotient basis is the cosets of e1, e2
     a = M((1, 1, 0), (0, 2, 0), (0, 0, 1))
     w = Subspace([(1, 0, 1)], 3)
-    assert w.is_invariant_under(a)
+    assert w.maps_into(a, w)
     # a·e1 = e0 + 2 e1 = 2 e1 - e2 + (e0 + e2), and a·e2 = e2
     assert w.quotient(a) == M((2, 0), (-1, 1))
     assert w.quotient(M((0, 1, 0), (1, 0, 0), (0, 0, 1))) is None
@@ -335,6 +335,35 @@ def test_polynomial_has_one_zero():
     q, rem = Polynomial([3]).deflate(ZETA)
     assert q == zero and rem == Scalar.rational(3)
     assert zero.deflate(1) == (zero, ZERO)
+
+
+# ------------------------------------------------------------ value types
+
+# each type's value built two ways: directly, and by another route
+VALUES = {
+    "Matrix": (lambda: M((1, 2), (3, 4)),
+               lambda: M((1, 0), (1, 1)) * M((1, 2), (2, 2))),
+    "Subspace": (lambda: Subspace([(1, 0, 1), (0, 1, 0)], 3),
+                 lambda: Subspace([(1, 1, 1), (2, -1, 2)], 3)),
+    "Polynomial": (lambda: Polynomial([1, 2]), lambda: Polynomial([1, 2, 0, 0])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VALUES))
+def test_value_types_are_frozen_and_compare_by_value(name):
+    value, other = (make() for make in VALUES[name])
+    for f in dataclasses.fields(value):
+        with pytest.raises(AttributeError):
+            setattr(value, f.name, None)
+    # a frozen slotted dataclass may raise TypeError for a name it lacks
+    with pytest.raises((AttributeError, TypeError)):
+        value.extra = None
+    assert not hasattr(value, "extra")
+    assert value is not other
+    assert value == other and hash(value) == hash(other)
+    # no value equals a non-instance, not even the data it holds
+    assert value != getattr(value, dataclasses.fields(value)[-1].name)
+    assert value != 0 and value != object()
 
 
 # ------------------------------------------------- intertwiners / algebras

@@ -355,7 +355,7 @@ def test_classification_reducible_witness():
     res = classify_commutative(t)
     assert res.verdict == REDUCIBLE
     assert 0 < res.subspace.dim < 3
-    assert all(res.subspace.is_invariant_under(a) for a in t.elements)
+    assert all(res.subspace.maps_into(a, res.subspace) for a in t.elements)
 
 
 def test_classification_degenerate_plane_is_reducible():
@@ -541,7 +541,7 @@ def test_classification_finds_roots_outside_the_pool_on_blocks():
     res = classify_commutative(t)
     assert res.verdict == REDUCIBLE
     assert 0 < res.subspace.dim < 3
-    assert all(res.subspace.is_invariant_under(a) for a in t.elements)
+    assert all(res.subspace.maps_into(a, res.subspace) for a in t.elements)
 
 
 def test_classification_of_the_empty_set():
