@@ -16,7 +16,6 @@ from .core import (
     DecompositionSystem,
     Tss,
     Weight,
-    realize_permutation,
     suspension,
     swap_adjacent,
 )
@@ -162,12 +161,13 @@ def induction(t, p, lam):
     """Extend a witnessed k-element set by p indices with eigenvalue lam.
 
     The result acts on one copy of the original space per p-subset S of the
-    k+p indices.  A fixed permutation sigma_S sends S monotonically onto the
-    top block (and the rest monotonically onto the bottom); element i acts
-    on the S-block through the original element indexed by sigma_S(i), read
-    as lam*I when that index lands in the top block.  Realization matrices
-    permute the blocks and twist each by a realized original permutation.
-    The dimension is C(k+p, p) times the original one.
+    k+p indices.  Let rank_S(i) be the position of i among the indices
+    outside S.  Element i acts on the S-block as lam*I when i is in S, and
+    as original element rank_S(i) otherwise.  Witness j carries the S-block
+    to the tau_j(S)-block: as original witness rank_S(j) when j and j+1
+    both lie outside S, and as I otherwise, since tau_j then keeps the
+    order of the indices outside S.  The dimension is C(k+p, p) times the
+    original one.
     """
     lam = as_scalar(lam)
     if t.witness is None:
@@ -179,23 +179,17 @@ def induction(t, p, lam):
     kp = k + p
     subsets = list(combinations(range(kp), p))
     index = {s: a for a, s in enumerate(subsets)}
-    sig = {}
-    for s in subsets:
-        one = [0] * kp
-        comp = [x for x in range(kp) if x not in s]
-        for pos, x in enumerate(comp):
-            one[x] = pos
-        for pos, x in enumerate(s):
-            one[x] = k + pos
-        sig[s] = one
-    originals = list(t.elements) + [Matrix.scalar(n, lam)] * p
-    zero = Matrix.zero(n, n)
+
+    def rank(s, i):
+        return i - sum(x < i for x in s)
+
+    scalar, identity, zero = Matrix.scalar(n, lam), Matrix.identity(n), Matrix.zero(n)
     nblocks = len(subsets)
     elements = []
     for i in range(kp):
         grid = [[zero] * nblocks for _ in range(nblocks)]
         for a, s in enumerate(subsets):
-            grid[a][a] = originals[sig[s][i]]
+            grid[a][a] = scalar if i in s else t.elements[rank(s, i)]
         elements.append(Matrix.block(grid))
     witness = []
     for j in range(kp - 1):
@@ -203,12 +197,8 @@ def induction(t, p, lam):
         grid = [[zero] * nblocks for _ in range(nblocks)]
         for a, s in enumerate(subsets):
             ts = tuple(sorted(tau[x] for x in s))
-            inv = [0] * kp
-            for x in range(kp):
-                inv[sig[s][x]] = x
-            # sigma_{tau(S)} tau sigma_S^{-1}, restricted to the bottom block
-            pi = [sig[ts][tau[inv[y]]] for y in range(k)]
-            grid[index[ts]][a] = realize_permutation(t.witness, pi, n=n)
+            outside = j not in s and j + 1 not in s
+            grid[index[ts]][a] = t.witness[rank(s, j)] if outside else identity
         witness.append(Matrix.block(grid))
     return Tss(elements, witness=witness, params=t.params + (lam,))
 

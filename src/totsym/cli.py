@@ -119,12 +119,12 @@ _CATALOG = {
 
 
 def _reverify(name, obj):
-    """Re-check the construction guarantee before anything is written."""
+    """Re-check the construction guarantee before anything is written: the
+    bundled witness itself must pass, not one found by a fresh search."""
     if name == "s5-rep":
         return all(c["passed"] for c in spin_presentation_checks(obj.elements))
-    if isinstance(obj, Tss):
-        return verify_tss(obj).verdict in (TOTALLY_SYMMETRIC, DEGENERATE)
-    return verify_arrangement(obj).verdict in (TOTALLY_SYMMETRIC, DEGENERATE)
+    cert = verify_tss(obj) if isinstance(obj, Tss) else verify_arrangement(obj)
+    return cert.verdict in (TOTALLY_SYMMETRIC, DEGENERATE) and cert.witness == obj.witness
 
 
 def cmd_construct(args):

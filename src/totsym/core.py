@@ -402,34 +402,24 @@ def verify_arrangement(a, from_scratch=False):
 
 
 def realize_permutation(witness, sigma, n=None):
-    """A matrix realizing sigma (one-line, 0-based) by composing the
-    adjacent-transposition witnesses along a bubble-sort word."""
+    """A matrix realizing sigma (one-line, 0-based): the product of the
+    adjacent-transposition witnesses applied at each swap of a bubble sort."""
     sigma = list(sigma)
     k = len(sigma)
     if sorted(sigma) != list(range(k)):
         raise ValueError("not a permutation in one-line notation")
     if len(witness) != max(k - 1, 0):
         raise ValueError("witness length does not match the permutation size")
-    if k <= 1 or not len(witness):
-        if n is None:
-            n = witness[0].n if len(witness) else None
-        if n is None:
-            raise ValueError("ambient dimension needed for the empty witness")
-        return Matrix.identity(n)
-    word = []
-    arr = sigma[:]
+    if witness:
+        n = witness[0].n
+    elif n is None:
+        raise ValueError("ambient dimension needed for the empty witness")
+    result = Matrix.identity(n)
     for _ in range(k):
-        swapped = False
         for p in range(k - 1):
-            if arr[p] > arr[p + 1]:
-                arr[p], arr[p + 1] = arr[p + 1], arr[p]
-                word.append(p)
-                swapped = True
-        if not swapped:
-            break
-    result = Matrix.identity(witness[0].n)
-    for p in word:
-        result = witness[p] * result
+            if sigma[p] > sigma[p + 1]:
+                sigma[p], sigma[p + 1] = sigma[p + 1], sigma[p]
+                result = witness[p] * result
     return result
 
 

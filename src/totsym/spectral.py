@@ -189,13 +189,15 @@ def depth_profile(t, lam):
 
 @dataclass(frozen=True, slots=True)
 class Incomplete:
-    """Roots found so far plus a residual factor the pool could not split."""
+    """Roots found so far, sorted, plus a residual factor the candidates
+    could not split."""
 
     roots: tuple
     residual: Polynomial
 
     def __post_init__(self):
-        object.__setattr__(self, "roots", tuple(self.roots))
+        roots = tuple(sorted(self.roots, key=Scalar.sort_key))
+        object.__setattr__(self, "roots", roots)
 
     def __repr__(self):
         # the detail of a NotClassified report, so its text is fixed
@@ -205,26 +207,19 @@ class Incomplete:
 _FIXED_POOL = (*(Scalar.rational(r) for r in range(-3, 4)), ZETA, ZETA_INV)
 
 
-def _candidate_pool(extra, known=()):
-    """The candidates in trial order: ``known``, the fixed pool, ``extra``,
-    each scalar once, at its first place."""
-    return list(dict.fromkeys([*map(as_scalar, known), *_FIXED_POOL,
-                               *map(as_scalar, extra)]))
-
-
-def discover_eigenvalues(a, pool=(), known=()):
+def discover_eigenvalues(a, candidates=()):
     """Eigenvalues of A with multiplicity, sorted, or Incomplete.
 
-    Trial deflation of the characteristic polynomial by each candidate in
-    turn: the scalars in ``known``, then the pool (small rationals, the
-    primitive sixth roots of unity, and any caller-supplied scalars), then
-    a quadratic-formula finish on a residual of degree at most two.  The
-    order of the candidates changes only the order of the roots of an
-    Incomplete.
+    Trial deflation of the characteristic polynomial by the candidates in
+    the order given, then the fixed pool (small rationals and the primitive
+    sixth roots of unity), each scalar once, then a quadratic-formula finish
+    on a residual of degree at most two.  Each root among the candidates is
+    divided out to its full multiplicity, so the result does not depend on
+    the order of the candidates, only the work does.
     """
     p = char_poly(a)
     roots = []
-    for c in _candidate_pool(pool, known):
+    for c in dict.fromkeys([*map(as_scalar, candidates), *_FIXED_POOL]):
         while p.degree > 0:
             q, rem = p.deflate(c)
             if not rem.is_zero():
@@ -336,7 +331,7 @@ def _split_blocks(t, j, blocks, known, candidates):
             pieces = [Subspace([rows[i] for i, x in enumerate(entries) if x == r],
                                t.n) for r in roots]
         else:
-            found = discover_eigenvalues(restricted, known=known)
+            found = discover_eigenvalues(restricted, known)
             if isinstance(found, Incomplete):
                 return _whole_stall(t, j, candidates)
             roots = list(dict.fromkeys(found))

@@ -21,7 +21,13 @@ reference for ``linalg.Subspace.apply``; and
 ``reference_restriction_quotient`` and ``reference_reduce_arrangement``
 conjugate by a dense change of basis U = [basis | standard vectors] and
 cut blocks out of U^-1 M U, the references for
-``core.restriction_quotient`` and ``core.reduce_arrangement``.
+``core.restriction_quotient`` and ``core.reduce_arrangement``;
+``reference_realize_permutation`` composes the witnesses along a
+bubble-sort word built first, the reference for
+``core.realize_permutation``; and ``reference_induction`` reads each block
+off a table sigma_S per subset and its inverse, with the witness blocks
+realized through the base witness, the reference for
+``catalog.induction``.
 """
 
 from __future__ import annotations
@@ -41,8 +47,9 @@ from totsym.core import (
     Tss,
     _no_invertible_detail,
     is_commutative,
+    swap_adjacent,
 )
-from totsym.field import ONE, ZERO, Scalar
+from totsym.field import ONE, ZERO, Scalar, as_scalar
 from totsym.linalg import (
     Matrix,
     Polynomial,
@@ -410,3 +417,90 @@ def reference_reduce_arrangement(a):
     if a.witness is not None:
         witness = tuple(_split_conjugate(list(a.witness), u, u_inv, qd)[1])
     return Arrangement(planes, witness=witness)
+
+
+def reference_realize_permutation(witness, sigma, n=None):
+    """A matrix realizing sigma (one-line, 0-based) by composing the
+    adjacent-transposition witnesses along a bubble-sort word, the
+    reference for ``core.realize_permutation``."""
+    sigma = list(sigma)
+    k = len(sigma)
+    if sorted(sigma) != list(range(k)):
+        raise ValueError("not a permutation in one-line notation")
+    if len(witness) != max(k - 1, 0):
+        raise ValueError("witness length does not match the permutation size")
+    if k <= 1 or not len(witness):
+        if n is None:
+            n = witness[0].n if len(witness) else None
+        if n is None:
+            raise ValueError("ambient dimension needed for the empty witness")
+        return Matrix.identity(n)
+    word = []
+    arr = sigma[:]
+    for _ in range(k):
+        swapped = False
+        for p in range(k - 1):
+            if arr[p] > arr[p + 1]:
+                arr[p], arr[p + 1] = arr[p + 1], arr[p]
+                word.append(p)
+                swapped = True
+        if not swapped:
+            break
+    result = Matrix.identity(witness[0].n)
+    for p in word:
+        result = witness[p] * result
+    return result
+
+
+def reference_induction(t, p, lam):
+    """The induction of a witnessed set by p indices through a table
+    sigma_S per subset, the reference for ``catalog.induction``.
+
+    sigma_S sends S monotonically onto the top block (and the rest
+    monotonically onto the bottom); element i acts on the S-block through
+    the original element indexed by sigma_S(i), read as lam*I when that
+    index lands in the top block.  The witness blocks are the realized
+    permutations sigma_{tau(S)} tau sigma_S^-1 of the bottom block.  The
+    size bound of the catalog is not applied.
+    """
+    lam = as_scalar(lam)
+    if t.witness is None:
+        raise ValueError("induction needs a witnessed set")
+    if p < 1:
+        raise ValueError("need at least one new index")
+    k, n = t.k, t.n
+    kp = k + p
+    subsets = list(itertools.combinations(range(kp), p))
+    index = {s: a for a, s in enumerate(subsets)}
+    sig = {}
+    for s in subsets:
+        one = [0] * kp
+        comp = [x for x in range(kp) if x not in s]
+        for pos, x in enumerate(comp):
+            one[x] = pos
+        for pos, x in enumerate(s):
+            one[x] = k + pos
+        sig[s] = one
+    originals = list(t.elements) + [Matrix.scalar(n, lam)] * p
+    zero = Matrix.zero(n, n)
+    nblocks = len(subsets)
+    elements = []
+    for i in range(kp):
+        grid = [[zero] * nblocks for _ in range(nblocks)]
+        for a, s in enumerate(subsets):
+            grid[a][a] = originals[sig[s][i]]
+        elements.append(Matrix.block(grid))
+    witness = []
+    for j in range(kp - 1):
+        tau = swap_adjacent(range(kp), j)
+        grid = [[zero] * nblocks for _ in range(nblocks)]
+        for a, s in enumerate(subsets):
+            ts = tuple(sorted(tau[x] for x in s))
+            inv = [0] * kp
+            for x in range(kp):
+                inv[sig[s][x]] = x
+            # sigma_{tau(S)} tau sigma_S^{-1}, restricted to the bottom block
+            pi = [sig[ts][tau[inv[y]]] for y in range(k)]
+            grid[index[ts]][a] = reference_realize_permutation(t.witness, pi, n=n)
+        witness.append(Matrix.block(grid))
+    return Tss(elements, witness=witness, params=t.params + (lam,))

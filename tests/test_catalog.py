@@ -1,5 +1,6 @@
 import time
 from fractions import Fraction
+from hashlib import sha256
 from itertools import combinations, permutations
 from math import factorial
 
@@ -54,7 +55,10 @@ from totsym.field import (
     Scalar,
 )
 from totsym.linalg import Matrix, Subspace
+from totsym.serialize import emit, to_document
 from totsym.spectral import IRREDUCIBLE, classify_commutative
+
+from oracles import reference_induction
 
 
 def diag(*entries):
@@ -270,6 +274,39 @@ def test_repeated_induction_matches_partition():
     # parts (2, 2): a degenerate pair induced by two fresh indices
     chain = induction(Tss([M((1,)), M((1,))]), 2, 2)
     assert isomorphic(chain, partition_construction([1, 1, 2, 2])) is not None
+
+
+# bases whose witnesses are not permutation matrices, the 1x1 singleton
+# with its empty witness, and a degenerate pair with its identity witness
+INDUCTION_BASES = {
+    "sporadic4": sporadic4,
+    "s5-construction": tilde_sigma5_construction,
+    "ncsimplex-3": lambda: ncsimplex(3),
+    "ncsimplex-4": lambda: ncsimplex(4),
+    "suspension-simplex": lambda: suspension_simplex(3),
+    "singleton": lambda: Tss([M((2,))]),
+    "degenerate-pair": lambda: Tss([diag(1, 2), diag(1, 2)]),
+}
+
+
+def document_digest(obj):
+    # compared as digests: a diff of two documents this long takes minutes
+    return sha256(emit(to_document(obj)).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(INDUCTION_BASES))
+def test_induction_matches_the_subset_table_formulas(name):
+    # every p up to 3 that the size bound admits writes the same document
+    base = INDUCTION_BASES[name]()
+    admitted = 0
+    for p in range(1, 4):
+        try:
+            t = induction(base, p, 5)
+        except ValueError:
+            break  # a larger p is larger still
+        admitted += 1
+        assert document_digest(t) == document_digest(reference_induction(base, p, 5))
+    assert admitted
 
 
 # ------------------------------------------------------------ simplex family

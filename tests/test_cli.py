@@ -90,6 +90,20 @@ def test_construct_induction_reads_base(tmp_path):
     assert from_document(parse(out.read_text())).n == 6
 
 
+def test_construct_refuses_a_witness_that_fails_its_recheck(tmp_path, capsys):
+    # the base is totally symmetric but bundles the identity as its witness;
+    # the induced set is too, so a fresh search finds it a witness, but the
+    # witness the document would bundle does not realize it
+    t = standard(2, 1, 2)
+    base, out = tmp_path / "base.json", tmp_path / "ind.json"
+    base.write_text(emit(to_document(
+        Tss(t.elements, witness=[Matrix.identity(2)], params=t.params))))
+    assert run("construct", "induction", "--in", str(base), "--p", "1",
+               "--lambda", "5", "--out", str(out)) == 1
+    assert not out.exists()
+    assert "failed re-verification" in capsys.readouterr().err
+
+
 def test_construct_bad_params_exit_2(capsys):
     assert run("construct", "standard") == 2
     assert "--k" in capsys.readouterr().err

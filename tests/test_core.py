@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -44,6 +45,7 @@ from totsym.linalg import (
 
 from oracles import (
     reference_certificate,
+    reference_realize_permutation,
     reference_reduce_arrangement,
     reference_restriction_quotient,
 )
@@ -425,6 +427,20 @@ def test_realize_transport_on_arrangement():
     r = realize_permutation(cert.witness, (1, 2, 0))
     planes = s2_lines()
     assert [w.apply(r) for w in planes] == [planes[1], planes[2], planes[0]]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Tss([diag(2, 3)]),
+    lambda: catalog.standard(2, 1, 2),
+    lambda: catalog.ncsimplex(3),
+    lambda: catalog.sporadic4(),
+    lambda: catalog.tilde_sigma5_construction(),
+], ids=["k1", "standard-2", "ncsimplex-3", "sporadic4", "s5-construction"])
+def test_realize_matches_the_bubble_sort_word(make):
+    t = make()
+    for sigma in itertools.permutations(range(t.k)):
+        assert (realize_permutation(t.witness, sigma, n=t.n)
+                == reference_realize_permutation(t.witness, sigma, n=t.n))
 
 
 def test_realize_validates_input():

@@ -295,13 +295,23 @@ def test_discover_needs_pool_for_larger_rationals():
     assert discover_eigenvalues(a, (4,)) == [Scalar.rational(4)] * 3
 
 
-def test_discover_tries_known_roots_first():
-    # known roots change the order of an Incomplete's roots, nothing else
+def test_discover_does_not_depend_on_the_candidate_order():
+    # x^3 - 5 is left over after 1 and 5 are divided out, whichever comes first
     a = M((0, 0, 5, 0, 0), (1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 0, 1, 0),
           (0, 0, 0, 0, 5))
     assert discover_eigenvalues(a, (5,)).roots == (ONE, Scalar.rational(5))
-    assert discover_eigenvalues(a, known=(5,)).roots == (Scalar.rational(5), ONE)
-    assert discover_eigenvalues(diag(4, 1, 4), known=(4,)) == [ONE] + [Scalar.rational(4)] * 2
+    assert discover_eigenvalues(diag(4, 1, 4), (4,)) == [ONE] + [Scalar.rational(4)] * 2
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.permutations([5, 4, -7, ZETA, 1, SQRT2]))
+def test_discover_gives_one_result_for_every_candidate_order(candidates):
+    # every candidate but -7 is a root, 4 a double one and 1 one of the pool
+    # too; x^3 - 5 and x + sqrt2 are left over
+    a = block_sum(ROOT3_5, block_sum(diag(5, 4, 4, ZETA, 1), M((0, 2), (1, 0))))
+    found = discover_eigenvalues(a, candidates)
+    assert found == discover_eigenvalues(a, (5, 4, -7, ZETA, 1, SQRT2))
+    assert found.roots == tuple(sorted(found.roots, key=Scalar.sort_key))
 
 
 @settings(max_examples=15, deadline=None)
@@ -510,8 +520,8 @@ def test_classification_stalled_block_reports_the_whole_element():
 
 
 def test_classification_stalled_block_keeps_the_whole_root_order():
-    # the block (all of K^5) tries the known root 5 before 1, the whole
-    # element tries the fixed pool first: the detail keeps [1, 5]
+    # the block (all of K^5) and the whole element try the known root 5
+    # before 1, and an Incomplete lists its roots sorted: [1, 5]
     t = Tss([Matrix.scalar(5, 5), block_sum(ROOT3_5, diag(1, 5))], params=[5])
     res = classify_commutative(t)
     assert res.verdict == NOT_CLASSIFIED
@@ -524,9 +534,9 @@ def test_classification_stalled_block_is_checked_against_the_whole(monkeypatch):
     # invariant, and says so instead of reporting NotClassified
     discover = totsym.spectral.discover_eigenvalues
 
-    def stall_on_blocks(a, pool=(), known=()):
-        found = discover(a, pool, known)
-        return Incomplete([], char_poly(a)) if known else found
+    def stall_on_blocks(a, candidates=()):
+        found = discover(a, candidates)
+        return Incomplete([], char_poly(a)) if a.n < t.n else found
 
     monkeypatch.setattr(totsym.spectral, "discover_eigenvalues", stall_on_blocks)
     t = Tss([diag(1, 1, 2), block_sum(M((0, 1), (1, 0)), M((3,)))])
