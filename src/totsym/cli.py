@@ -26,9 +26,9 @@ from .catalog import (
     tilde_sigma5_rep,
 )
 from .core import (
-    DEGENERATE,
     TOTALLY_SYMMETRIC,
     Tss,
+    realizes,
     stabilizer_dimension,
     verify_arrangement,
     verify_tss,
@@ -63,8 +63,11 @@ def _need(value, flag):
     return value
 
 
-def _scalar_or(text, default):
-    return parse_scalar(text) if text is not None else parse_scalar(str(default))
+def _scalars(args, *names):
+    """The given scalar flags among ``names``, parsed and keyed by name; a
+    flag left out takes the catalog's default."""
+    return {name: parse_scalar(getattr(args, name)) for name in names
+            if getattr(args, name) is not None}
 
 
 def _values(text):
@@ -96,8 +99,7 @@ def _base_tss(args):
 
 
 _CATALOG = {
-    "standard": lambda a: standard(
-        _need(a.k, "--k"), _scalar_or(a.lam, 2), _scalar_or(a.nu, 1)),
+    "standard": lambda a: standard(_need(a.k, "--k"), **_scalars(a, "lam", "nu")),
     "partition": lambda a: partition_construction(
         _values(_need(a.lam, "--lambda"))),
     "perm": lambda a: permutation_type(_values(_need(a.lam, "--lambda"))),
@@ -107,24 +109,21 @@ _CATALOG = {
     "simplex": lambda a: simplex_arrangement(_need(a.n, "--n")),
     "dual-simplex": lambda a: dual_simplex_arrangement(_need(a.n, "--n")),
     "suspension-simplex": lambda a: suspension_simplex(
-        _need(a.n, "--n"), _scalar_or(a.lam, 2)),
-    "ncsimplex": lambda a: ncsimplex(
-        _need(a.k, "--k"), _scalar_or(a.lam, 2), _scalar_or(a.mu, 1)),
+        _need(a.n, "--n"), **_scalars(a, "lam")),
+    "ncsimplex": lambda a: ncsimplex(_need(a.k, "--k"), **_scalars(a, "lam", "mu")),
     "s5-rep": lambda a: Tss(tilde_sigma5_rep(), n=4),
     "s5-arrangement": lambda a: tilde_sigma5_arrangement(),
-    "s5-construction": lambda a: tilde_sigma5_construction(
-        _scalar_or(a.lam, 2), _scalar_or(a.mu, 1)),
-    "sporadic4": lambda a: sporadic4(_scalar_or(a.nu, 1)),
+    "s5-construction": lambda a: tilde_sigma5_construction(**_scalars(a, "lam", "mu")),
+    "sporadic4": lambda a: sporadic4(**_scalars(a, "nu")),
 }
 
 
 def _reverify(name, obj):
     """Re-check the construction guarantee before anything is written: the
-    bundled witness itself must pass, not one found by a fresh search."""
+    bundled witness itself must realize the object; nothing is searched."""
     if name == "s5-rep":
         return all(c["passed"] for c in spin_presentation_checks(obj.elements))
-    cert = verify_tss(obj) if isinstance(obj, Tss) else verify_arrangement(obj)
-    return cert.verdict in (TOTALLY_SYMMETRIC, DEGENERATE) and cert.witness == obj.witness
+    return obj.degenerate or realizes(obj)
 
 
 def cmd_construct(args):

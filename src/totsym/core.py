@@ -7,11 +7,11 @@ permutations are realized by invertible linear transport.  Witnesses for
 the adjacent transpositions suffice, since conjugation and transport are
 group actions.
 
-Verification is witness-first: a bundled witness is rechecked exactly
-(cheap), and a Sylvester-system solver searches for fresh witnesses when
-none is supplied or the bundled one fails.  Restriction, quotient and
-reduction take their blocks from ``linalg.Subspace``, with no change of
-basis.
+Verification is witness-first: ``realizes``, the one recheck of every
+kind of family, checks a bundled witness exactly (cheap), and a
+Sylvester-system solver searches for fresh witnesses when none is supplied
+or the bundled one fails.  Restriction, quotient and reduction take their
+blocks from ``linalg.Subspace``, with no change of basis.
 """
 
 from __future__ import annotations
@@ -266,14 +266,11 @@ class DecompositionSystem:
             if total.dim != n:
                 raise ValueError("row subspaces do not direct-sum to K^n")
         k = len(grid)
+        _assign(self, grid=grid, witness=witness, n=n, k=k, parts=parts)
         if witness is not None:
             _check_witness(witness, k, n)
-            # each column of the grid is carried onto itself, part by part;
-            # with each row a direct sum of K^n, containment is equality
-            if not all(_realizes(column, witness, Subspace.maps_into)
-                       for column in zip(*grid)):
+            if not realizes(self):
                 raise ValueError("the witness does not transport rows onto rows")
-        _assign(self, grid=grid, witness=witness, n=n, k=k, parts=parts)
 
 
 @dataclass(frozen=True, slots=True)
@@ -290,12 +287,7 @@ class Certificate:
 
 def _realizes(members, witness, holds):
     """Whether every P_j of the witness is invertible and holds(m, P_j, t)
-    for each member m and its target t under the transposition (j, j+1).
-
-    For transport, ``holds`` is ``Subspace.maps_into``, containment
-    P·W ⊆ T: an invertible P maps W onto a space of W's dimension, so
-    containment in a T of that dimension is equality.
-    """
+    for each member m and its target t under the transposition (j, j+1)."""
     for j, p in enumerate(witness):
         if p.det().is_zero():
             return False
@@ -303,6 +295,23 @@ def _realizes(members, witness, holds):
         if not all(holds(m, p, t) for m, t in zip(members, targets)):
             return False
     return True
+
+
+def realizes(family):
+    """Whether a Tss, an Arrangement or a DecompositionSystem has a bundled
+    witness that realizes it (``_realizes``): elements by conjugation, and
+    planes, or a system's grid rows part by part, by transport
+    (``Subspace.maps_into``).  An invertible P maps W onto a space of W's
+    dimension, so P·W ⊆ T is equality when T has that dimension, and part
+    by part for grid rows that each direct-sum to K^n."""
+    if family.witness is None:
+        return False
+    if isinstance(family, Tss):
+        return _realizes(family.elements, family.witness, lambda a, p, b: p * a == b * p)
+    if isinstance(family, Arrangement):
+        return _realizes(family.planes, family.witness, Subspace.maps_into)
+    return _realizes(family.grid, family.witness, lambda row, p, target: all(
+        w.maps_into(p, t) for w, t in zip(row, target)))
 
 
 def _no_invertible_detail(what, j, space, n):
@@ -359,15 +368,14 @@ def _search_transpositions(members, n, solve, what):
     return Certificate(TOTALLY_SYMMETRIC, witness=tuple(found))
 
 
-def _verify(family, members, from_scratch, holds, solve, what):
+def _verify(family, members, from_scratch, solve, what):
     """Degenerate; else the bundled witness if it realizes the family
-    (``_realizes`` with ``holds``) and from_scratch is not set; else the
-    search of ``solve``'s spaces (``_search_transpositions``)."""
+    (``realizes``) and from_scratch is not set; else the search of
+    ``solve``'s spaces (``_search_transpositions``)."""
     if family.degenerate:
         return Certificate(DEGENERATE, witness=family.witness)
-    if family.witness is not None and not from_scratch:
-        if _realizes(members, family.witness, holds):
-            return Certificate(TOTALLY_SYMMETRIC, witness=family.witness)
+    if not from_scratch and realizes(family):
+        return Certificate(TOTALLY_SYMMETRIC, witness=family.witness)
     return _search_transpositions(members, family.n, solve, what)
 
 
@@ -385,8 +393,7 @@ def verify_tss(t, from_scratch=False):
     says "exists" instead of "found" when the supports of that space prove
     that there is none.
     """
-    return _verify(t, t.elements, from_scratch, lambda a, p, b: p * a == b * p,
-                   intertwiner_space, "intertwiner")
+    return _verify(t, t.elements, from_scratch, intertwiner_space, "intertwiner")
 
 
 def verify_arrangement(a, from_scratch=False):
@@ -397,8 +404,7 @@ def verify_arrangement(a, from_scratch=False):
     P maps W_i into W_{sigma(i)}, which together with invertibility of P
     gives equality of images.
     """
-    return _verify(a, a.planes, from_scratch, Subspace.maps_into, transport_space,
-                   "transport")
+    return _verify(a, a.planes, from_scratch, transport_space, "transport")
 
 
 def realize_permutation(witness, sigma, n=None):
@@ -440,7 +446,7 @@ def isomorphic(a, b):
 # restriction / quotient, duality, reduction
 
 
-def restriction_quotient(t, space, witness=None):
+def restriction_quotient(t, space):
     """Restrict a matrix set to an invariant subspace and form the quotient.
 
     Returns (restriction, quotient), each read off the subspace's echelon
@@ -452,15 +458,13 @@ def restriction_quotient(t, space, witness=None):
     """
     if space.n != t.n:
         raise ValueError(f"a subspace of K^{space.n} in a set acting on K^{t.n}")
-    if witness is None:
-        witness = t.witness
     if space.dim in (0, t.n):
-        whole = Tss(t.elements, witness=witness, params=t.params)
+        whole = Tss(t.elements, witness=t.witness, params=t.params)
         return (whole, None) if space.dim else (None, whole)
     parts = []
     for part in (space.restriction, space.quotient):
         elements = [part(a) for a in t.elements]
-        blocks = None if witness is None else [part(p) for p in witness]
+        blocks = None if t.witness is None else [part(p) for p in t.witness]
         if None in elements or None in (blocks or ()):
             raise NotInvariant("subspace is not invariant")
         parts.append(Tss(elements, witness=blocks, params=t.params))
@@ -558,7 +562,9 @@ def involution_checks(t):
 
 def suspension(a, lam):
     """Block-triangular commutative set built over a strongly symmetric
-    arrangement: elements (λI M_i; 0 λI), witnesses P_j ⊕ I."""
+    arrangement: elements (λI M_i; 0 λI), witnesses P_j ⊕ I.  Raises
+    NoStrongWitness unless each representative M_i spans its plane and an
+    invertible witness moves them on the nose."""
     reps = a.representatives
     if reps is None:
         raise NoStrongWitness("suspension needs representatives moved on the nose")
@@ -566,18 +572,15 @@ def suspension(a, lam):
     for i, m in enumerate(reps):
         if Subspace.from_matrix_columns(m) != a.planes[i]:
             raise NoStrongWitness(f"representative {i} does not span its plane")
-    for j, p in enumerate(a.witness):
-        for i, m in enumerate(reps):
-            if p * m != reps[swap_adjacent(range(a.k), j)[i]]:
-                raise NoStrongWitness(
-                    f"transposition {j} does not move representative {i} on the nose")
+    if not _realizes(reps, a.witness, lambda m, p, t: p * m == t):
+        raise NoStrongWitness("the witness is singular or does not move the "
+                              "representatives on the nose")
     n, d = a.n, a.d
     lam_n = Matrix.scalar(n, lam)
     lam_d = Matrix.scalar(d, lam)
     z = Matrix.zero(d, n)
     elements = [Matrix.block([[lam_n, m], [z, lam_d]]) for m in reps]
     zs = Matrix.zero(n, d)
-    zd = Matrix.zero(d, n)
     eyed = Matrix.identity(d)
-    witness = [Matrix.block([[p, zs], [zd, eyed]]) for p in a.witness]
+    witness = [Matrix.block([[p, zs], [z, eyed]]) for p in a.witness]
     return Tss(elements, witness=witness, params=(lam,))

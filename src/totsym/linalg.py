@@ -14,7 +14,6 @@ echelon basis of W and the cosets of the non-pivot unit vectors for K^n/W.
 """
 
 import itertools
-import os
 import random
 from dataclasses import dataclass
 
@@ -825,10 +824,6 @@ def transport_space(planes, targets):
     return null_space(rows, n * n)
 
 
-def _default_seed():
-    return int(os.environ.get("TSS_SEED", "0"))
-
-
 def _support_masks(rows, n):
     """The union of the supports of sparse vectorised n-by-n matrices, as one
     bitmask of columns per matrix row."""
@@ -908,11 +903,12 @@ def invertible_in_space(space, n, seed=None):
 
     Deterministic sweeps first (single basis elements, pairwise sums and
     differences, then a small integer-coefficient grid when the dimension
-    allows), falling back to seeded random combinations.  Each candidate is
-    an integer combination of the sparse basis rows.  A candidate whose
-    support admits no perfect matching is singular and skipped (the union
-    of the supports of the basis rows it uses is tested once per set of
-    rows); the others are combined and tested by their determinant.
+    allows), falling back to random combinations drawn from ``seed`` (0
+    when None).  Each candidate is an integer combination of the sparse
+    basis rows.  A candidate whose support admits no perfect matching is
+    singular and skipped (the union of the supports of the basis rows it
+    uses is tested once per set of rows); the others are combined and
+    tested by their determinant.
     Returns a Matrix or None, which is exact when the whole space is
     structurally singular (see ``structurally_singular``).
     """
@@ -933,7 +929,7 @@ def invertible_in_space(space, n, seed=None):
             for coeffs in itertools.product(range(-2, 3), repeat=k):
                 if any(coeffs):
                     yield dict(enumerate(coeffs))
-        rng = random.Random(_default_seed() if seed is None else seed)
+        rng = random.Random(0 if seed is None else seed)
         for _ in range(300):
             yield {i: rng.randint(-5, 5) for i in range(k)}
 

@@ -33,7 +33,6 @@ realized through the base witness, the reference for
 from __future__ import annotations
 
 import itertools
-import os
 import random
 
 import sympy
@@ -220,8 +219,7 @@ def reference_invertible_search(space, n, seed=None):
             for coeffs in itertools.product(range(-2, 3), repeat=k):
                 if any(coeffs):
                     yield dict(enumerate(coeffs))
-        rng = random.Random(int(os.environ.get("TSS_SEED", "0"))
-                            if seed is None else seed)
+        rng = random.Random(0 if seed is None else seed)
         for _ in range(300):
             yield {i: rng.randint(-5, 5) for i in range(k)}
 
