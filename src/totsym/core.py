@@ -137,12 +137,14 @@ def _family(members, witness, n):
     the adjacent transposition (j, j+1).  A realized permutation keeps two
     equal members equal wherever it sends them, so a symmetric family with
     one collision has all members equal, and a partial collision collapses
-    to the first member, with no witness.  A family whose members are all
-    equal keeps its k and, without a witness, gets identity witnesses.
+    to the first member, with the empty witness of a one-member family, so
+    the collapsed family is its own canonical form.  A family whose members
+    are all equal keeps its k and, without a witness, gets identity
+    witnesses.
     """
     distinct = len(set(members))
     if 1 < distinct < len(members):
-        return members[:1], None, 1
+        return members[:1], (), 1
     k = len(members)
     if witness is not None:
         witness = tuple(witness)
@@ -195,7 +197,7 @@ class Arrangement:
     Plane representatives, if given, are k matrices M_i, each n×d, whose
     columns span W_i; the witness is meant to move them on the nose,
     P_j · M_i = M_{tau_j(i)} entrywise (``suspension`` checks it).  They
-    need a witness, and a collapsed family drops them with its witness.
+    need a witness, and a collapsed family drops them.
     """
 
     planes: tuple
@@ -459,8 +461,7 @@ def restriction_quotient(t, space):
     if space.n != t.n:
         raise ValueError(f"a subspace of K^{space.n} in a set acting on K^{t.n}")
     if space.dim in (0, t.n):
-        whole = Tss(t.elements, witness=t.witness, params=t.params)
-        return (whole, None) if space.dim else (None, whole)
+        return (t, None) if space.dim else (None, t)
     parts = []
     for part in (space.restriction, space.quotient):
         elements = [part(a) for a in t.elements]

@@ -7,7 +7,10 @@ nonzero rows, and every elimination (determinant, inverse, solve, kernel,
 subspace bases and intersections, algebra closure) goes through one
 sparse-row Gauss-Jordan routine, ``_insert``, over rows of that form.
 Subspaces keep that reduced echelon form, which is canonical, so equality of
-subspaces is plain ``==``.  A Subspace is also where a matrix meets a
+subspaces is plain ``==``.  A kernel, and so each solution space, takes one
+elimination: ``null_space`` pivots each row at its last nonzero column, and
+the kernel basis it then reads off is already canonical, so it is not
+reduced a second time.  A Subspace is also where a matrix meets a
 subspace: containment of images (``maps_into``), the restriction, the
 quotient and the image in a quotient are all read off that form, in the
 echelon basis of W and the cosets of the non-pivot unit vectors for K^n/W.
@@ -60,6 +63,13 @@ def _from_nonzero(nonzero, n):
     """The Matrix of width n whose rows are ``nonzero``, a nonempty sequence
     of {column: nonzero Scalar} that the matrix takes over."""
     return object.__new__(Matrix)._settle(tuple(nonzero), n)
+
+
+def _from_echelon(echelon, n):
+    """The Subspace of K^n whose canonical reduced echelon form is
+    ``echelon``, {pivot: the rest of its row}, which the subspace takes
+    over; the Subspace counterpart of ``_from_nonzero``."""
+    return object.__new__(Subspace)._settle(echelon, n)
 
 
 @dataclass(frozen=True, slots=True, init=False, repr=False)
@@ -409,20 +419,30 @@ def vec_to_matrix(v, m, n=None):
 
 def null_space(rows, n):
     """The x in K^n with sum(row[j] * x[j]) == 0 for every sparse row
-    {j: Scalar} given (the rows are consumed), as a canonical Subspace."""
+    {j: Scalar} given, as a canonical Subspace, in one elimination.
+
+    The rows are reduced with each pivot at the last nonzero column of its
+    row (``_insert`` on the columns re-keyed j -> n-1-j, which copies the
+    rows).  Then a pivot row p has entries only at free columns f < p, and
+    the kernel vector of the free column f, e_f - sum_p row_p[f] e_p over
+    the pivots p > f, leads with its 1 at f, where no other kernel vector
+    has an entry: these vectors are already the reduced echelon basis of
+    the kernel, with pivots at the free columns, so it is not reduced again.
+    """
+    last = n - 1
     echelon = {}
     for v in rows:
-        _insert(v, echelon)
-    free = {f: {f: ONE} for f in range(n) if f not in echelon}
-    for p, row in echelon.items():
-        for f, x in row.items():
-            free[f][p] = -x
-    return Subspace(list(free.values()), n)
+        _insert({last - j: x for j, x in v.items()}, echelon)
+    free = {f: {} for f in range(n) if last - f not in echelon}
+    for q, row in echelon.items():
+        for g, x in row.items():
+            free[last - g][last - q] = -x
+    return _from_echelon(free, n)
 
 
 def kernel(mat):
     """The right null space, as a canonical Subspace of K^cols."""
-    return null_space([dict(row) for row in mat._nonzero], mat.n)
+    return null_space(mat._nonzero, mat.n)
 
 
 class NoSolution(ValueError):
@@ -478,13 +498,17 @@ class Subspace:
                     raise ValueError("vector length does not match ambient dimension")
                 v = _sparse(v)
             _insert(v, echelon)
+        self._settle(echelon, n)
+
+    def _settle(self, echelon, n):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "pivots", tuple(sorted(echelon)))
         object.__setattr__(self, "_echelon", echelon)
+        return self
 
     @classmethod
     def full(cls, n):
-        return cls([{j: ONE} for j in range(n)], n)
+        return _from_echelon({j: {} for j in range(n)}, n)
 
     @classmethod
     def from_matrix_columns(cls, mat):
@@ -531,8 +555,10 @@ class Subspace:
             _insert({**row, **{n + j: x for j, x in row.items()}}, echelon)
         for row in other.rows:
             _insert(row, echelon)
-        return Subspace([{j - n: x for j, x in ((p, ONE), *row.items())}
-                         for p, row in echelon.items() if p >= n], n)
+        # a row with its pivot in the right half has no entry in the left
+        # half, so these rows, shifted, are the meet's reduced echelon form
+        return _from_echelon({p - n: {j - n: x for j, x in row.items()}
+                              for p, row in echelon.items() if p >= n}, n)
 
     def _images(self, mat):
         """The images mat·b_j of the echelon basis b_1..b_d, as sparse rows."""
@@ -625,19 +651,25 @@ class Subspace:
     def lift(self, coords):
         """The subspace B·U of K^n, for a subspace U of K^d given in the
         coordinates of this subspace's echelon basis b_1..b_d (the columns
-        of B): each x in U goes to sum_j x_j b_j."""
+        of B): each x in U goes to sum_j x_j b_j.
+
+        b_j is 1 at its pivot p_j, where no other b_i has an entry, and zero
+        before it.  So the image of U's echelon row with pivot i leads with
+        a 1 at p_i and is zero at p_j for U's other pivots j: the images are
+        the reduced echelon basis of B·U as they stand.
+        """
         _require_same_ambient(self.dim, coords.n)
         pivots, echelon = self.pivots, self._echelon
-        vectors = []
-        for x in coords.rows:
-            v = {}
+        lifted = {}
+        for i, x in coords._echelon.items():
+            p = pivots[i]
+            v = dict(echelon[p])
             for j, c in x.items():
-                # b_j is 1 at its pivot, and no other b_i has an entry there
-                p = pivots[j]
-                v[p] = c
-                _axpy(v, c, echelon[p])
-            vectors.append(v)
-        return Subspace(vectors, self.n)
+                q = pivots[j]
+                v[q] = c
+                _axpy(v, c, echelon[q])
+            lifted[p] = v
+        return _from_echelon(lifted, self.n)
 
     def __hash__(self):
         return hash((self.n, tuple((p, frozenset(self._echelon[p].items()))

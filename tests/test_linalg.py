@@ -19,11 +19,14 @@ from totsym.linalg import (
     kernel,
     mat_vec,
     matrix_to_vec,
+    null_space,
     solve,
     structurally_singular,
+    transport_space,
     vec,
     vec_to_matrix,
 )
+from totsym import linalg
 from totsym.linalg import _sparse, _to_matrix
 
 from oracles import (
@@ -1043,3 +1046,133 @@ def test_algebra_closure_ignores_generator_order_and_products(data):
         extended.append(extended[i] * extended[j])
     assert algebra_closure(extended) == basis
     assert algebra_closure(data.draw(st.permutations(extended))) == basis
+
+
+# ------------------------------------ solution spaces in one elimination
+#
+# null_space eliminates each row at its last nonzero column and hands its
+# kernel basis over as the canonical echelon form, and intersection and
+# lift hand over echelon rows they already hold; each result must be, field
+# for field, what reducing its rows again gives.
+
+
+def assert_canonical(space):
+    again = Subspace(space.rows, space.n)
+    assert (space.n, space.pivots, space._echelon) == (again.n, again.pivots,
+                                                       again._echelon)
+    assert space == again and hash(space) == hash(again)
+
+
+@st.composite
+def dense_changes(draw, n):
+    """(P, P^-1) for a dense P over K: unit lower times unit upper
+    triangular, with nonzero entries off the diagonal."""
+    def unit(lower):
+        return Matrix([[ONE if r == c else (draw(k_nonzero) if (r > c) == lower else ZERO)
+                        for c in range(n)] for r in range(n)])
+    p = unit(True) * unit(False)
+    return p, p.inverse()
+
+
+@st.composite
+def disguised_squares(draw, max_n=3):
+    """A structured square matrix (a permutation, diagonal, block or rank
+    deficient one) conjugated by a dense change of basis over K."""
+    a = draw(structured_square().filter(lambda a: a.n <= max_n))
+    p, p_inv = draw(dense_changes(a.n))
+    return p * a * p_inv
+
+
+@settings(max_examples=10, deadline=None)
+@given(disguised_squares(), st.data())
+def test_dense_kernels_are_canonical_and_match_oracle(a, data):
+    ker = kernel(a)
+    assert_canonical(ker)
+    assert sym_rows_equal(ker.basis, oracle_kernel(sym_rows(a), a.n))
+    # a shift by an eigenvalue of the structured matrix leaves a kernel
+    lam = data.draw(st.sampled_from([ZERO, ONE, a.trace()]))
+    assert_canonical(kernel(a.shift(-lam)))
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.data())
+def test_dense_solution_spaces_are_canonical(data):
+    n = data.draw(st.integers(1, 3))
+    p, p_inv = data.draw(dense_changes(n))
+    as_ = data.draw(st.lists(structured_square().filter(lambda a: a.n == n),
+                             min_size=1, max_size=2))
+    # the same family in a dense disguise: X -> P^-1 X, P^-1 X P and X P map
+    # these spaces onto the commutant of the undisguised family
+    bs = [p * a * p_inv for a in as_]
+    commutant = intertwiner_space(as_, as_)
+    assert commutant.dim == oracle_intertwiner_dimension(as_, as_)
+    for left, right in ((as_, bs), (bs, bs), (bs, as_)):
+        space = intertwiner_space(left, right)
+        assert_canonical(space)
+        assert space.dim == commutant.dim
+        assert all(_to_matrix(x, n, n) * a == b * _to_matrix(x, n, n)
+                   for x in space.rows for a, b in zip(left, right))
+    planes = [kernel(a) for a in as_]
+    targets = [w.apply(p) for w in planes]
+    space = transport_space(planes, targets)
+    assert_canonical(space)
+    assert all(w.maps_into(_to_matrix(x, n, n), t)
+               for x in space.rows for w, t in zip(planes, targets))
+    assert space.contains(matrix_to_vec(p))
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.data())
+def test_dense_meets_and_lifts_are_canonical(data):
+    n = data.draw(st.integers(1, 4))
+    p, _ = data.draw(dense_changes(n))
+    u, w = (Subspace(data.draw(st.lists(st.lists(k_entry, min_size=n, max_size=n),
+                                        max_size=n)), n).apply(p)
+            for _ in range(2))
+    meet = u.intersection(w)
+    assert_canonical(meet)
+    assert u.contains_space(meet) and w.contains_space(meet)
+    assert meet.dim == u.dim + w.dim - (u + w).dim
+    coords = Subspace(data.draw(st.lists(st.lists(k_entry, min_size=u.dim,
+                                                  max_size=u.dim), max_size=3)), u.dim)
+    lifted = u.lift(coords)
+    assert_canonical(lifted)
+    basis = u.basis
+    assert lifted == Subspace([[sum((x[j] * b[q] for j, b in enumerate(basis)), ZERO)
+                                for q in range(n)] for x in coords.basis], n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_null_space_edge_cases(n):
+    # no rows, and rows that are all zero: the whole space
+    assert null_space([], n) == Subspace.full(n)
+    assert null_space([{}, {}], n) == Subspace.full(n)
+    assert_canonical(null_space([], n))
+    # full rank: the zero space
+    whole = null_space([{j: ONE, **({j + 1: SQRT2} if j + 1 < n else {})}
+                        for j in range(n)], n)
+    assert whole.dim == 0 and whole == Subspace([], n)
+    # one dense row: a hyperplane, pivoted at every column but the last
+    row = {j: ZETA + Scalar.rational(j) for j in range(n)}
+    plane = null_space([row], n)
+    assert_canonical(plane)
+    assert plane.pivots == tuple(range(n - 1))
+    assert all(sum((row[j] * x for j, x in v.items()), ZERO).is_zero() for v in plane.rows)
+    # the rows given are read, not consumed
+    assert row == {j: ZETA + Scalar.rational(j) for j in range(n)}
+
+
+def test_null_space_eliminates_each_row_once(monkeypatch):
+    inserted = []
+    insert = linalg._insert
+    p = M((1, 0, 0), (SQRT2, 1, 0), (ZETA, 2, 1))
+    a = p * M((1, 0, 0), (0, 1, 0), (0, 0, 2)) * p.inverse()
+    monkeypatch.setattr(linalg, "_insert", lambda v, echelon: inserted.append(1)
+                        or insert(v, echelon))
+    rows = list(a.shift(-ONE)._nonzero) * 2
+    space = null_space(rows, 3)
+    assert space.dim == 2
+    assert len(inserted) == len(rows)
+    inserted.clear()
+    assert intertwiner_space([a], [a]).dim == 5
+    assert len(inserted) == 9
