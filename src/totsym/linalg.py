@@ -8,9 +8,12 @@ subspace bases and intersections, algebra closure) goes through one
 sparse-row Gauss-Jordan routine, ``_insert``, over rows of that form.
 Subspaces keep that reduced echelon form, which is canonical, so equality of
 subspaces is plain ``==``.  A kernel, and so each solution space, takes one
-elimination: ``null_space`` pivots each row at its last nonzero column, and
+elimination: ``null_space`` first pins the unknowns that single-entry rows
+force to zero, pivots each remaining row at its last nonzero column, and
 the kernel basis it then reads off is already canonical, so it is not
-reduced a second time.  A Subspace is also where a matrix meets a
+reduced a second time.  The intertwiners of diagonal families need no
+elimination at all: ``intertwiner_space`` reads them off the diagonals.
+A Subspace is also where a matrix meets a
 subspace: containment of images (``maps_into``), the restriction, the
 quotient and the image in a quotient are all read off that form, in the
 echelon basis of W and the cosets of the non-pivot unit vectors for K^n/W.
@@ -417,23 +420,62 @@ def vec_to_matrix(v, m, n=None):
     return Matrix(tuple(tuple(v[i * n + j] for j in range(n)) for i in range(m)))
 
 
+def _pinned(rows):
+    """The unknowns that single-entry rows force to zero, and the rows left.
+
+    A row with one nonzero entry at j says x[j] = 0, so j is pinned; a row
+    with one entry outside the pinned columns then pins that one too.  This
+    repeats until no row pins a new unknown: each row counts its unpinned
+    entries, and a column, once pinned, counts down the rows that hold it.
+    Returns (pinned columns, the rows, unchanged, with at least two unpinned
+    entries); empty rows are dropped."""
+    rows = [v for v in rows if v]
+    if min(map(len, rows), default=2) > 1:
+        return set(), rows
+    todo = [j for v in rows if len(v) == 1 for j in v]
+    holders = {}  # column -> the rows of two or more entries that hold it
+    for i, v in enumerate(rows):
+        if len(v) > 1:
+            for j in v:
+                holders.setdefault(j, []).append(i)
+    unpinned = [len(v) for v in rows]
+    pinned = set()
+    while todo:
+        j = todo.pop()
+        if j in pinned:
+            continue
+        pinned.add(j)
+        for i in holders.get(j, ()):
+            unpinned[i] -= 1
+            if unpinned[i] == 1:
+                todo.extend(q for q in rows[i] if q not in pinned)
+    return pinned, [v for v, left in zip(rows, unpinned) if left > 1]
+
+
 def null_space(rows, n):
     """The x in K^n with sum(row[j] * x[j]) == 0 for every sparse row
     {j: Scalar} given, as a canonical Subspace, in one elimination.
 
-    The rows are reduced with each pivot at the last nonzero column of its
-    row (``_insert`` on the columns re-keyed j -> n-1-j, which copies the
-    rows).  Then a pivot row p has entries only at free columns f < p, and
-    the kernel vector of the free column f, e_f - sum_p row_p[f] e_p over
-    the pivots p > f, leads with its 1 at f, where no other kernel vector
-    has an entry: these vectors are already the reduced echelon basis of
-    the kernel, with pivots at the free columns, so it is not reduced again.
+    First every unknown that a single-entry row forces to zero is pinned
+    (``_pinned``).  The row space is then span{e_j : j pinned} plus the
+    other rows with their pinned columns deleted, and its reduced echelon
+    form is those unit rows and the reduced form of the rest, so only the
+    rest is eliminated, and no kernel vector has an entry at a pinned
+    column.  The rest is reduced with each pivot at the last nonzero column
+    of its row (``_insert`` on the columns re-keyed j -> n-1-j, which copies
+    the rows).  Then a pivot row p has entries only at free columns f < p,
+    and the kernel vector of the free column f, e_f - sum_p row_p[f] e_p
+    over the pivots p > f, leads with its 1 at f, where no other kernel
+    vector has an entry: these vectors are already the reduced echelon basis
+    of the kernel, with pivots at the free columns, so it is not reduced
+    again.  The rows given are read, never changed.
     """
+    pinned, rest = _pinned(rows)
     last = n - 1
     echelon = {}
-    for v in rows:
-        _insert({last - j: x for j, x in v.items()}, echelon)
-    free = {f: {} for f in range(n) if last - f not in echelon}
+    for v in rest:
+        _insert({last - j: x for j, x in v.items() if j not in pinned}, echelon)
+    free = {f: {} for f in range(n) if last - f not in echelon and f not in pinned}
     for q, row in echelon.items():
         for g, x in row.items():
             free[last - g][last - q] = -x
@@ -817,7 +859,15 @@ def intertwiner_space(as_, bs):
     """The space of X with X @ as_[i] == bs[i] @ X, as row-major vectors.
 
     Returns a Subspace of K^(m*n) where X is m-by-n: each A acts on K^n,
-    each B on K^m.
+    each B on K^m.  Entry (r, c) of X·A_i - B_i·X is one row of the system,
+    and ``null_space`` solves it.
+
+    A family of diagonal matrices needs no elimination.  There entry (r, c)
+    is X[r][c]·(a_i,c - b_i,r), so the space is spanned by the unit
+    matrices e_rc whose column c of the A's and row r of the B's carry the
+    same tuple of diagonal entries (a_i,c)_i = (b_i,r)_i.  Their
+    vectorisations are the unit vectors at r·n + c, which are already the
+    canonical echelon basis.
     """
     if len(as_) != len(bs):
         raise ValueError("mismatched family lengths")
@@ -825,6 +875,15 @@ def intertwiner_space(as_, bs):
         raise ValueError("need at least one pair")
     n = as_[0].n
     m = bs[0].n
+    a_diagonals = [a.diagonal() for a in as_]
+    if None not in a_diagonals:
+        b_diagonals = [b.diagonal() for b in bs]
+        if None not in b_diagonals:
+            columns = {}  # the tuple (a_i,c)_i -> the columns c that carry it
+            for c, key in enumerate(zip(*a_diagonals)):
+                columns.setdefault(key, []).append(c)
+            return _from_echelon({r * n + c: {} for r, key in enumerate(zip(*b_diagonals))
+                                  for c in columns.get(key, ())}, m * n)
     rows = []
     for a, b in zip(as_, bs):
         a_cols = [{} for _ in range(a.n)]
@@ -866,9 +925,10 @@ def _support_masks(rows, n):
     return masks
 
 
-def _has_perfect_matching(masks):
-    """Whether the pattern with columns ``masks[r]`` in row r (a square 0/1
-    pattern) has a perfect matching, by Kuhn's augmenting paths.
+def _perfect_matching(masks):
+    """A perfect matching of the pattern with columns ``masks[r]`` in row r
+    (a square 0/1 pattern), as the row matched to each column, or None when
+    there is none, by Kuhn's augmenting paths.
 
     The search for each row keeps its path on an explicit stack, so a path
     through every row of a large pattern needs no recursion.
@@ -877,10 +937,10 @@ def _has_perfect_matching(masks):
     union = 0
     for mask in masks:
         if not mask:
-            return False
+            return None
         union |= mask
     if union != (1 << n) - 1:
-        return False
+        return None
     owner = [None] * n  # column -> the row matched to it
     for root in range(n):
         seen = 0
@@ -907,8 +967,8 @@ def _has_perfect_matching(masks):
             todo.append(masks[r])
             cols.append(c)
         else:
-            return False
-    return True
+            return None
+    return owner
 
 
 def _require_vectorised(space, n):
@@ -924,10 +984,13 @@ def structurally_singular(space, n):
     When the union of the supports of the basis rows has no perfect
     matching, every term of every element's Leibniz expansion is zero
     (Konig-Hall), so no element is invertible; this is exact and needs no
-    field arithmetic.  False says only that the supports allow one.
+    field arithmetic.  False says only that the supports allow one, except
+    for a coordinate space (each canonical basis row has one entry), which
+    then holds the permutation matrix of the matching (see
+    ``invertible_in_space``).
     """
     _require_vectorised(space, n)
-    return not _has_perfect_matching(_support_masks(space.rows, n))
+    return _perfect_matching(_support_masks(space.rows, n)) is None
 
 
 def invertible_in_space(space, n, seed=None):
@@ -940,23 +1003,36 @@ def invertible_in_space(space, n, seed=None):
     basis rows.  A candidate whose support admits no perfect matching is
     singular and skipped (the union of the supports of the basis rows it
     uses is tested once per set of rows); the others are combined and
-    tested by their determinant.
+    tested by their determinant.  A combination with fewer than n nonzero
+    cells in all is singular, so the singles are not swept when no basis row
+    has n cells, nor the pairs when two of the widest rows have fewer.
+
+    When every candidate fails and the space is a coordinate space, spanned
+    by unit matrices (each canonical basis row has one entry), the
+    permutation matrix of a perfect matching of its cells lies in it and is
+    invertible, and is returned.  Such a space has one when it is not
+    structurally singular.
     Returns a Matrix or None, which is exact when the whole space is
-    structurally singular (see ``structurally_singular``).
+    structurally singular (see ``structurally_singular``) or a coordinate
+    space.
     """
     _require_vectorised(space, n)
-    if space.dim == 0 or structurally_singular(space, n):
-        return None
     basis = space.rows
+    matching = _perfect_matching(_support_masks(basis, n))
+    if matching is None or not basis:
+        return None
     k = len(basis)
+    widest = max(map(len, basis))
     matchable = {}
 
     def candidates():
-        for i in range(k):
-            yield {i: 1}
-        for i, j in itertools.combinations(range(k), 2):
-            yield {i: 1, j: 1}
-            yield {i: 1, j: -1}
+        if widest >= n:
+            for i in range(k):
+                yield {i: 1}
+        if 2 * widest >= n:
+            for i, j in itertools.combinations(range(k), 2):
+                yield {i: 1, j: 1}
+                yield {i: 1, j: -1}
         if k <= 4 and n <= 8:
             for coeffs in itertools.product(range(-2, 3), repeat=k):
                 if any(coeffs):
@@ -969,8 +1045,8 @@ def invertible_in_space(space, n, seed=None):
         used = frozenset(i for i, c in coeffs.items() if c)
         ok = matchable.get(used)
         if ok is None:
-            ok = matchable[used] = _has_perfect_matching(
-                _support_masks([basis[i] for i in used], n))
+            ok = matchable[used] = _perfect_matching(
+                _support_masks([basis[i] for i in used], n)) is not None
         if not ok:
             continue
         acc = {}
@@ -980,6 +1056,8 @@ def invertible_in_space(space, n, seed=None):
         x = _to_matrix(acc, n, n)
         if not x.det().is_zero():
             return x
+    if all(len(row) == 1 for row in basis):
+        return _to_matrix({r * n + c: ONE for c, r in enumerate(matching)}, n, n)
     return None
 
 

@@ -99,20 +99,22 @@ def sym_matrix_zero(sm) -> bool:
 
 def oracle_intertwiner_dimension(As, Bs) -> int:
     """dim{X : X A_t = B_t X for all t}, via sympy nullspace of the stacked
-    Sylvester systems (row-major unknowns)."""
-    n = As[0].n
+    Sylvester systems (row-major unknowns); X is m-by-n for A_t n-by-n and
+    B_t m-by-m."""
+    n, m = As[0].n, Bs[0].n
     rows = []
     for A, B in zip(As, Bs):
         sa, sb = matrix_to_sympy(A), matrix_to_sympy(B)
-        for r in range(n):
+        for r in range(m):
             for c in range(n):
-                row = [sympy.Integer(0)] * (n * n)
-                for m in range(n):
-                    row[r * n + m] += sa[m, c]
-                    row[m * n + c] -= sb[r, m]
+                row = [sympy.Integer(0)] * (m * n)
+                for q in range(n):
+                    row[r * n + q] += sa[q, c]
+                for p in range(m):
+                    row[p * n + c] -= sb[r, p]
                 rows.append(row)
     M = sympy.Matrix(rows)
-    return n * n - M.rank(simplify=True)
+    return m * n - M.rank(simplify=True)
 
 
 def oracle_algebra_dimension(gens) -> int:

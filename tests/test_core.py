@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from totsym import catalog
+from totsym import catalog, linalg
 from totsym.core import (
     DEGENERATE,
     NOT_TOTALLY_SYMMETRIC,
@@ -271,6 +271,33 @@ def test_all_singular_intertwiners_with_matching_supports_are_not_proved():
     cert = verify_tss(t)
     assert cert.verdict == NOT_TOTALLY_SYMMETRIC
     assert cert.detail == "no invertible intertwiner found for transposition (0, 1)"
+
+
+def test_largest_permutation_type_set_verifies_from_scratch():
+    # n = 120, k = 5: each solution space searched is spanned by the 120
+    # unit matrices of one permutation, which random draws from [-5, 5]
+    # all miss; the perfect matching of its cells is that permutation
+    t = catalog.permutation_type([1, 2, 3, 4, 5])
+    assert (t.n, t.k) == (120, 5)
+    cert = verify_tss(t, from_scratch=True)
+    assert cert.verdict == TOTALLY_SYMMETRIC
+    assert cert.witness == t.witness
+
+
+def test_two_coordinate_lines_skip_the_sweeps(monkeypatch):
+    # the transport space has dimension 30^2 - 58 and holds unit matrices
+    # only: no single one and no pair has 30 cells, so the search tests
+    # the whole space and its first random draw, with no sweep before it
+    n = 30
+    lines = [Subspace([{j: ONE}], n) for j in (0, 1)]
+    tested = []
+    matching = linalg._perfect_matching
+    monkeypatch.setattr(linalg, "_perfect_matching",
+                        lambda masks: tested.append(1) or matching(masks))
+    cert = verify_arrangement(Arrangement(lines), from_scratch=True)
+    assert cert.verdict == TOTALLY_SYMMETRIC
+    assert lines[0].maps_into(cert.witness[0], lines[1])
+    assert len(tested) == 2
 
 
 # ------------------------------------------ transposition spaces from a cycle

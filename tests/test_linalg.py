@@ -827,6 +827,51 @@ def test_all_singular_space_with_full_support_is_searched():
     assert structurally_singular(Subspace([matrix_to_vec(E(2, 0, 1))], 4), 2)
 
 
+def coordinate_space(n, cells):
+    """The span of the unit matrices e_rc at the (r, c) cells given."""
+    return Subspace([{r * n + c: ONE} for r, c in cells], n * n)
+
+
+def test_coordinate_spaces_are_decided_exactly():
+    # the cells of one permutation of 120: every random draw misses a cell
+    # with probability 1 - (10/11)^120, so only the matching finds the
+    # permutation matrix, the one invertible element up to scaling its cells
+    n = 120
+    perm = [(7 * r + 3) % n for r in range(n)]
+    space = coordinate_space(n, [(r, perm[r]) for r in range(n)])
+    assert not structurally_singular(space, n)
+    assert invertible_in_space(space, n) == Matrix(
+        [[ONE if c == perm[r] else ZERO for c in range(n)] for r in range(n)])
+    # more cells: still the permutation matrix of one perfect matching
+    extra = [(r, perm[r]) for r in range(n)] + [(r, (r + 1) % n) for r in range(0, n, 2)]
+    found = invertible_in_space(coordinate_space(n, extra), n)
+    assert found is not None and not found.det().is_zero()
+    assert all(len(row) == 1 and (r, *row) in set(extra) for r, row in enumerate(found._nonzero))
+    # no perfect matching: two rows share their one column
+    cells = [(r, perm[r]) for r in range(n - 1)] + [(n - 1, perm[0])]
+    assert structurally_singular(coordinate_space(n, cells), n)
+    assert invertible_in_space(coordinate_space(n, cells), n) is None
+
+
+@st.composite
+def narrow_spans(draw):
+    """Spaces spanned by a few matrices with fewer than n nonzero cells."""
+    n = draw(st.integers(2, 5))
+    entries = st.dictionaries(st.integers(0, n * n - 1), pattern_scalar,
+                              min_size=1, max_size=n - 1)
+    mats = draw(st.lists(entries, min_size=1, max_size=6))
+    return Subspace(mats, n * n), n
+
+
+@settings(max_examples=40, deadline=None)
+@given(narrow_spans(), st.integers(0, 2**16))
+def test_narrow_spaces_match_the_reference_search(space_n, seed):
+    # skipping the sweeps skips only candidates the matching rejects
+    space, n = space_n
+    assert invertible_in_space(space, n, seed=seed) == reference_invertible_search(
+        space, n, seed)[0]
+
+
 # ------------------------------------------------------------ nonzero rows
 #
 # A Matrix is its rows {column: nonzero Scalar}, and equality and hashing
@@ -1162,17 +1207,143 @@ def test_null_space_edge_cases(n):
     assert row == {j: ZETA + Scalar.rational(j) for j in range(n)}
 
 
-def test_null_space_eliminates_each_row_once(monkeypatch):
+def pins(rows):
+    """The columns that single-entry rows force to zero: a row with one
+    entry outside the columns pinned so far pins that one, to a fixed
+    point."""
+    pinned = set()
+    while True:
+        new = {j for v in rows if len(v.keys() - pinned) == 1 for j in v.keys() - pinned}
+        if not new:
+            return pinned
+        pinned |= new
+
+
+def sylvester_rows(as_, bs):
+    """The rows of X·A_i - B_i·X = 0 in the row-major entries of X, entry
+    (r, c) of each product written out from the dense matrices."""
+    n, m = as_[0].n, bs[0].n
+    rows = []
+    for a, b in zip(as_, bs):
+        for r in range(m):
+            for c in range(n):
+                row = [ZERO] * (m * n)
+                for q in range(n):
+                    row[r * n + q] += a.rows[q][c]
+                for p in range(m):
+                    row[p * n + c] -= b.rows[r][p]
+                rows.append(_sparse(row))
+    return rows
+
+
+def unpinned_kernel(rows, n):
+    """The kernel of the sparse rows with no pinning: the rows reduced by
+    Subspace, the kernel vector e_f - sum_p row_p[f] e_p of each free
+    column f read off, and reduced again."""
+    reduced = Subspace(rows, n)
+    return Subspace([{f: ONE, **{p: -row[f] for p, row in reduced._echelon.items() if f in row}}
+                     for f in range(n) if f not in reduced._echelon], n)
+
+
+def fields(space):
+    return space.n, space.pivots, space._echelon
+
+
+def counting_inserts(monkeypatch):
+    """Record a copy of every row handed to ``_insert``."""
     inserted = []
     insert = linalg._insert
+    monkeypatch.setattr(linalg, "_insert", lambda v, echelon: inserted.append(dict(v))
+                        or insert(v, echelon))
+    return inserted
+
+
+def test_null_space_eliminates_each_row_once(monkeypatch):
+    # no row is inserted twice and no kernel vector is inserted: one insert
+    # per row that keeps two entries or more once its pins are deleted
     p = M((1, 0, 0), (SQRT2, 1, 0), (ZETA, 2, 1))
     a = p * M((1, 0, 0), (0, 1, 0), (0, 0, 2)) * p.inverse()
-    monkeypatch.setattr(linalg, "_insert", lambda v, echelon: inserted.append(1)
-                        or insert(v, echelon))
+    inserted = counting_inserts(monkeypatch)
     rows = list(a.shift(-ONE)._nonzero) * 2
     space = null_space(rows, 3)
     assert space.dim == 2
-    assert len(inserted) == len(rows)
+    assert len(inserted) == sum(len(v.keys() - pins(rows)) >= 2 for v in rows) == 2
     inserted.clear()
     assert intertwiner_space([a], [a]).dim == 5
-    assert len(inserted) == 9
+    system = sylvester_rows([a], [a])
+    pinned = pins(system)
+    assert len(inserted) == sum(len(v.keys() - pinned) >= 2 for v in system)
+    assert all(len(v) >= 2 for v in inserted)
+    # a planted chain: x0 = 0, then x1, then x2, so that only x3 + zeta x4
+    # is eliminated (its columns re-keyed j -> 4 - j)
+    chain = [{2: ONE, 1: SQRT2, 3: ONE, 4: ZETA}, {1: ONE, 2: ONE}, {0: ONE, 1: ZETA},
+             {0: SQRT2}]
+    line = Subspace([{3: -ZETA, 4: ONE}], 5)
+    inserted.clear()
+    assert null_space(chain, 5) == line
+    assert inserted == [{1: ONE, 0: ZETA}]
+
+
+# systems whose rows pin unknowns: single entries, chains in which each row
+# holds one unknown beyond those pinned before it, duplicates and empty rows
+@st.composite
+def pinning_systems(draw):
+    n = draw(st.integers(1, 7))
+    order = draw(st.permutations(range(n)))
+    rows = []
+    for i in range(draw(st.integers(0, n))):
+        before = draw(st.sets(st.sampled_from(order[:i]), max_size=2)) if i else set()
+        rows.append({j: draw(pattern_scalar) for j in {order[i], *before}})
+    rows += draw(st.lists(st.dictionaries(st.integers(0, n - 1), pattern_scalar, max_size=n),
+                          max_size=n))
+    if rows:
+        rows += draw(st.lists(st.sampled_from(rows), max_size=3))
+    return draw(st.permutations(rows)), n
+
+
+@settings(max_examples=80, deadline=None)
+@given(pinning_systems())
+@example(([{0: ONE}], 1))  # n = 1
+@example(([{}, {0: SQRT2}, {}], 1))
+@example(([{}], 1))
+@example(([{j: ZETA} for j in range(4)] * 2, 4))  # all singletons, duplicated
+@example(([{1: ONE, 2: ONE}, {0: ONE, 1: ONE}, {0: ONE}, {2: ONE, 3: ONE, 4: ONE}], 5))
+def test_pinned_kernels_are_the_kernels_without_pinning(system):
+    rows, n = system
+    given_rows = [dict(v) for v in rows]
+    with pytest.MonkeyPatch.context() as patch:
+        inserted = counting_inserts(patch)
+        space = null_space(rows, n)
+    assert fields(space) == fields(unpinned_kernel(rows, n))
+    pinned = pins(rows)
+    assert len(inserted) == sum(len(v.keys() - pinned) >= 2 for v in rows)
+    assert not any(pinned & v.keys() for v in space.rows)
+    # the rows given are read, never changed
+    assert rows == given_rows
+
+
+# diagonal families: repeated diagonal entries, and X m-by-n with m != n
+diagonal_entry = st.sampled_from([ZERO, ONE, -ONE, SQRT2, ZETA])
+
+
+@st.composite
+def diagonal_families(draw):
+    k = draw(st.integers(1, 3))
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    as_, bs = ([diag(*draw(st.lists(diagonal_entry, min_size=size, max_size=size)))
+                for _ in range(k)] for size in (n, m))
+    return as_, bs
+
+
+@settings(max_examples=40, deadline=None)
+@given(diagonal_families())
+@example(([diag(1, 1, 2)], [diag(1, 2)]))
+@example(([diag(1, 2), diag(0, 0)], [diag(2, 1), diag(0, 1)]))
+def test_diagonal_intertwiners_are_read_off_the_diagonals(family):
+    as_, bs = family
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linalg, "null_space", None)  # no system is solved
+        space = intertwiner_space(as_, bs)
+    n, m = as_[0].n, bs[0].n
+    assert fields(space) == fields(unpinned_kernel(sylvester_rows(as_, bs), m * n))
+    assert space.dim == oracle_intertwiner_dimension(as_, bs)
