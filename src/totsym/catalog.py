@@ -71,10 +71,9 @@ class DuplicateEigenvalue(ValueError):
 
 
 def _diag(entries):
-    entries = list(entries)
-    n = len(entries)
-    return Matrix([[entries[r] if r == c else ZERO for c in range(n)]
-                   for r in range(n)])
+    entries = [as_scalar(x) for x in entries]
+    return Matrix.from_nonzero_rows(
+        [{} if x.is_zero() else {r: x} for r, x in enumerate(entries)], len(entries))
 
 
 # the largest ambient dimension a constructor builds: 5! = 120 admits every
@@ -101,9 +100,10 @@ def _require_size(dim, what, k, d=None, unit="dimensions"):
 
 def _perm_matrix(one_line):
     """P with P e_c = e_{sigma(c)} for sigma in one-line, 0-based notation."""
-    n = len(one_line)
-    return Matrix([[ONE if r == one_line[c] else ZERO for c in range(n)]
-                   for r in range(n)])
+    nonzero = [{} for _ in one_line]
+    for c, r in enumerate(one_line):
+        nonzero[r][c] = ONE
+    return Matrix.from_nonzero_rows(nonzero, len(one_line))
 
 
 # ---------------------------------------------------------------------------

@@ -505,7 +505,7 @@ def reduce_arrangement(a):
 def stabilizer_dimension(a):
     """Dimension and basis of {A : A·W_i ⊆ W_i for all i}."""
     space = transport_space(a.planes, a.planes)
-    return space.dim, [vec_to_matrix(v, a.n) for v in space.basis]
+    return space.dim, [vec_to_matrix(v, a.n) for v in space.rows]
 
 
 def half_dim_normal_form(a):

@@ -1,8 +1,9 @@
 """Exact linear algebra over the scalar field: matrices, subspaces, solvers.
 
 A Matrix is immutable and is its rows of nonzero entries ``{column: nonzero
-Scalar}``; the dense tuple of rows is a view built on access for the edges
-that want tuples (printing, documents, submatrices).  Products run over the
+Scalar}``, which ``Matrix.nonzero_rows`` reads and ``Matrix.from_nonzero_rows``
+takes, as documents do; the dense tuple of rows is a view built on access
+for the edges that want tuples (printing, submatrices).  Products run over the
 nonzero rows, and every elimination (determinant, inverse, solve, kernel,
 subspace bases and intersections, algebra closure) goes through one
 sparse-row Gauss-Jordan routine, ``_insert``, over rows of that form.
@@ -103,6 +104,20 @@ class Matrix:
         object.__setattr__(self, "m", len(nonzero))
         object.__setattr__(self, "n", n)
         return self
+
+    @classmethod
+    def from_nonzero_rows(cls, rows, n):
+        """The matrix of width n whose rows of nonzero entries are ``rows``,
+        a nonempty sequence of {column: nonzero Scalar} with every column
+        below n, which the matrix takes over.  Those conditions are the
+        caller's to keep: nothing is checked, so no entry is visited."""
+        return _from_nonzero(rows, n)
+
+    @property
+    def nonzero_rows(self):
+        """The rows of nonzero entries, a tuple of {column: nonzero Scalar};
+        the dicts are the matrix's own, so read them without changing them."""
+        return self._nonzero
 
     @property
     def rows(self):
@@ -270,6 +285,15 @@ def _sparse(v):
     return {j: x for j, x in enumerate(v) if not x.is_zero()}
 
 
+def _columns(mat):
+    """The columns of mat as fresh sparse rows {row index: Scalar}."""
+    cols = [{} for _ in range(mat.n)]
+    for i, row in enumerate(mat._nonzero):
+        for j, x in row.items():
+            cols[j][i] = x
+    return cols
+
+
 def _to_matrix(row, m, n):
     """The m-by-n matrix whose row-major vectorisation is the sparse row."""
     nonzero = [{} for _ in range(m)]
@@ -414,7 +438,14 @@ def matrix_to_vec(m):
 
 
 def vec_to_matrix(v, m, n=None):
+    """The m-by-n matrix whose row-major vectorisation is v, given dense (a
+    sequence of m*n scalars) or sparse ({index: Scalar}, as ``Subspace.rows``
+    gives)."""
     n = m if n is None else n
+    if isinstance(v, dict):
+        if v and not (min(v) >= 0 and max(v) < m * n):
+            raise ValueError(f"vector index outside a {m}x{n} matrix")
+        return _to_matrix({p: x for p, x in v.items() if not x.is_zero()}, m, n)
     if len(v) != m * n:
         raise ValueError(f"vector of length {len(v)} is not a {m}x{n} matrix")
     return Matrix(tuple(tuple(v[i * n + j] for j in range(n)) for i in range(m)))
@@ -554,7 +585,7 @@ class Subspace:
 
     @classmethod
     def from_matrix_columns(cls, mat):
-        return cls(mat.columns(), mat.m)
+        return cls(_columns(mat), mat.m)
 
     @property
     def dim(self):
@@ -886,10 +917,7 @@ def intertwiner_space(as_, bs):
                                   for c in columns.get(key, ())}, m * n)
     rows = []
     for a, b in zip(as_, bs):
-        a_cols = [{} for _ in range(a.n)]
-        for i, row in enumerate(a._nonzero):
-            for j, x in row.items():
-                a_cols[j][i] = x
+        a_cols = _columns(a)
         b_rows = b._nonzero
         # entry (r, c) of X a - b X, unknowns X[p, q] at index p*n + q
         for r in range(m):

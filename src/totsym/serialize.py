@@ -6,7 +6,16 @@ so files are diffable and parsing is exact.  Every file is a Document:
 
 `emit` is the one writer of document text.  Its output is byte-identical to
 ``json.dumps(doc, sort_keys=True, indent=2) + "\n"`` without the
-pure-Python encoder that ``json.dumps`` uses whenever ``indent`` is set.
+pure-Python encoder that ``json.dumps`` uses whenever ``indent`` is set,
+and it spells each distinct list of strings (a scalar) once per
+indentation.
+
+A matrix is written entry by entry, zeros included, but it goes between a
+document and ``Matrix`` through its rows of nonzero entries only: the
+reader stores no entry that parses to zero and the writer fills every
+absent entry with the zero text, so no dense matrix is built either way.
+The reader and the writer of a document each keep one scalar memo for all
+of its matrices, so each distinct scalar is parsed or formatted once.
 """
 
 import json
@@ -106,51 +115,79 @@ def scalar_from_json(data):
     return Scalar.from_ratios([_ratio_from_json(x) for x in data])
 
 
-def matrix_to_json(m):
-    """{"rows", "cols", "entries"} with entries flattened row-major.
+# the text of an absent (zero) entry; each entry gets a copy of it
+_ZERO_TEXT = ["0"] * 8
 
-    Each distinct scalar is formatted once; every entry gets its own list.
+
+def _entries_to_json(rows, cols, cells, memo):
+    """{"rows", "cols", "entries"} of the rows-by-cols matrix whose nonzero
+    entries are the (row-major index, Scalar) pairs of ``cells``.
+
+    Each distinct scalar is formatted once per ``memo``, {Scalar: text}, or
+    once per call when it is None; an absent entry gets the zero text as it
+    stands.  Every entry gets its own list, so a caller may edit one.
     """
-    memo = {}
-    entries = []
-    for row in m.rows:
-        for x in row:
-            text = memo.get(x)
-            if text is None:
-                text = memo[x] = scalar_to_json(x)
-            entries.append(text.copy())
-    return {"rows": m.m, "cols": m.n, "entries": entries}
+    memo = {} if memo is None else memo
+    flat = [_ZERO_TEXT] * (rows * cols)
+    for p, x in cells:
+        text = memo.get(x)
+        if text is None:
+            text = memo[x] = scalar_to_json(x)
+        flat[p] = text
+    return {"rows": rows, "cols": cols, "entries": list(map(list.copy, flat))}
 
 
-def matrix_from_json(data):
+def matrix_to_json(m, memo=None):
+    """{"rows", "cols", "entries"} with entries flattened row-major, written
+    from the nonzero rows.  A writer of several matrices passes one
+    ``memo`` ({Scalar: text}) to all of them."""
+    n = m.n
+    cells = ((i * n + j, x) for i, row in enumerate(m.nonzero_rows)
+             for j, x in row.items())
+    return _entries_to_json(m.m, n, cells, memo)
+
+
+def matrix_from_json(data, memo=None):
+    """The matrix a {"rows", "cols", "entries"} object gives, built from its
+    nonzero entries: an entry that parses to zero, however it is spelled,
+    is not stored.  Each distinct entry is parsed once per ``memo``
+    ({tuple of strings: Scalar}), which a reader of several matrices
+    passes to all of them; only entries that parsed are remembered, so a
+    bad one raises exactly as scalar_from_json does."""
     _require(isinstance(data, dict), "matrix must be an object")
     rows, cols = _int_field(data, "rows"), _int_field(data, "cols")
     _require(rows >= 1 and cols >= 1, "matrix dimensions must be positive")
     entries = data.get("entries")
     _require(isinstance(entries, list) and len(entries) == rows * cols,
              "entry count does not match rows*cols")
-    # each distinct entry is parsed once; only entries that parsed are
-    # remembered, so a bad one raises exactly as scalar_from_json does
-    memo = {}
-    flat = []
-    for e in entries:
-        key = tuple(e) if isinstance(e, list) else None
-        try:
-            x = memo[key]
-        except (KeyError, TypeError):  # TypeError: an unhashable item
-            x = memo[key] = scalar_from_json(e)
-        flat.append(x)
-    return Matrix([flat[i * cols:(i + 1) * cols] for i in range(rows)])
+    memo = {} if memo is None else memo
+    nonzero = []
+    for start in range(0, rows * cols, cols):
+        row = {}
+        for j, e in enumerate(entries[start:start + cols]):
+            key = tuple(e) if isinstance(e, list) else None
+            try:
+                x = memo[key]
+            except (KeyError, TypeError):  # TypeError: an unhashable item
+                x = scalar_from_json(e)
+                memo[key] = x = ZERO if x.is_zero() else x
+            if x is not ZERO:
+                row[j] = x
+        nonzero.append(row)
+    return Matrix.from_nonzero_rows(nonzero, cols)
 
 
-def subspace_to_json(w):
-    """Basis vectors as matrix columns; the zero space keeps cols = 0."""
-    if w.dim == 0:
+def subspace_to_json(w, memo=None):
+    """Basis vectors as matrix columns, written from the echelon rows; the
+    zero space keeps cols = 0."""
+    d = w.dim
+    if d == 0:
         return {"rows": w.n, "cols": 0, "entries": []}
-    return matrix_to_json(w.matrix_columns())
+    cells = ((i * d + j, x) for j, row in enumerate(w.rows) for i, x in row.items())
+    return _entries_to_json(w.n, d, cells, memo)
 
 
-def subspace_from_json(data):
+def subspace_from_json(data, memo=None):
     """A subspace from its basis columns.  The zero space has no entries to
     back its ambient dimension, so that dimension is bounded by
     ``catalog.MAX_DIM``: an arrangement on K^n costs n×n witnesses."""
@@ -161,46 +198,47 @@ def subspace_from_json(data):
         _require(n <= MAX_DIM, f"a zero plane in K^{n} has more than the "
                                f"{MAX_DIM} dimensions a document may give it")
         return Subspace([], n)
-    return Subspace.from_matrix_columns(matrix_from_json(data))
+    return Subspace.from_matrix_columns(matrix_from_json(data, memo))
 
 
 # ---------------------------------------------------------------------------
 # witnesses and the three object kinds
 
 
-def _witness_to_json(witness, representatives=None):
-    out = {"transpositions": [matrix_to_json(t) for t in witness]}
+def _witness_to_json(witness, memo, representatives=None):
+    out = {"transpositions": [matrix_to_json(t, memo) for t in witness]}
     if representatives is not None:
-        out["representatives"] = [matrix_to_json(m) for m in representatives]
+        out["representatives"] = [matrix_to_json(m, memo) for m in representatives]
     return out
 
 
-def _matrix_list(data, key):
+def _matrix_list(data, key, memo):
     value = data[key]
     _require(isinstance(value, list), f"field {key!r} must be a list")
-    return [matrix_from_json(t) for t in value]
+    return [matrix_from_json(t, memo) for t in value]
 
 
-def _witness_from_json(data, what=None):
+def _witness_from_json(data, memo, what=None):
     """(transpositions, representatives or None) of a witness object; the
     witness of a set or a system (``what``) takes no representatives."""
     _require(isinstance(data, dict) and "transpositions" in data,
              "witness must carry a transposition list")
-    ts = _matrix_list(data, "transpositions")
+    ts = _matrix_list(data, "transpositions", memo)
     if "representatives" not in data:
         return ts, None
     _require(what is None, f"a {what} takes a plain transposition witness")
-    return ts, _matrix_list(data, "representatives")
+    return ts, _matrix_list(data, "representatives", memo)
 
 
 def tss_to_json(t):
+    memo = {}  # one scalar memo per document, here and in each reader below
     out = {
         "n": t.n,
         "k": t.k,
-        "elements": [matrix_to_json(a) for a in t.elements],
+        "elements": [matrix_to_json(a, memo) for a in t.elements],
     }
     if t.witness is not None:
-        out["witness"] = _witness_to_json(t.witness)
+        out["witness"] = _witness_to_json(t.witness, memo)
     if t.params:
         out["params"] = [scalar_to_json(p) for p in t.params]
     return out
@@ -211,10 +249,11 @@ def tss_from_json(data):
     n, k = _int_field(data, "n"), _int_field(data, "k")
     elements = data.get("elements")
     _require(isinstance(elements, list) and elements, "missing element list")
-    mats = [matrix_from_json(e) for e in elements]
+    memo = {}
+    mats = [matrix_from_json(e, memo) for e in elements]
     witness = None
     if "witness" in data:
-        witness, _ = _witness_from_json(data["witness"], "set")
+        witness, _ = _witness_from_json(data["witness"], memo, "set")
     params = data.get("params", [])
     _require(isinstance(params, list), "field 'params' must be a list")
     params = [scalar_from_json(p) for p in params]
@@ -227,15 +266,16 @@ def tss_from_json(data):
 
 
 def arrangement_to_json(a):
+    memo = {}
     out = {
         "n": a.n,
         "k": a.k,
         "d": a.d,
-        "planes": [subspace_to_json(w) for w in a.planes],
+        "planes": [subspace_to_json(w, memo) for w in a.planes],
         "strong": a.representatives is not None,
     }
     if a.witness is not None:
-        out["witness"] = _witness_to_json(a.witness, a.representatives)
+        out["witness"] = _witness_to_json(a.witness, memo, a.representatives)
     return out
 
 
@@ -244,12 +284,13 @@ def arrangement_from_json(data):
     n, k, d = (_int_field(data, key) for key in ("n", "k", "d"))
     planes = data.get("planes")
     _require(isinstance(planes, list) and planes, "missing plane list")
-    spaces = [subspace_from_json(p) for p in planes]
+    memo = {}
+    spaces = [subspace_from_json(p, memo) for p in planes]
     strong = data.get("strong", False)
     _require(isinstance(strong, bool), "field 'strong' must be a boolean")
     witness = reps = None
     if "witness" in data:
-        witness, reps = _witness_from_json(data["witness"])
+        witness, reps = _witness_from_json(data["witness"], memo)
     if strong:
         _require(reps is not None,
                  "strong flag set but no representative matrices present")
@@ -264,14 +305,15 @@ def arrangement_from_json(data):
 
 
 def system_to_json(s):
+    memo = {}
     out = {
         "n": s.n,
         "k": s.k,
         "parts": s.parts,
-        "grid": [[subspace_to_json(w) for w in row] for row in s.grid],
+        "grid": [[subspace_to_json(w, memo) for w in row] for row in s.grid],
     }
     if s.witness is not None:
-        out["witness"] = _witness_to_json(s.witness)
+        out["witness"] = _witness_to_json(s.witness, memo)
     return out
 
 
@@ -280,13 +322,14 @@ def system_from_json(data):
     n, k, parts = (_int_field(data, key) for key in ("n", "k", "parts"))
     grid = data.get("grid")
     _require(isinstance(grid, list) and grid, "missing grid")
+    memo = {}
     rows = []
     for row in grid:
         _require(isinstance(row, list) and row, "grid rows must be non-empty")
-        rows.append([subspace_from_json(w) for w in row])
+        rows.append([subspace_from_json(w, memo) for w in row])
     witness = None
     if "witness" in data:
-        witness, _ = _witness_from_json(data["witness"], "system")
+        witness, _ = _witness_from_json(data["witness"], memo, "system")
     try:
         s = DecompositionSystem(rows, witness=witness)
     except ValueError as e:
@@ -299,7 +342,7 @@ def system_from_json(data):
 def certificate_to_json(c):
     out = {"verdict": c.verdict}
     if c.witness is not None:
-        out["witness"] = _witness_to_json(c.witness)
+        out["witness"] = _witness_to_json(c.witness, {})
     if c.failing_transposition is not None:
         out["failing_transposition"] = c.failing_transposition
     if c.detail:
@@ -321,9 +364,16 @@ def document(kind, payload):
     }
 
 
-def _write(x, pad, out):
+def _write(x, pad, out, memo):
     """Append the text json.dumps(x, sort_keys=True, indent=2) gives for x
-    at indentation `pad` to the list `out`."""
+    at indentation `pad` to the list `out`.
+
+    The text of each list of strings (a scalar) goes into ``memo`` under
+    (its indentation, *its items), and an item of a list is looked up there
+    before it is written.  Only lists of strings are stored: 1, True and
+    1.0 are equal keys but are spelled apart, while a string never equals
+    any other item, so no lookup finds the text of a different list.
+    """
     if isinstance(x, str):
         out.append(_quote(x))
         return
@@ -338,19 +388,28 @@ def _write(x, pad, out):
             if not isinstance(key, str):  # as json.dumps spells or rejects it
                 key, = json.loads(json.dumps({key: None}))
             out.append(f"{sep if j else ''}{_quote(key)}: ")
-            _write(v, inner, out)
+            _write(v, inner, out, memo)
         out.append(f"\n{pad}}}")
         return
     try:  # a list of strings, such as a scalar, in one join
-        out.append(f"[\n{inner}{sep.join(map(_quote, x))}\n{pad}]")
-        return
+        text = f"[\n{inner}{sep.join(map(_quote, x))}\n{pad}]"
     except TypeError:  # an item that is not a string
         pass
+    else:
+        memo[(pad, *x)] = text
+        out.append(text)
+        return
     out.append("[\n" + inner)
     for j, v in enumerate(x):
         if j:
             out.append(sep)
-        _write(v, inner, out)
+        if isinstance(v, (list, tuple)):
+            try:
+                out.append(memo[(inner, *v)])
+                continue
+            except (KeyError, TypeError):  # TypeError: an unhashable item
+                pass
+        _write(v, inner, out, memo)
     out.append(f"\n{pad}]")
 
 
@@ -361,7 +420,7 @@ def emit(doc):
     """
     out = []
     try:
-        _write(doc, "", out)
+        _write(doc, "", out, {})
     except RecursionError:
         raise ValueError("document nested too deeply to write") from None
     out.append("\n")

@@ -200,6 +200,16 @@ def test_permutation_type_rejects_collisions():
         permutation_type([1, 2, 1])
 
 
+@pytest.mark.parametrize("make", [lambda: permutation_type([0, 1, 2]),
+                                  lambda: standard(3, 0, 1), lambda: standard(3, 2, 0)])
+def test_diagonal_sets_store_no_zero_entry(make):
+    # their diagonals and permutation matrices are built from nonzero rows
+    t = make()
+    for a in (*t.elements, *t.witness):
+        assert all(not x.is_zero() for row in a.nonzero_rows for x in row.values())
+        assert Matrix(a.rows) == a
+
+
 def test_permutation_type_is_a_partition_construction():
     assert permutation_type([4, 5]) == partition_construction([4, 5])
 

@@ -151,14 +151,17 @@ OVERWORK = {
 
 
 def _refused_before_building(name, args, message, monkeypatch, capsys):
-    # the size is refused before any matrix of the construction exists; the
-    # base set of an induction is built before the count starts
+    # the size is refused before any matrix of the construction exists,
+    # through either constructor; the base set of an induction is built
+    # before the count starts
     base = standard(3)
     monkeypatch.setattr(totsym.cli, "_base_tss", lambda args: base)
     built = []
-    init = Matrix.__init__
+    init, from_nonzero_rows = Matrix.__init__, Matrix.from_nonzero_rows
     monkeypatch.setattr(Matrix, "__init__",
                         lambda self, rows: built.append(1) or init(self, rows))
+    monkeypatch.setattr(Matrix, "from_nonzero_rows", staticmethod(
+        lambda rows, n: built.append(1) or from_nonzero_rows(rows, n)))
     assert run("construct", name, *args) == 2
     assert message in capsys.readouterr().err
     assert built == []
@@ -196,10 +199,12 @@ def test_construct_admits_the_largest_size_of_each_family(name, monkeypatch):
     base = standard(3)
     monkeypatch.setattr(totsym.cli, "_base_tss", lambda args: base)
 
-    def refuse(self, rows):
+    def refuse(*args):
         raise Built
 
+    # a matrix is built through either constructor
     monkeypatch.setattr(Matrix, "__init__", refuse)
+    monkeypatch.setattr(Matrix, "from_nonzero_rows", staticmethod(refuse))
     with pytest.raises(Built):
         run("construct", name, *ADMITTED[name])
 
@@ -566,9 +571,11 @@ def test_zero_plane_dimension_is_refused_before_building(
     doc = tmp_path / "zero.json"
     doc.write_text(_zero_plane_document(rows))
     built = []
-    init = Matrix.__init__
+    init, from_nonzero_rows = Matrix.__init__, Matrix.from_nonzero_rows
     monkeypatch.setattr(Matrix, "__init__",
                         lambda self, rows: built.append(1) or init(self, rows))
+    monkeypatch.setattr(Matrix, "from_nonzero_rows", staticmethod(
+        lambda rows, n: built.append(1) or from_nonzero_rows(rows, n)))
     assert run(command, "--in", str(doc)) == 2
     assert message in capsys.readouterr().err
     assert built == []

@@ -114,6 +114,18 @@ def test_outer_and_vec_roundtrip():
     assert mat_vec(Matrix.identity(2), u) == u
 
 
+def test_matrix_from_its_nonzero_rows_and_a_sparse_vectorisation():
+    m = M((1, 0, 2), (0, 0, 0))
+    two = Scalar.rational(2)
+    assert m.nonzero_rows == ({0: ONE, 2: two}, {})
+    assert Matrix.from_nonzero_rows(m.nonzero_rows, 3) == m
+    # a sparse vector reads as its dense form does; a zero entry is dropped
+    assert vec_to_matrix({0: ONE, 2: two, 4: ZERO}, 2, 3) == m
+    assert vec_to_matrix({0: ONE, 2: two, 4: ZERO}, 2, 3).nonzero_rows == m.nonzero_rows
+    with pytest.raises(ValueError):
+        vec_to_matrix({6: ONE}, 2, 3)
+
+
 def test_mat_vec_coerces_plain_numbers():
     assert mat_vec(M((1, 2), (3, 4)), (1, 0)) == vec((1, 3))
     assert mat_vec(M((1, 2), (3, 4)), [0, Fraction(1, 2)]) == vec((1, Fraction(2)))

@@ -13,7 +13,7 @@ from totsym.catalog import (
     tilde_sigma5_arrangement,
 )
 from totsym.core import Arrangement, Certificate, Tss, verify_arrangement, verify_tss
-from totsym.field import I_UNIT, MU_SPORADIC, ONE, SQRT2, ZETA, Scalar
+from totsym.field import I_UNIT, MU_SPORADIC, ONE, SQRT2, ZERO, ZETA, Scalar
 from totsym.linalg import Matrix, Subspace
 from totsym.serialize import (
     FIELD_BASIS,
@@ -95,6 +95,48 @@ def test_matrix_parse_checks_every_repeated_entry():
             matrix_from_json({**good, "entries": [zero, zero, bad]})
 
 
+# mostly zeros, and few distinct entries, so the memos see repeats
+sparse_entries = st.sampled_from(
+    [ZERO, ZERO, ZERO, ONE, -ONE, ZETA, SQRT2 * I_UNIT, Scalar.rational(1, 3)])
+sparse_matrices = st.tuples(st.integers(1, 4), st.integers(1, 4)).flatmap(
+    lambda shape: st.lists(st.lists(sparse_entries, min_size=shape[1], max_size=shape[1]),
+                           min_size=shape[0], max_size=shape[0])).map(Matrix)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(sparse_matrices, min_size=1, max_size=3))
+def test_sparse_matrix_round_trip(mats):
+    # one memo across the matrices, as a document passes it
+    out, back = {}, {}
+    for m in mats:
+        d = matrix_to_json(m, out)
+        assert d == {"rows": m.m, "cols": m.n,
+                     "entries": [scalar_to_json(x) for row in m.rows for x in row]}
+        read = matrix_from_json(d, back)
+        assert read == m and read.nonzero_rows == m.nonzero_rows
+
+
+def test_zero_spelled_any_way_stores_no_entry():
+    zeros = [["0/7"] + ["0"] * 7, ["-0"] * 8, ["0"] * 8, ["0.0"] + ["0/3"] * 7]
+    m = matrix_from_json({"rows": 2, "cols": 2, "entries": zeros})
+    assert m.nonzero_rows == ({}, {})
+    assert m == Matrix.zero(2)
+    half = matrix_from_json({"rows": 1, "cols": 2, "entries": [["-0"] * 8, ["2/4"] + ["-0"] * 7]})
+    assert half.nonzero_rows == ({1: Scalar.rational(1, 2)},)
+
+
+@pytest.mark.parametrize("spoil", [
+    tuple, "".join, lambda e: e[:7], lambda e: e[:7] + [0], lambda e: e[:7] + [{}]])
+def test_a_bad_entry_after_repeated_good_ones_raises(spoil):
+    # the elements come first and parse every scalar the witness repeats,
+    # into the one memo of the document; the spoiled last entry still raises
+    payload = tss_to_json(standard(3, 2, 1))
+    entries = payload["witness"]["transpositions"][-1]["entries"]
+    entries[-1] = spoil(entries[-1])
+    with pytest.raises(ParseError):
+        tss_from_json(payload)
+
+
 def test_matrix_shape_rejections():
     good = matrix_to_json(Matrix([[1, 2]]))
     with pytest.raises(ParseError):
@@ -110,6 +152,18 @@ def test_subspace_round_trip_including_zero():
     assert subspace_from_json(subspace_to_json(w)) == w
     zero = Subspace([], 4)
     assert subspace_from_json(subspace_to_json(zero)) == zero
+
+
+def test_a_plane_given_by_other_columns_re_exports_in_canonical_form():
+    plane = Subspace([(1, 0, 2), (0, 1, 1)], 3)
+    other = Subspace([(1, 0, 0), (0, 1, 0)], 3)
+    canonical = emit(to_document(Arrangement([plane, other])))
+    # columns (1, 1, 3) and (1, -1, 1) span the same plane, out of echelon form
+    doc = to_document(Arrangement([plane, other]))
+    doc["payload"]["planes"][0] = matrix_to_json(Matrix([[1, 1], [1, -1], [3, 1]]))
+    assert subspace_from_json(doc["payload"]["planes"][0]) == plane
+    assert emit(doc) != canonical
+    assert emit(to_document(from_document(parse(emit(doc))))) == canonical
 
 
 # ----------------------------------------------------------------- documents
@@ -198,6 +252,8 @@ json_trees = st.recursive(
         st.lists(kids, max_size=4),
         st.lists(kids, max_size=4).map(tuple),
         st.lists(st.text(max_size=3), max_size=4),
+        # items that are equal, or hash alike, but are spelled apart
+        st.lists(st.sampled_from([0, 1, True, False, 0.0, 1.0, "0", "1"]), max_size=3),
         st.dictionaries(st.text(max_size=4), kids, max_size=4)),
     max_leaves=30)
 
@@ -206,6 +262,13 @@ json_trees = st.recursive(
 @given(json_trees)
 def test_emit_matches_json_dumps(tree):
     assert emit(tree) == json.dumps(tree, sort_keys=True, indent=2) + "\n"
+
+
+def test_emit_spells_equal_non_string_items_apart():
+    # 1, True and 1.0 are equal keys; only lists of strings are memoized
+    for tree in ([[1], [True], [1.0]], [[0], [False], [0.0]], [["1"], [1]],
+                 [[1], ["1"]], [[["1"]], [[1]], [["1"]]], {"a": ["1"], "b": [[1], ["1"]]}):
+        assert emit(tree) == json.dumps(tree, sort_keys=True, indent=2) + "\n"
 
 
 def test_emit_converts_keys_as_json_dumps_does():
