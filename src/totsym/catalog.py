@@ -15,7 +15,6 @@ from .core import (
     Arrangement,
     DecompositionSystem,
     Tss,
-    Weight,
     suspension,
     swap_adjacent,
 )
@@ -34,6 +33,7 @@ from .field import (
     as_scalar,
 )
 from .linalg import Matrix, Subspace, kernel
+from .spectral import Weight
 
 __all__ = [
     "DuplicateEigenvalue",

@@ -11,15 +11,15 @@ Verification is witness-first: ``realizes``, the one recheck of every
 kind of family, checks a bundled witness exactly (cheap), and a
 Sylvester-system solver searches for fresh witnesses when none is supplied
 or the bundled one fails.  Restriction, quotient and reduction take their
-blocks from ``linalg.Subspace``, with no change of basis.
+blocks from ``linalg.Subspace``, with no change of basis.  Involution
+checks are dimension counts of intertwiner spaces, with no search.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 
-from .field import Scalar, as_scalar
+from .field import as_scalar
 from .linalg import (
     Matrix,
     Singular,
@@ -49,20 +49,6 @@ class NoStrongWitness(ValueError):
     pass
 
 
-class InvariantViolation(ValueError):
-    """An internal invariant failed: a fault in the computation, not a verdict.
-
-    Raised instead of ``assert`` so that the check also runs under
-    ``python -O``; as a ValueError it makes the CLI exit with code 2.
-    """
-
-
-def ensure(condition, message):
-    """Raise InvariantViolation(message) unless condition holds."""
-    if not condition:
-        raise InvariantViolation(message)
-
-
 def swap_adjacent(seq, j):
     """The items of seq as a list, with positions j and j+1 exchanged."""
     out = list(seq)
@@ -74,49 +60,6 @@ def _assign(record, **values):
     """Set fields of a frozen record; used by __post_init__ to canonicalise."""
     for name, value in values.items():
         object.__setattr__(record, name, value)
-
-
-@dataclass(frozen=True, slots=True)
-class Weight:
-    """A tuple of eigenvalues; equal entries mark the same partition part."""
-
-    values: tuple
-
-    def __post_init__(self):
-        values = tuple(as_scalar(v) for v in self.values)
-        if not values:
-            raise ValueError("weight needs at least one value")
-        _assign(self, values=values)
-
-    @property
-    def k(self):
-        return len(self.values)
-
-    @property
-    def partition(self):
-        return tuple(sorted(Counter(self.values).values(), reverse=True))
-
-    def orbit(self):
-        """Yield each distinct rearrangement of the values once, in increasing
-        order of their tuples of sort keys.
-
-        Steps through the multiset permutations in lexicographic order, so
-        the work is proportional to the orbit, not to the k! permutations.
-        """
-        distinct = sorted(set(self.values), key=Scalar.sort_key)
-        word = sorted(distinct.index(v) for v in self.values)
-        while True:
-            yield tuple(distinct[r] for r in word)
-            i = len(word) - 2
-            while i >= 0 and word[i] >= word[i + 1]:
-                i -= 1
-            if i < 0:
-                return
-            j = len(word) - 1
-            while word[j] <= word[i]:
-                j -= 1
-            word[i], word[j] = word[j], word[i]
-            word[i + 1:] = reversed(word[i + 1:])
 
 
 def _check_witness(transpositions, k, n):
@@ -431,11 +374,6 @@ def realize_permutation(witness, sigma, n=None):
     return result
 
 
-def is_commutative(t):
-    els = t.elements
-    return all(a * b == b * a for i, a in enumerate(els) for b in els[i + 1:])
-
-
 def isomorphic(a, b):
     """An invertible T with T·A_i·T^-1 = B_i, or None."""
     if (a.n, a.k) != (b.n, b.k):
@@ -544,20 +482,18 @@ def half_dim_normal_form(a):
 
 
 def involution_checks(t):
-    """Per-element conjugacy flags for A ~ A^-1 and A ~ I - A."""
+    """Per-element conjugacy flags for A ~ A^-1 and A ~ I - A, exact with no
+    search: both share A's commutant C(A), and A ~ B exactly when
+    dim S(A, B) = dim C(A) = dim C(B) (Byrnes–Gauger 1977)."""
     eye = Matrix.identity(t.n)
     report = []
     for a in t.elements:
         det, inv = a.det_inverse()
         if inv is None:
             raise Singular("element is not invertible")
-        def conj_to(target, a=a):
-            space = intertwiner_space([a], [target])
-            return invertible_in_space(space, t.n) is not None
-        report.append({
-            "conjugate_to_inverse": conj_to(inv),
-            "conjugate_to_one_minus": conj_to(eye - a),
-        })
+        dims = [intertwiner_space([a], [b]).dim for b in (a, inv, eye - a)]
+        report.append({"conjugate_to_inverse": dims[1] == dims[0],
+                       "conjugate_to_one_minus": dims[2] == dims[0]})
     return report
 
 

@@ -1,16 +1,17 @@
 """Eigenstructure analytics for totally symmetric sets.
 
-Generalized eigenspace filtrations, j-fold eigenspaces and depth profiles,
-restricted eigenvalue discovery over K, the classification algorithm for
-commutative sets, and Burnside-style irreducibility certificates.
+Weights, generalized eigenspace filtrations, j-fold eigenspaces and depth
+profiles, restricted eigenvalue discovery over K, the classification
+algorithm for commutative sets, Burnside-style irreducibility certificates,
+and the ``ensure`` invariant check; it imports only ``field`` and ``linalg``.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations, islice
 
-from .core import Weight, ensure, is_commutative
 from .field import (
     TWO,
     ZETA,
@@ -57,6 +58,20 @@ NON_DIAGONALIZABLE = "NonDiagonalizable"
 NOT_CLASSIFIED = "NotClassified"
 
 
+class InvariantViolation(ValueError):
+    """An internal invariant failed: a fault in the computation, not a verdict.
+
+    Raised instead of ``assert`` so that the check also runs under
+    ``python -O``; as a ValueError it makes the CLI exit with code 2.
+    """
+
+
+def ensure(condition, message):
+    """Raise InvariantViolation(message) unless condition holds."""
+    if not condition:
+        raise InvariantViolation(message)
+
+
 class NotAnEigenvalue(ValueError):
     """The requested scalar is not an eigenvalue of any element."""
 
@@ -66,6 +81,11 @@ class NotCommutative(ValueError):
 
 
 _NOT_COMMUTATIVE = "elements do not pairwise commute"
+
+
+def is_commutative(t):
+    els = t.elements
+    return all(a * b == b * a for i, a in enumerate(els) for b in els[i + 1:])
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +266,49 @@ def discover_eigenvalues(a, candidates=()):
 
 # ---------------------------------------------------------------------------
 # classification of commutative sets
+
+
+@dataclass(frozen=True, slots=True)
+class Weight:
+    """A tuple of eigenvalues; equal entries mark the same partition part."""
+
+    values: tuple
+
+    def __post_init__(self):
+        values = tuple(as_scalar(v) for v in self.values)
+        if not values:
+            raise ValueError("weight needs at least one value")
+        object.__setattr__(self, "values", values)
+
+    @property
+    def k(self):
+        return len(self.values)
+
+    @property
+    def partition(self):
+        return tuple(sorted(Counter(self.values).values(), reverse=True))
+
+    def orbit(self):
+        """Yield each distinct rearrangement of the values once, in increasing
+        order of their tuples of sort keys.
+
+        Steps through the multiset permutations in lexicographic order, so
+        the work is proportional to the orbit, not to the k! permutations.
+        """
+        distinct = sorted(set(self.values), key=Scalar.sort_key)
+        word = sorted(distinct.index(v) for v in self.values)
+        while True:
+            yield tuple(distinct[r] for r in word)
+            i = len(word) - 2
+            while i >= 0 and word[i] >= word[i + 1]:
+                i -= 1
+            if i < 0:
+                return
+            j = len(word) - 1
+            while word[j] <= word[i]:
+                j -= 1
+            word[i], word[j] = word[j], word[i]
+            word[i + 1:] = reversed(word[i + 1:])
 
 
 @dataclass(frozen=True, slots=True)

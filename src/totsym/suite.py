@@ -25,7 +25,6 @@ from .catalog import (
 from .core import (
     TOTALLY_SYMMETRIC,
     Tss,
-    ensure,
     half_dim_normal_form,
     involution_checks,
     isomorphic,
@@ -55,6 +54,7 @@ from .spectral import (
     ProperAlgebra,
     classify_commutative,
     depth_profile,
+    ensure,
     irreducibility_certificate,
     jfold,
 )

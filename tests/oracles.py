@@ -36,6 +36,7 @@ import itertools
 import random
 
 import sympy
+from sympy.matrices.normalforms import invariant_factors
 
 from totsym.core import (
     NOT_TOTALLY_SYMMETRIC,
@@ -45,7 +46,6 @@ from totsym.core import (
     NotInvariant,
     Tss,
     _no_invertible_detail,
-    is_commutative,
     swap_adjacent,
 )
 from totsym.field import ONE, ZERO, Scalar, as_scalar
@@ -67,6 +67,7 @@ from totsym.spectral import (
     NotCommutative,
     _classify_blocks,
     discover_eigenvalues,
+    is_commutative,
 )
 
 _SYM_BASIS = (
@@ -115,6 +116,26 @@ def oracle_intertwiner_dimension(As, Bs) -> int:
                 rows.append(row)
     M = sympy.Matrix(rows)
     return m * n - M.rank(simplify=True)
+
+
+def _similarity_invariants(sm):
+    """The invariant factors of xI - M over Q[x], each made monic."""
+    x = sympy.Symbol("x")
+    factors = invariant_factors(x * sympy.eye(sm.rows) - sm, domain=sympy.QQ[x])
+    return [sympy.Poly(f, x).monic() for f in factors]
+
+
+def oracle_involution_flags(a):
+    """``core.involution_checks``' flags for one rational matrix A: whether
+    A^-1 and I - A, both formed in sympy, have the invariant factors of A.
+    Similarity of rational matrices does not depend on the field, so this
+    decides it over K as well."""
+    sa = matrix_to_sympy(a)
+    own = _similarity_invariants(sa)
+    return {
+        "conjugate_to_inverse": _similarity_invariants(sa.inv()) == own,
+        "conjugate_to_one_minus": _similarity_invariants(sympy.eye(sa.rows) - sa) == own,
+    }
 
 
 def oracle_algebra_dimension(gens) -> int:

@@ -37,7 +37,6 @@ from totsym.core import (
     dual_arrangement,
     half_dim_normal_form,
     involution_checks,
-    is_commutative,
     isomorphic,
     verify_arrangement,
     verify_tss,
@@ -56,7 +55,7 @@ from totsym.field import (
 )
 from totsym.linalg import Matrix, Subspace
 from totsym.serialize import emit, to_document
-from totsym.spectral import IRREDUCIBLE, classify_commutative
+from totsym.spectral import IRREDUCIBLE, classify_commutative, is_commutative
 
 from oracles import reference_induction
 

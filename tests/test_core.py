@@ -2,7 +2,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from totsym import catalog, linalg
 from totsym.core import (
@@ -16,12 +16,10 @@ from totsym.core import (
     NotComplementary,
     NotInvariant,
     Tss,
-    Weight,
     _transposition_spaces,
     dual_arrangement,
     half_dim_normal_form,
     involution_checks,
-    is_commutative,
     isomorphic,
     realize_permutation,
     reduce_arrangement,
@@ -42,8 +40,10 @@ from totsym.linalg import (
     mat_vec,
     transport_space,
 )
+from totsym.spectral import Weight, is_commutative
 
 from oracles import (
+    oracle_involution_flags,
     reference_certificate,
     reference_realize_permutation,
     reference_reduce_arrangement,
@@ -770,6 +770,41 @@ def test_involutions_generic_diagonal():
 def test_involutions_need_invertible():
     with pytest.raises(Singular):
         involution_checks(Tss([diag(0, 1)]))
+
+
+@st.composite
+def invertible_integer_matrices(draw):
+    """An invertible integer matrix: a dense n-by-n draw, n <= 3, or Jordan
+    blocks of size 1 or 2 at eigenvalues -1, 1 and 2, n <= 4, conjugated by
+    a unit lower triangular matrix."""
+    small = st.integers(-2, 2)
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 3))
+        a = Matrix([[draw(small) for _ in range(n)] for _ in range(n)])
+        assume(not a.det().is_zero())
+        return a
+    blocks = draw(st.lists(st.tuples(st.sampled_from([-1, 1, 2]), st.integers(1, 2)),
+                           min_size=1, max_size=4))
+    assume(sum(size for _, size in blocks) <= 4)
+    diagonal = [lam for lam, size in blocks for _ in range(size)]
+    # goes_on[j]: column j continues the Jordan block of column j - 1
+    goes_on = [j > 0 for _, size in blocks for j in range(size)]
+    n = len(diagonal)
+    planted = Matrix([[diagonal[i] if i == j else int(j == i + 1 and goes_on[j])
+                       for j in range(n)] for i in range(n)])
+    lower = Matrix([[1 if i == j else (draw(small) if i > j else 0) for j in range(n)]
+                    for i in range(n)])
+    return lower * planted * lower.inverse()
+
+
+@settings(max_examples=200, deadline=None)
+@given(invertible_integer_matrices())
+# Up to n = 3 equal characteristic polynomials already decide both flags.
+# These two share theirs with I - A and with A^-1, and are not similar to them.
+@example(M((-1, 1, 0, 0), (0, -1, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2)))
+@example(M((2, 1, 0, 0), (0, 2, 0, 0), (0, 0, Fraction(1, 2), 0), (0, 0, 0, Fraction(1, 2))))
+def test_involution_checks_match_invariant_factors(a):
+    assert involution_checks(Tss([a])) == [oracle_involution_flags(a)]
 
 
 # ------------------------------------------------------------- suspension

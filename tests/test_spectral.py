@@ -19,12 +19,13 @@ from totsym.catalog import (
     tilde_sigma5_arrangement,
 )
 import totsym
-from totsym.core import InvariantViolation, Tss, half_dim_normal_form, realize_permutation
+from totsym.core import Tss, half_dim_normal_form, realize_permutation
 from totsym.field import I_UNIT, ONE, SQRT2, SQRT3, SQRT6, ZETA, ZETA_INV, Scalar
 from totsym.linalg import Matrix, Subspace, char_poly
 from totsym.spectral import (
     IRREDUCIBLE,
     Incomplete,
+    InvariantViolation,
     NON_DIAGONALIZABLE,
     NOT_CLASSIFIED,
     NotAnEigenvalue,
@@ -146,8 +147,7 @@ def test_filtration_invariants_raise():
 
 
 def test_invariants_still_raise_under_python_O():
-    code = ("from totsym.core import InvariantViolation\n"
-            "from totsym.spectral import DepthProfile\n"
+    code = ("from totsym.spectral import DepthProfile, InvariantViolation\n"
             "try:\n"
             "    DepthProfile(1, [1, 2])\n"
             "except InvariantViolation as e:\n"
@@ -194,7 +194,7 @@ def test_spectral_does_not_import_catalog():
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
-    assert out.stdout == "['totsym.core', 'totsym.field', 'totsym.linalg', 'totsym.spectral']\n"
+    assert out.stdout == "['totsym.field', 'totsym.linalg', 'totsym.spectral']\n"
 
 
 # --------------------------------------------------------------------- depth
