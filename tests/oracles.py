@@ -1,9 +1,13 @@
 """Independent exact oracles used by the test suite.
 
 Everything here but the ``reference_*`` functions goes through sympy,
-which shares no code with the package: scalars become symbolic radical
-expressions, matrices become sympy Matrices, and agreement is checked by
-exact symbolic simplification.  ``reference_invertible_search`` is the invertible search
+which shares no code with the package.  ``to_k`` reads a scalar's rational
+coordinates into sympy's algebraic field K = Q(sqrt2, sqrt3, i), which
+computes with a primitive element of degree 8 over Q; matrices become
+DomainMatrices over K, eliminated by sympy, and agreement is checked by
+exact arithmetic and equality in K.  ``to_sympy`` and ``sym_equal`` remain
+for comparing a scalar with a closed form, and ``oracle_involution_flags``
+works over Q[x].  ``reference_invertible_search`` is the invertible search
 without its structural test, the reference for the search's witnesses;
 ``reference_depth_table`` is the depth table with every j-fold eigenspace
 intersected from scratch, the reference for ``spectral.depth_profile``;
@@ -36,7 +40,9 @@ import itertools
 import random
 
 import sympy
+from sympy import QQ
 from sympy.matrices.normalforms import invariant_factors
+from sympy.polys.matrices import DomainMatrix
 
 from totsym.core import (
     NOT_TOTALLY_SYMMETRIC,
@@ -82,40 +88,104 @@ _SYM_BASIS = (
 )
 
 
+# built once per session: constructing the field and its basis takes about
+# half a second
+K = QQ.algebraic_field(sympy.sqrt(2), sympy.sqrt(3), sympy.I)
+_K_BASIS = tuple(K.from_sympy(b) for b in _SYM_BASIS)
+
+
 def to_sympy(s: Scalar):
     return sympy.expand(sum(sympy.Rational(x) * b for x, b in zip(s.c, _SYM_BASIS)))
 
 
 def sym_equal(expr_a, expr_b) -> bool:
+    """Two scalar sympy expressions equal: the check of a scalar against a
+    closed form such as exp(i pi / 3)."""
     return sympy.simplify(sympy.expand(expr_a - expr_b)) == 0
 
 
-def matrix_to_sympy(m):
-    return sympy.Matrix([[to_sympy(x) for x in row] for row in m.rows])
+def to_k(s: Scalar):
+    """The element of K with the rational coordinates of s."""
+    return sum((b * QQ(p, q) for (p, q), b in zip(s.ratios(), _K_BASIS) if p), K.zero)
 
 
-def sym_matrix_zero(sm) -> bool:
-    return all(sympy.simplify(e) == 0 for e in sm)
+def k_rows(rows):
+    """Dense rows of Scalars as lists of elements of K, for comparison with
+    the rows an oracle returns."""
+    return [[to_k(x) for x in row] for row in rows]
 
 
-def oracle_intertwiner_dimension(As, Bs) -> int:
-    """dim{X : X A_t = B_t X for all t}, via sympy nullspace of the stacked
-    Sylvester systems (row-major unknowns); X is m-by-n for A_t n-by-n and
-    B_t m-by-m."""
+def k_matrix(m):
+    """A Matrix of Scalars as a DomainMatrix over K."""
+    return DomainMatrix(k_rows(m.rows), (m.m, m.n), K)
+
+
+def k_span(space):
+    """The echelon basis of a Subspace, one row per vector, as a
+    DomainMatrix over K."""
+    return DomainMatrix(k_rows(space.basis), (space.dim, space.n), K)
+
+
+def oracle_rref(dm):
+    """Nonzero rows of the reduced row echelon form of a DomainMatrix over
+    K, in pivot order."""
+    reduced, pivots = dm.rref()
+    return reduced.to_list()[:len(pivots)]
+
+
+def oracle_kernel(dm):
+    """RREF basis of {x in K^n : row . x = 0 for every row of dm}."""
+    # eliminated by Gauss-Jordan (sympy's fraction-free default is slow over
+    # K); the basis read off need not be reduced
+    return oracle_rref(dm.nullspace(divide_last=True))
+
+
+def oracle_meet(ku, kw):
+    """RREF basis of the meet of the row spaces of two DomainMatrices over
+    K: the kernel of [U^T | -W^T] gives the combinations of U's rows."""
+    combos = ku.transpose().hstack(-kw.transpose()).nullspace(divide_last=True)
+    return oracle_rref(combos[:, :ku.shape[0]] * ku)
+
+
+def oracle_det(m):
+    """Determinant of a square matrix of Scalars, in K."""
+    return k_matrix(m).det()
+
+
+def sylvester_system(As, Bs):
+    """The stacked Sylvester systems X A_t - B_t X = 0 over K, in the
+    row-major entries of X; X is m-by-n for A_t n-by-n and B_t m-by-m."""
     n, m = As[0].n, Bs[0].n
     rows = []
     for A, B in zip(As, Bs):
-        sa, sb = matrix_to_sympy(A), matrix_to_sympy(B)
+        sa, sb = k_rows(A.rows), k_rows(B.rows)
         for r in range(m):
             for c in range(n):
-                row = [sympy.Integer(0)] * (m * n)
+                row = [K.zero] * (m * n)
                 for q in range(n):
-                    row[r * n + q] += sa[q, c]
+                    row[r * n + q] += sa[q][c]
                 for p in range(m):
-                    row[p * n + c] -= sb[r, p]
+                    row[p * n + c] -= sb[r][p]
                 rows.append(row)
-    M = sympy.Matrix(rows)
-    return m * n - M.rank(simplify=True)
+    return DomainMatrix(rows, (len(rows), m * n), K)
+
+
+def oracle_intertwiner_dimension(As, Bs) -> int:
+    """dim{X : X A_t = B_t X for all t}, by the rank of the Sylvester
+    systems."""
+    return As[0].n * Bs[0].n - sylvester_system(As, Bs).rank()
+
+
+def transport_system(planes, targets):
+    """The conditions f . X w = 0 over K, in the row-major entries of X, for
+    each basis vector w of a plane and each f in the annihilator of its
+    target: X maps every plane into its target."""
+    rows = []
+    for w, t in zip(planes, targets):
+        for f in oracle_kernel(k_span(t)):
+            rows += [[x * y for x in f for y in v] for v in k_rows(w.basis)]
+    width = targets[0].n * planes[0].n
+    return DomainMatrix(rows, (len(rows), width), K)
 
 
 def _similarity_invariants(sm):
@@ -130,7 +200,7 @@ def oracle_involution_flags(a):
     A^-1 and I - A, both formed in sympy, have the invariant factors of A.
     Similarity of rational matrices does not depend on the field, so this
     decides it over K as well."""
-    sa = matrix_to_sympy(a)
+    sa = sympy.Matrix([[to_sympy(x) for x in row] for row in a.rows])
     own = _similarity_invariants(sa)
     return {
         "conjugate_to_inverse": _similarity_invariants(sa.inv()) == own,
@@ -139,84 +209,26 @@ def oracle_involution_flags(a):
 
 
 def oracle_algebra_dimension(gens) -> int:
-    """Dimension of the unital algebra generated by gens: saturate words of
-    increasing length (right-multiplying by the generators) and rank the
-    vectorized span in sympy."""
+    """Dimension of the unital algebra generated by gens: right-multiply a
+    basis of the span of I and gens by I and every generator until the
+    span's dimension stops growing, with spans reduced over K."""
     n = gens[0].n
-    base = [sympy.eye(n)] + [matrix_to_sympy(g) for g in gens]
-    seen = list(base)
-    rank = _span_rank(seen, n)
+    base = [DomainMatrix.eye(n, K)] + [k_matrix(g) for g in gens]
+    span = _span(base, n)
     while True:
-        products = [sympy.expand(a * b) for a in seen for b in base]
-        new_rank = _span_rank(seen + products, n)
-        if new_rank == rank:
-            return rank
-        seen = seen + products
-        rank = new_rank
+        wider = _span(span + [a * b for a in span for b in base], n)
+        if len(wider) == len(span):
+            return len(span)
+        span = wider
 
 
-def _span_rank(mats, n):
-    """Rank of the vectorized span of sympy matrices."""
-    rows = [[m[r, c] for r in range(n) for c in range(n)] for m in mats]
-    return len(oracle_rref(rows))
-
-
-def oracle_rref(rows):
-    """Nonzero rows of the reduced row echelon form of the given rows, in
-    pivot order, by a from-scratch Gauss-Jordan over sympy expressions
-    (simplification decides zeroness)."""
-    width = len(rows[0]) if rows else 0
-    pivots = []  # (pivot index, fully reduced row with unit pivot)
-    for raw in rows:
-        if len(pivots) == width:
-            break
-        row = [sympy.expand(x) for x in raw]
-        for p, erow in pivots:
-            f = row[p]
-            if sympy.simplify(f) != 0:
-                row = [sympy.expand(x - f * y) for x, y in zip(row, erow)]
-        p = next((j for j, x in enumerate(row)
-                  if sympy.simplify(x) != 0), None)
-        if p is None:
-            continue
-        inv = row[p]
-        row = [sympy.radsimp(sympy.expand(x / inv)) for x in row]
-        for q, erow in pivots:
-            g = erow[p]
-            if sympy.simplify(g) != 0:
-                erow[:] = [sympy.expand(x - g * y) for x, y in zip(erow, row)]
-        pivots.append((p, row))
-    return [row for _, row in sorted(pivots, key=lambda t: t[0])]
-
-
-def oracle_kernel(rows, n):
-    """RREF basis of {x in K^n : row . x = 0 for every row}."""
-    reduced = oracle_rref(rows)
-    pivots = [next(j for j, x in enumerate(r) if sympy.simplify(x) != 0)
-              for r in reduced]
-    basis = []
-    for f in range(n):
-        if f in pivots:
-            continue
-        v = [sympy.Integer(0)] * n
-        v[f] = sympy.Integer(1)
-        for p, r in zip(pivots, reduced):
-            v[p] = -r[f]
-        basis.append(v)
-    return oracle_rref(basis)
-
-
-def sym_rows_equal(ours, theirs) -> bool:
-    """Dense rows of Scalars equal, entry by entry, to rows of sympy expressions."""
-    return (len(ours) == len(theirs)
-            and all(len(a) == len(b) and all(sym_equal(to_sympy(x), y)
-                                              for x, y in zip(a, b))
-                    for a, b in zip(ours, theirs)))
-
-
-def oracle_det(m):
-    """Determinant of a square matrix of Scalars, by sympy."""
-    return matrix_to_sympy(m).det(method="berkowitz")
+def _span(mats, n):
+    """The RREF basis, as n-by-n DomainMatrices, of the span of the
+    vectorized matrices."""
+    rows = [sum(m.to_list(), []) for m in mats]
+    basis = oracle_rref(DomainMatrix(rows, (len(rows), n * n), K))
+    return [DomainMatrix([v[r * n:(r + 1) * n] for r in range(n)], (n, n), K)
+            for v in basis]
 
 
 def reference_invertible_search(space, n, seed=None):

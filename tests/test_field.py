@@ -4,6 +4,8 @@ from math import gcd, lcm
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
+from sympy import QQ
+from sympy.polys.matrices import DomainMatrix
 
 from totsym.field import (
     ALPHA_SPORADIC,
@@ -26,7 +28,7 @@ from totsym.field import (
 from totsym.linalg import _axpy
 from totsym.serialize import ParseError, scalar_from_json, scalar_to_json
 
-from oracles import sym_equal, to_sympy
+from oracles import K, sym_equal, to_k, to_sympy
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=7)
 scalars = st.builds(Scalar, st.tuples(*[rationals] * 8))
@@ -78,13 +80,41 @@ def test_inverse_roundtrip(a):
 
 
 # ------------------------------------------------------- oracle agreement
+#
+# Every matrix oracle reads scalars through to_k, so an unsound map would
+# make each comparison in K vacuous: it must be an injective field map.
+
+k_scalars = st.sampled_from(list(constants().values())) | mixed_scalars
+
+
+@settings(max_examples=60, deadline=None)
+@given(k_scalars, k_scalars)
+def test_to_k_respects_sum_product_and_inverse(a, b):
+    assert to_k(a + b) == to_k(a) + to_k(b)
+    assert to_k(a * b) == to_k(a) * to_k(b)
+    if not a.is_zero():
+        assert to_k(a.inverse()) == K.one / to_k(a)
+
+
+def test_to_k_sends_the_basis_to_independent_values():
+    assert to_k(ZERO) == K.zero and to_k(ONE) == K.one
+    # each element of K is a polynomial of degree < 8 in a primitive element
+    coords = [to_k(Scalar.basis_element(t)).to_list() for t in range(8)]
+    coords = [[QQ(0)] * (8 - len(c)) + c for c in coords]
+    assert DomainMatrix(coords, (8, 8), QQ).rank() == 8
+
+
+def test_to_k_pins_the_closed_forms():
+    zeta = sympy.exp(sympy.I * sympy.pi / 3).expand(complex=True)
+    assert to_k(ZETA) == K.from_sympy(zeta)
+    assert to_k(MU_SPORADIC) == K.from_sympy((-1 + 2 * sympy.sqrt(2) * sympy.I) / 3)
 
 
 def test_basis_products_match_oracle():
     basis = [Scalar.basis_element(t) for t in range(8)]
     for i, bi in enumerate(basis):
         for j, bj in enumerate(basis):
-            assert sym_equal(to_sympy(bi * bj), to_sympy(bi) * to_sympy(bj))
+            assert to_k(bi * bj) == to_k(bi) * to_k(bj)
 
 
 @pytest.mark.parametrize(
@@ -101,7 +131,7 @@ def test_basis_products_match_oracle():
 def test_inverse_matches_oracle(a):
     inv = a.inverse()
     assert a * inv == ONE
-    assert sym_equal(to_sympy(inv), 1 / to_sympy(a))
+    assert to_k(inv) == K.one / to_k(a)
 
 
 def test_division_and_pow():
@@ -133,13 +163,13 @@ def test_pow_matches_repeated_products(a, monkeypatch):
 @given(dense_scalars)
 def test_tower_inverse_matches_oracle_on_dense_scalars(a):
     assert all(a.nums)
-    assert sym_equal(to_sympy(a) * to_sympy(a.inverse()), 1)
+    assert to_k(a) * to_k(a.inverse()) == K.one
 
 
 @settings(max_examples=10, deadline=None)
 @given(scalars, scalars)
 def test_product_matches_oracle(a, b):
-    assert sym_equal(to_sympy(a * b), to_sympy(a) * to_sympy(b))
+    assert to_k(a * b) == to_k(a) * to_k(b)
 
 
 # ------------------------------------------------- integer representation
