@@ -353,6 +353,49 @@ class Scalar:
         return out
 
 
+def add_multiple(v, f, row):
+    """v += f * row for sparse rows {column: Scalar} and a nonzero f, in
+    place; an entry that cancels is dropped.
+
+    f's kind is read once per row.  An entry new to v is f*x, which for f =
+    +-1 is x or its negation.  An entry y already there becomes, with f*x =
+    p/e, (y.nums*e + p*y.den) / (y.den*e): one integer multiply-add per
+    coordinate and one gcd (``_reduced``; two rationals need only a
+    two-argument one).  p is the convolution of f's and x's numerators, or
+    for a rational f = s/fd just x's numerators, with s folded into y.den.
+    """
+    fn, fd = f.nums, f.den
+    s = fn[0] if fn[1:] == _NO_SURDS else None  # f's numerator when f is rational
+    unit = fd == 1 and (s == 1 or s == -1)
+    for j, x in row.items():
+        xn = x.nums
+        y = v.get(j)
+        if y is None:
+            if unit:
+                v[j] = x if s == 1 else _make(tuple(map(neg, xn)), x.den)
+            else:
+                v[j] = f * x
+            continue
+        yn, d = y.nums, y.den
+        e = fd * x.den
+        if s is None:
+            xn, c = _convolve(fn, xn), d
+        else:
+            c = s * d
+            if yn[1:] == _NO_SURDS and xn[1:] == _NO_SURDS:
+                num = yn[0] * e + xn[0] * c
+                if num:
+                    v[j] = _rational(num, d * e)
+                else:
+                    del v[j]
+                continue
+        nums = [a * e + b * c for a, b in zip(yn, xn)]
+        if any(nums):
+            v[j] = _reduced(nums, d * e)
+        else:
+            del v[j]
+
+
 def as_scalar(x):
     """x itself if it is a Scalar, else the rational Scalar equal to it."""
     return x if isinstance(x, Scalar) else Scalar.rational(x)

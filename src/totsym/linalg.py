@@ -22,9 +22,9 @@ echelon basis of W and the cosets of the non-pivot unit vectors for K^n/W.
 
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .field import MINUS_ONE, ONE, ZERO, Scalar, as_scalar
+from .field import MINUS_ONE, ONE, ZERO, Scalar, add_multiple, as_scalar
 
 __all__ = [
     "Matrix",
@@ -189,7 +189,7 @@ class Matrix:
         """self + f * (the matrix with the sparse rows given), f = 1 or -1."""
         out = [dict(row) for row in self._nonzero]
         for row, add in zip(out, rows):
-            _axpy(row, f, add)
+            add_multiple(row, f, add)
         return _from_nonzero(out, self.n)
 
     def __add__(self, other):
@@ -223,7 +223,7 @@ class Matrix:
         for row in self._nonzero:
             acc = {}
             for k, a in row.items():
-                _axpy(acc, a, other_rows[k])
+                add_multiple(acc, a, other_rows[k])
             out.append(acc)
         return _from_nonzero(out, other.n)
 
@@ -310,37 +310,6 @@ def _vectorise(mat):
             for j, x in row.items()}
 
 
-def _axpy(v, f, row):
-    """v += f * row for sparse rows, in place, dropping entries that cancel.
-
-    A factor of 1 or -1 adds or subtracts the entries without multiplying.
-    """
-    plus = f == ONE
-    if plus or f == MINUS_ONE:
-        for j, x in row.items():
-            y = v.get(j)
-            if y is None:
-                v[j] = x if plus else -x
-            else:
-                y = y + x if plus else y - x
-                if y.is_zero():
-                    del v[j]
-                else:
-                    v[j] = y
-        return
-    for j, x in row.items():
-        x = f * x
-        y = v.get(j)
-        if y is None:
-            v[j] = x
-        else:
-            y = y + x
-            if y.is_zero():
-                del v[j]
-            else:
-                v[j] = y
-
-
 def _reduce(v, echelon):
     """Clear every pivot column of ``echelon`` from the sparse row v, in place.
 
@@ -349,7 +318,7 @@ def _reduce(v, echelon):
     column, so one pass over v's pivot columns suffices.
     """
     for p in [p for p in v if p in echelon]:
-        _axpy(v, -v.pop(p), echelon[p])
+        add_multiple(v, -v.pop(p), echelon[p])
     return v
 
 
@@ -372,7 +341,7 @@ def _insert(v, echelon):
     for row in echelon.values():
         f = row.pop(p, None)
         if f is not None:
-            _axpy(row, -f, v)
+            add_multiple(row, -f, v)
     echelon[p] = v
     return p, lead
 
@@ -556,6 +525,7 @@ class Subspace:
 
     n: int
     pivots: tuple
+    _annihilator: object = field(compare=False)  # set on first use
     _echelon: dict
 
     def __init__(self, vectors, n):
@@ -577,6 +547,7 @@ class Subspace:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "pivots", tuple(sorted(echelon)))
         object.__setattr__(self, "_echelon", echelon)
+        object.__setattr__(self, "_annihilator", None)
         return self
 
     @classmethod
@@ -647,7 +618,7 @@ class Subspace:
             for q, a in row.items():
                 b_row = b_rows.get(q)
                 if b_row is not None:
-                    _axpy(acc, a, b_row)
+                    add_multiple(acc, a, b_row)
             for j, x in acc.items():
                 images[j][i] = x
         return images
@@ -666,10 +637,12 @@ class Subspace:
 
     def annihilator(self):
         """The row vectors f with f·w = 0 for every w in this subspace, as a
-        subspace of K^n: the kernel of the matrix of its echelon rows."""
-        if not self.pivots:
-            return Subspace.full(self.n)
-        return kernel(_from_nonzero(self.rows, self.n))
+        subspace of K^n: the kernel of the matrix of its echelon rows,
+        solved on the first call and kept for the later ones."""
+        if self._annihilator is None:
+            object.__setattr__(self, "_annihilator", kernel(_from_nonzero(self.rows, self.n))
+                               if self.pivots else Subspace.full(self.n))
+        return self._annihilator
 
     def restriction(self, mat):
         """The d-by-d matrix M of mat on this nonzero subspace W, in its
@@ -740,7 +713,7 @@ class Subspace:
             for j, c in x.items():
                 q = pivots[j]
                 v[q] = c
-                _axpy(v, c, echelon[q])
+                add_multiple(v, c, echelon[q])
             lifted[p] = v
         return _from_echelon(lifted, self.n)
 
@@ -839,11 +812,11 @@ def _hessenberg(a):
             if x is None:
                 continue
             u = x * inv
-            _axpy(h[i], -u, h[m])  # clears h[i][c] exactly
+            add_multiple(h[i], -u, h[m])  # clears h[i][c] exactly
             for row in h:
                 y = row.get(i)
                 if y is not None:
-                    _axpy(row, u, {m: y})
+                    add_multiple(row, u, {m: y})
     return h
 
 
@@ -918,12 +891,21 @@ def intertwiner_space(as_, bs):
     rows = []
     for a, b in zip(as_, bs):
         a_cols = _columns(a)
-        b_rows = b._nonzero
-        # entry (r, c) of X a - b X, unknowns X[p, q] at index p*n + q
-        for r in range(m):
-            for c in range(n):
-                row = {r * n + q: x for q, x in a_cols[c].items()}
-                _axpy(row, -ONE, {p * n + c: y for p, y in b_rows[r].items()})
+        # entry (r, c) of X a - b X, unknowns X[p, q] at index p*n + q: A's
+        # column c at r*n + q and B's row r, negated, at p*n + c, which meet
+        # only at r*n + c, where the entry is a[c][c] - b[r][r]
+        for r, b_row in enumerate(b._nonzero):
+            b_rr = b_row.get(r)
+            b_negated = [(p * n, -y) for p, y in b_row.items()]
+            for c, a_col in enumerate(a_cols):
+                row = {r * n + q: x for q, x in a_col.items()}
+                row.update({pn + c: y for pn, y in b_negated})
+                a_cc = a_col.get(c)
+                if a_cc is not None and b_rr is not None:
+                    if a_cc == b_rr:
+                        del row[r * n + c]
+                    else:
+                        row[r * n + c] = a_cc - b_rr
                 rows.append(row)
     return null_space(rows, m * n)
 
@@ -1080,7 +1062,7 @@ def invertible_in_space(space, n, seed=None):
         acc = {}
         for i, c in coeffs.items():
             if c:
-                _axpy(acc, Scalar.rational(c), basis[i])
+                add_multiple(acc, Scalar.rational(c), basis[i])
         x = _to_matrix(acc, n, n)
         if not x.det().is_zero():
             return x

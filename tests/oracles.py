@@ -36,6 +36,7 @@ realized through the base witness, the reference for
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 
@@ -107,6 +108,30 @@ def sym_equal(expr_a, expr_b) -> bool:
 def to_k(s: Scalar):
     """The element of K with the rational coordinates of s."""
     return sum((b * QQ(p, q) for (p, q), b in zip(s.ratios(), _K_BASIS) if p), K.zero)
+
+
+def _power_coordinates(x):
+    """The 8 rational coordinates of an element of K in the powers of its
+    primitive element, highest first."""
+    coeffs = x.to_list()
+    return [QQ(0)] * (8 - len(coeffs)) + coeffs
+
+
+@functools.cache
+def _from_power_coordinates():
+    """The inverse of the matrix whose columns are the basis of K's scalars
+    in the powers of the primitive element."""
+    columns = DomainMatrix([_power_coordinates(b) for b in _K_BASIS], (8, 8), QQ)
+    return columns.transpose().inv()
+
+
+def from_k(x):
+    """The Scalar that ``to_k`` sends to x: how a failure report spells an
+    element of K, whose own repr carries the whole minimal polynomial."""
+    coords = _from_power_coordinates() * DomainMatrix(
+        [[c] for c in _power_coordinates(x)], (8, 1), QQ)
+    return Scalar.from_ratios([(int(q.numerator), int(q.denominator))
+                               for (q,) in coords.to_list()])
 
 
 def k_rows(rows):

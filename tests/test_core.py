@@ -410,6 +410,17 @@ def test_verify_arrangement_solver():
         assert [w.apply(p) for w in planes] == want
 
 
+def test_verify_arrangement_solves_each_annihilator_once(monkeypatch):
+    # S_0, the k-cycle and the conjugated spaces all transport onto the same
+    # planes, and each plane keeps its annihilator after the first solve
+    a = catalog.simplex_arrangement(4)
+    calls = []
+    kernel = linalg.kernel
+    monkeypatch.setattr(linalg, "kernel", lambda mat: calls.append(mat) or kernel(mat))
+    assert verify_arrangement(a, from_scratch=True).verdict == TOTALLY_SYMMETRIC
+    assert 0 < len(calls) <= len(a.planes)
+
+
 def test_verify_arrangement_with_witness():
     p23 = M((1, -1), (0, -1))
     a = Arrangement(s2_lines(), witness=[SWAP2, p23])

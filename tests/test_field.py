@@ -3,7 +3,7 @@ from math import gcd, lcm
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 from sympy import QQ
 from sympy.polys.matrices import DomainMatrix
 
@@ -22,13 +22,13 @@ from totsym.field import (
     NotRepresentable,
     MINUS_ONE,
     Scalar,
+    add_multiple,
     constants,
     sqrt_restricted,
 )
-from totsym.linalg import _axpy
 from totsym.serialize import ParseError, scalar_from_json, scalar_to_json
 
-from oracles import K, sym_equal, to_k, to_sympy
+from oracles import K, from_k, k_rows, sym_equal, to_k, to_sympy
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=7)
 scalars = st.builds(Scalar, st.tuples(*[rationals] * 8))
@@ -102,6 +102,26 @@ def test_to_k_sends_the_basis_to_independent_values():
     coords = [to_k(Scalar.basis_element(t)).to_list() for t in range(8)]
     coords = [[QQ(0)] * (8 - len(c)) + c for c in coords]
     assert DomainMatrix(coords, (8, 8), QQ).rank() == 8
+
+
+@settings(max_examples=40, deadline=None)
+@given(k_scalars)
+def test_from_k_inverts_to_k(a):
+    assert from_k(to_k(a)) == a
+
+
+def test_failure_report_names_the_first_differing_entry():
+    from conftest import pytest_assertrepr_compare as report
+
+    left = k_rows([[ONE, ZETA], [SQRT2, ONE]])
+    right = k_rows([[ONE, ZETA], [SQRT2 + ONE, ONE]])
+    assert report("==", left, right) == [
+        "values over K differ (shapes 2x2 and 2x2)",
+        "first difference at row 1, column 0: sqrt2 != 1 + sqrt2"]
+    assert report("==", left[0], left[0][:1])[1] == (
+        "first difference at entry 1: 1/2 + 1/2*i*sqrt3 != nothing")
+    # other values keep pytest's own report
+    assert report("==", [[1]], [[2]]) is None and report("==", [[]], []) is None
 
 
 def test_to_k_pins_the_closed_forms():
@@ -266,16 +286,33 @@ def test_fast_paths_match_fraction_reference(a, b):
         assert _canonical(s)
 
 
+# numerators above 2**60, rational and dense, over large denominators
+big_ints = st.tuples(st.sampled_from([1, -1]), st.integers(2**60, 2**66)).map(
+    lambda t: t[0] * t[1])
+big_scalars = st.one_of(
+    st.builds(Scalar.rational, big_ints, st.integers(1, 2**64)),
+    st.builds(lambda nums, den: Scalar.from_ratios([(x, den) for x in nums]),
+              st.lists(big_ints, min_size=8, max_size=8), st.integers(1, 2**64)))
+# every kind of factor add_multiple tells apart: +-1, integers, rationals
+# with a denominator, dense scalars and large ones
+factors = st.one_of(
+    st.sampled_from([ONE, MINUS_ONE]),
+    st.integers(-9, 9).filter(bool).map(Scalar.rational),
+    st.builds(Scalar.rational, st.integers(-9, 9).filter(bool), st.integers(2, 6)),
+    dense_scalars,
+    big_scalars)
 sparse_rows = st.dictionaries(st.integers(0, 5), st.one_of(
     st.sampled_from([ONE, MINUS_ONE, SQRT2]),
     st.fractions(min_value=-5, max_value=5, max_denominator=6).filter(bool).map(Scalar.rational),
-    dense_scalars), max_size=6)
+    dense_scalars, big_scalars), max_size=6)
 
 
-@settings(max_examples=60, deadline=None)
-@given(sparse_rows, sparse_rows, st.lists(st.booleans(), min_size=6, max_size=6),
-       st.sampled_from([ONE, MINUS_ONE]))
-def test_axpy_unit_factors_match_the_general_path(v, row, cancel, f):
+# a failing draw is shrunk but not explained: explaining one of these
+# draws took a minute
+@settings(max_examples=100, deadline=None,
+          phases=tuple(phase for phase in Phase if phase is not Phase.explain))
+@given(sparse_rows, sparse_rows, st.lists(st.booleans(), min_size=6, max_size=6), factors)
+def test_add_multiple_matches_plain_arithmetic_for_every_factor(v, row, cancel, f):
     # some entries of v are exactly -f times row's, so the sum drops them
     v.update({j: -(f * x) for j, x in row.items() if cancel[j]})
     want = dict(v)
@@ -285,9 +322,9 @@ def test_axpy_unit_factors_match_the_general_path(v, row, cancel, f):
             want.pop(j, None)
         else:
             want[j] = y
-    _axpy(v, f, row)
+    add_multiple(v, f, row)
     assert v == want
-    assert all(not x.is_zero() for x in v.values())
+    assert all(not x.is_zero() and _canonical(x) for x in v.values())
 
 
 def _implied_digits(text):

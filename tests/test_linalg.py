@@ -3,7 +3,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import Phase, example, given, settings, strategies as st
 
 from totsym.field import I_UNIT, ONE, SQRT2, ZERO, ZETA, Scalar
 from totsym.linalg import (
@@ -1004,6 +1004,16 @@ def test_annihilator_swaps_zero_and_whole_space(n):
     assert whole.annihilator() == zero
 
 
+def test_annihilator_is_kept_and_takes_no_part_in_equality():
+    w = Subspace([(1, 2, 0), (0, 1, 1)], 3)
+    same = Subspace([(1, 3, 1), (0, 1, 1)], 3)
+    ann = w.annihilator()
+    # only w has its annihilator: the two still compare and hash equal
+    assert w == same and hash(w) == hash(same)
+    assert w.annihilator() == ann == same.annihilator()
+    assert ann == Subspace([(2, -1, 1)], 3)
+
+
 @settings(max_examples=12, deadline=None)
 @given(structured_matrices())
 def test_annihilator_matches_oracle_kernel(a):
@@ -1100,6 +1110,11 @@ def test_algebra_closure_ignores_generator_order_and_products(data):
 # for field, what reducing its rows again gives.
 
 
+# the dense differentials report a failing draw as drawn: shrinking one
+# over K takes minutes
+NO_SHRINK = tuple(phase for phase in Phase if phase is not Phase.shrink)
+
+
 def assert_canonical(space):
     again = Subspace(space.rows, space.n)
     assert (space.n, space.pivots, space._echelon) == (again.n, again.pivots,
@@ -1127,7 +1142,7 @@ def disguised_squares(draw, max_n):
     return p * a * p_inv
 
 
-@settings(max_examples=10, deadline=None)
+@settings(max_examples=10, deadline=None, phases=NO_SHRINK)
 @given(disguised_squares(max_n=5), st.data())
 def test_dense_kernels_are_canonical_and_match_oracle(a, data):
     ker = kernel(a)
@@ -1138,7 +1153,7 @@ def test_dense_kernels_are_canonical_and_match_oracle(a, data):
     assert_canonical(kernel(a.shift(-lam)))
 
 
-@settings(max_examples=10, deadline=None)
+@settings(max_examples=10, deadline=None, phases=NO_SHRINK)
 @given(st.data())
 def test_dense_solution_spaces_are_canonical(data):
     n = data.draw(st.integers(1, 4))
@@ -1166,7 +1181,7 @@ def test_dense_solution_spaces_are_canonical(data):
     assert space.contains(matrix_to_vec(p))
 
 
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=15, deadline=None, phases=NO_SHRINK)
 @given(square_matrices(3), disguised_squares(max_n=5))
 def test_char_poly_matches_oracle_and_cayley_hamilton(small, disguised):
     for a in (small, disguised):
@@ -1176,7 +1191,7 @@ def test_char_poly_matches_oracle_and_cayley_hamilton(small, disguised):
         assert p.eval_matrix(a).is_zero()
 
 
-@settings(max_examples=12, deadline=None)
+@settings(max_examples=12, deadline=None, phases=NO_SHRINK)
 @given(st.data())
 def test_dense_meets_and_lifts_are_canonical(data):
     n = data.draw(st.integers(1, 4))
