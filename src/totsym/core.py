@@ -390,24 +390,21 @@ def restriction_quotient(t, space):
     """Restrict a matrix set to an invariant subspace and form the quotient.
 
     Returns (restriction, quotient), each read off the subspace's echelon
-    form by ``Subspace.restriction`` and ``Subspace.quotient``; the quotient
-    is None when the subspace is the whole space, the restriction None when
-    it is zero.  Witnesses carry over by restriction and projection.
-    Raises NotInvariant if the subspace fails invariance under any element
-    or witness matrix.
+    form by ``Subspace.blocks``; the quotient is None when the subspace is
+    the whole space, the restriction None when it is zero.  Witnesses carry
+    over by restriction and projection.  Raises NotInvariant if the
+    subspace fails invariance under any element or witness matrix.
     """
     if space.n != t.n:
         raise ValueError(f"a subspace of K^{space.n} in a set acting on K^{t.n}")
     if space.dim in (0, t.n):
         return (t, None) if space.dim else (None, t)
-    parts = []
-    for part in (space.restriction, space.quotient):
-        elements = [part(a) for a in t.elements]
-        blocks = None if t.witness is None else [part(p) for p in t.witness]
-        if None in elements or None in (blocks or ()):
-            raise NotInvariant("subspace is not invariant")
-        parts.append(Tss(elements, witness=blocks, params=t.params))
-    return tuple(parts)
+    k = len(t.elements)
+    blocks = space.blocks([*t.elements, *(t.witness or ())])
+    if blocks is None:
+        raise NotInvariant("subspace is not invariant")
+    return tuple(Tss(part[:k], witness=None if t.witness is None else part[k:],
+                     params=t.params) for part in blocks)
 
 
 def dual_arrangement(a):

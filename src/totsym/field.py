@@ -8,9 +8,12 @@ ordered basis
 held as eight Python int numerators over one shared positive denominator.
 The form is canonical: gcd(denominator, *numerators) == 1 and zero is
 eight zeros over 1, so equality and hashing compare integer tuples.
-Products are integer convolutions with a single gcd at the end, and the
-inverse conjugates once per step of the tower Q < Q(sqrt2) < Q(sqrt2, sqrt3)
-< K, which needs no elimination.
+Products are integer convolutions with a single gcd at the end.  The
+inverse needs no elimination: it takes the relative norm at each step of
+the tower Q < Q(sqrt2) < Q(sqrt2, sqrt3) < K, squaring in ever smaller
+fields with straight-line integer formulas.  Rows {column: Scalar} are
+updated in place by ``add_multiple``, v += f*row or v -= f*row, with the
+sign folded into its integer multiply-add, so no negated factor is built.
 
 Most operands in practice are rational, and many are 0 or +-1, so those
 take shortcuts: a sum, difference or product of two rationals is one
@@ -37,20 +40,9 @@ _NO_SURDS = (0,) * 7  # the coordinates after the first of a rational scalar
 
 BASIS_LABELS = ("1", "sqrt2", "sqrt3", "sqrt6", "i", "i*sqrt2", "i*sqrt3", "i*sqrt6")
 
-# Automorphisms of K as sign patterns on the coordinates: sigma_i fixes
-# Q(sqrt2, sqrt3) and sends i to -i, sigma_3 sends sqrt3 to -sqrt3 and
-# sigma_2 sends sqrt2 to -sqrt2.
-_SIGMA_I = (1, 1, 1, 1, -1, -1, -1, -1)
-_SIGMA_3 = (1, 1, -1, -1, 1, 1, -1, -1)
-_SIGMA_2 = (1, -1, 1, -1, 1, -1, 1, -1)
-
 
 class NotRepresentable(ValueError):
     """A requested square root does not exist inside the field."""
-
-
-def _conjugate(v, signs):
-    return tuple([s * x for s, x in zip(signs, v)])
 
 
 def _convolve(a, b):
@@ -270,14 +262,18 @@ class Scalar:
         return _reduced(nums, self.den * other.den)
 
     def inverse(self):
-        """Multiplicative inverse by conjugating along the tower Q < Q(sqrt2) <
-        Q(sqrt2, sqrt3) < K.
+        """Multiplicative inverse through norms down the tower of relative
+        quadratic extensions Q < Q(sqrt2) < L = Q(sqrt2, sqrt3) < K (Cohen,
+        A Course in Computational Algebraic Number Theory, ch. 4).
 
-        With xb = sigma_i(x), y = x*xb lies in Q(sqrt2, sqrt3); with
-        yb = sigma_3(y), z = y*yb lies in Q(sqrt2); with zb = sigma_2(z),
-        N = z*zb is the rational norm of x, and x^-1 = xb*yb*zb / N.  The
-        same identity holds for the integer numerator vector, and N > 0
-        because it is a product of |tau(x)|^2 over complex embeddings tau.
+        For the integer numerators x = p + q*i (p, q in L), y = x*sigma_i(x)
+        = p^2 + q^2 lies in L; for y = r + t*sqrt3 (r, t in Q(sqrt2)),
+        z = y*sigma_3(y) = r^2 - 3t^2 lies in Q(sqrt2); and N = z*sigma_2(z)
+        = z0^2 - 2*z1^2 is the rational norm of x.  So
+        x^-1 = sigma_i(x)*sigma_3(y)*sigma_2(z) / N, and the scalar's inverse
+        is that times its denominator.  Each step squares in a smaller field,
+        written out as straight-line integer formulas, and N > 0 because it
+        is a product of |tau(x)|^2 over complex embeddings tau.
         """
         a, d = self.nums, self.den
         if not any(a[1:]):
@@ -285,14 +281,36 @@ class Scalar:
             if not x:
                 raise ZeroDivisionError("scalar is zero")
             return _make((d if x > 0 else -d, 0, 0, 0, 0, 0, 0, 0), abs(x))
-        xb = _conjugate(a, _SIGMA_I)
-        y = _convolve(a, xb)
-        yb = _conjugate(y, _SIGMA_3)
-        z = _convolve(y, yb)
-        zb = _conjugate(z, _SIGMA_2)
-        norm = _convolve(z, zb)[0]
-        nums = _convolve(_convolve(xb, yb), zb)
-        return _reduced(tuple([d * x for x in nums]), norm)
+        p0, p1, p2, p3, q0, q1, q2, q3 = a
+        # y = p^2 + q^2 in L, on the basis 1, sqrt2, sqrt3, sqrt6
+        y0 = p0 * p0 + q0 * q0 + 2 * (p1 * p1 + q1 * q1) + 3 * (p2 * p2 + q2 * q2) \
+            + 6 * (p3 * p3 + q3 * q3)
+        y1 = 2 * (p0 * p1 + q0 * q1) + 6 * (p2 * p3 + q2 * q3)
+        y2 = 2 * (p0 * p2 + q0 * q2) + 4 * (p1 * p3 + q1 * q3)
+        y3 = 2 * (p0 * p3 + q0 * q3 + p1 * p2 + q1 * q2)
+        # z = r^2 - 3t^2 in Q(sqrt2), for r = y0 + y1*sqrt2, t = y2 + y3*sqrt2
+        z0 = y0 * y0 + 2 * y1 * y1 - 3 * (y2 * y2 + 2 * y3 * y3)
+        z1 = 2 * y0 * y1 - 6 * y2 * y3
+        norm = z0 * z0 - 2 * z1 * z1
+        # w = sigma_3(y)*sigma_2(z) = (y0 + y1 sqrt2 - y2 sqrt3 - y3 sqrt6)(z0 - z1 sqrt2)
+        w0 = y0 * z0 - 2 * y1 * z1
+        w1 = y1 * z0 - y0 * z1
+        w2 = 2 * y3 * z1 - y2 * z0
+        w3 = y2 * z1 - y3 * z0
+        # d * sigma_i(x) * w = d * (p*w - (q*w) i), products in L
+        nums = (
+            p0 * w0 + 2 * p1 * w1 + 3 * p2 * w2 + 6 * p3 * w3,
+            p0 * w1 + p1 * w0 + 3 * (p2 * w3 + p3 * w2),
+            p0 * w2 + p2 * w0 + 2 * (p1 * w3 + p3 * w1),
+            p0 * w3 + p3 * w0 + p1 * w2 + p2 * w1,
+            -(q0 * w0 + 2 * q1 * w1 + 3 * q2 * w2 + 6 * q3 * w3),
+            -(q0 * w1 + q1 * w0 + 3 * (q2 * w3 + q3 * w2)),
+            -(q0 * w2 + q2 * w0 + 2 * (q1 * w3 + q3 * w1)),
+            -(q0 * w3 + q3 * w0 + q1 * w2 + q2 * w1),
+        )
+        if d != 1:
+            nums = [d * x for x in nums]
+        return _reduced(nums, norm)
 
     def __truediv__(self, other):
         return self * other.inverse()
@@ -353,43 +371,53 @@ class Scalar:
         return out
 
 
-def add_multiple(v, f, row):
-    """v += f * row for sparse rows {column: Scalar} and a nonzero f, in
-    place; an entry that cancels is dropped.
+def add_multiple(v, f, row, subtract=False):
+    """v += f * row, or v -= f * row when ``subtract``, for sparse rows
+    {column: Scalar} and a nonzero f, in place; an entry that cancels is
+    dropped.
 
-    f's kind is read once per row.  An entry new to v is f*x, which for f =
-    +-1 is x or its negation.  An entry y already there becomes, with f*x =
-    p/e, (y.nums*e + p*y.den) / (y.den*e): one integer multiply-add per
-    coordinate and one gcd (``_reduced``; two rationals need only a
-    two-argument one).  p is the convolution of f's and x's numerators, or
-    for a rational f = s/fd just x's numerators, with s folded into y.den.
+    f's kind is read once per row, and the sign is folded into it, so a
+    subtraction builds no negated f.  With +-f*x = c*p/e (c = +-1 and p the
+    convolution of f's and x's numerators, or c = +-s and p x's numerators
+    for a rational f = s/fd; a rational x only scales f's numerators), an
+    entry y already in v becomes (y.nums*e + c*y.den*p) / (y.den*e): one
+    integer multiply-add per coordinate and one gcd (``_reduced``).  An
+    entry new to v is c*p/e, which for f = +-1 is x or its negation, with no
+    arithmetic.  Two rationals need one integer and a two-argument gcd.
     """
     fn, fd = f.nums, f.den
     s = fn[0] if fn[1:] == _NO_SURDS else None  # f's numerator when f is rational
+    if subtract and s is not None:
+        s = -s
     unit = fd == 1 and (s == 1 or s == -1)
     for j, x in row.items():
         xn = x.nums
         y = v.get(j)
-        if y is None:
-            if unit:
-                v[j] = x if s == 1 else _make(tuple(map(neg, xn)), x.den)
-            else:
-                v[j] = f * x
+        if y is None and unit:
+            v[j] = x if s == 1 else _make(tuple(map(neg, xn)), x.den)
             continue
-        yn, d = y.nums, y.den
         e = fd * x.den
         if s is None:
-            xn, c = _convolve(fn, xn), d
+            p = [xn[0] * a for a in fn] if xn[1:] == _NO_SURDS else _convolve(fn, xn)
+            c = -1 if subtract else 1
         else:
-            c = s * d
-            if yn[1:] == _NO_SURDS and xn[1:] == _NO_SURDS:
-                num = yn[0] * e + xn[0] * c
+            p, c = xn, s
+            if xn[1:] == _NO_SURDS and (y is None or y.nums[1:] == _NO_SURDS):
+                num, den = xn[0] * s, e
+                if y is not None:
+                    d = y.den
+                    num, den = y.nums[0] * e + num * d, d * e
                 if num:
-                    v[j] = _rational(num, d * e)
+                    v[j] = _rational(num, den)
                 else:
                     del v[j]
                 continue
-        nums = [a * e + b * c for a, b in zip(yn, xn)]
+        if y is None:
+            v[j] = _reduced([b * c for b in p], e)
+            continue
+        d = y.den
+        c *= d
+        nums = [a * e + b * c for a, b in zip(y.nums, p)]
         if any(nums):
             v[j] = _reduced(nums, d * e)
         else:

@@ -318,7 +318,7 @@ def _reduce(v, echelon):
     column, so one pass over v's pivot columns suffices.
     """
     for p in [p for p in v if p in echelon]:
-        add_multiple(v, -v.pop(p), echelon[p])
+        add_multiple(v, v.pop(p), echelon[p], subtract=True)
     return v
 
 
@@ -341,7 +341,7 @@ def _insert(v, echelon):
     for row in echelon.values():
         f = row.pop(p, None)
         if f is not None:
-            add_multiple(row, -f, v)
+            add_multiple(row, f, v, subtract=True)
     echelon[p] = v
     return p, lead
 
@@ -678,15 +678,35 @@ class Subspace:
 
     def quotient(self, mat):
         """The matrix of mat on K^n/W, for a proper subspace W, in the basis
-        of ``_cosets``, or None when mat does not map W into itself: its
-        column f is the coset of mat·e_f, for each non-pivot column f."""
-        free = [f for f in range(self.n) if f not in self._echelon]
-        if not free:
+        of ``_cosets``, or None when mat does not map W into itself."""
+        if self.dim == self.n:
             raise ValueError("quotient by the whole space")
         if not self.maps_into(mat, self):
             return None
+        return self._quotient(mat)
+
+    def _quotient(self, mat):
+        """``quotient`` for a mat known to map W into itself: its column f
+        is the coset of mat·e_f, for each non-pivot column f."""
+        free = [f for f in range(self.n) if f not in self._echelon]
         columns = self._cosets(_sparse(mat.column(f)) for f in free)
         return _from_nonzero(columns, len(free)).transpose()
+
+    def blocks(self, mats):
+        """(restrictions, quotients) of the square matrices mats on this
+        proper nonzero subspace W, as ``restriction`` and ``quotient`` give
+        them, or None when some matrix does not map W into itself.  Every
+        matrix is restricted, which checks its invariance, before any
+        quotient is built, so no invariance is checked twice."""
+        if self.dim == self.n:
+            raise ValueError("quotient by the whole space")
+        restrictions = []
+        for mat in mats:
+            restricted = self.restriction(mat)
+            if restricted is None:
+                return None
+            restrictions.append(restricted)
+        return restrictions, [self._quotient(mat) for mat in mats]
 
     def modulo(self, q):
         """The image of this subspace in K^n/q, a subspace of K^(n - dim q)
@@ -812,7 +832,7 @@ def _hessenberg(a):
             if x is None:
                 continue
             u = x * inv
-            add_multiple(h[i], -u, h[m])  # clears h[i][c] exactly
+            add_multiple(h[i], u, h[m], subtract=True)  # clears h[i][c] exactly
             for row in h:
                 y = row.get(i)
                 if y is not None:
@@ -864,7 +884,12 @@ def intertwiner_space(as_, bs):
 
     Returns a Subspace of K^(m*n) where X is m-by-n: each A acts on K^n,
     each B on K^m.  Entry (r, c) of X·A_i - B_i·X is one row of the system,
-    and ``null_space`` solves it.
+    and ``null_space`` solves it.  The rows come cell by cell, row (r, c)
+    of every pair before row (r, c + 1): the k equations of one cell hold
+    the same unknowns (row r and column c of X), so each meets the others
+    while the echelon form is still small, and a dependent one reduces to
+    zero early.  The reduced echelon form is canonical, so the order
+    changes the cost of the elimination, not the space.
 
     A family of diagonal matrices needs no elimination.  There entry (r, c)
     is X[r][c]·(a_i,c - b_i,r), so the space is spanned by the unit
@@ -888,16 +913,17 @@ def intertwiner_space(as_, bs):
                 columns.setdefault(key, []).append(c)
             return _from_echelon({r * n + c: {} for r, key in enumerate(zip(*b_diagonals))
                                   for c in columns.get(key, ())}, m * n)
+    # entry (r, c) of X a - b X, unknowns X[p, q] at index p*n + q: A's
+    # column c at r*n + q and B's row r, negated, at p*n + c, which meet
+    # only at r*n + c, where the entry is a[c][c] - b[r][r]
+    a_cols = [_columns(a) for a in as_]
     rows = []
-    for a, b in zip(as_, bs):
-        a_cols = _columns(a)
-        # entry (r, c) of X a - b X, unknowns X[p, q] at index p*n + q: A's
-        # column c at r*n + q and B's row r, negated, at p*n + c, which meet
-        # only at r*n + c, where the entry is a[c][c] - b[r][r]
-        for r, b_row in enumerate(b._nonzero):
-            b_rr = b_row.get(r)
-            b_negated = [(p * n, -y) for p, y in b_row.items()]
-            for c, a_col in enumerate(a_cols):
+    for r in range(m):
+        b_parts = [(b_row.get(r), [(p * n, -y) for p, y in b_row.items()])
+                   for b_row in (b._nonzero[r] for b in bs)]
+        for c in range(n):
+            for cols, (b_rr, b_negated) in zip(a_cols, b_parts):
+                a_col = cols[c]
                 row = {r * n + q: x for q, x in a_col.items()}
                 row.update({pn + c: y for pn, y in b_negated})
                 a_cc = a_col.get(c)

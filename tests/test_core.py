@@ -558,6 +558,19 @@ def test_restriction_edges():
     assert restr is None and quot == t
 
 
+def test_restriction_quotient_checks_each_matrix_once(monkeypatch):
+    # invariance is read off the images of the subspace's echelon basis;
+    # each element and witness matrix is restricted, which checks it, and
+    # its quotient is then built with no second check
+    images = []
+    real = Subspace._images
+    monkeypatch.setattr(Subspace, "_images", lambda w, a: images.append(a) or real(w, a))
+    t = upper_pair()
+    restr, quot = restriction_quotient(t, line(1, 0))
+    assert images == [*t.elements, *t.witness]
+    assert quot.elements == (Matrix([[2]]), Matrix([[2]]))
+
+
 # Restriction, quotient and reduction read blocks off the echelon form; they
 # must give what a dense change of basis U = [basis | e_f ...] gives, on
 # block-triangular sets disguised by a random change of basis.

@@ -35,6 +35,9 @@ scalars = st.builds(Scalar, st.tuples(*[rationals] * 8))
 coordinate_lists = st.lists(rationals, min_size=8, max_size=8)
 nonzero_rationals = rationals.filter(bool)
 dense_scalars = st.builds(Scalar, st.tuples(*[nonzero_rationals] * 8))
+# numerators above 2**60
+big_ints = st.tuples(st.sampled_from([1, -1]), st.integers(2**60, 2**66)).map(
+    lambda t: t[0] * t[1])
 # the operands of the rational and unit fast paths, drawn as often as the
 # general ones: 0 and +-1, integers, unit fractions and other small
 # fractions, plus scalars with surds
@@ -179,11 +182,25 @@ def test_pow_matches_repeated_products(a, monkeypatch):
     assert a ** 5 == mul(mul(mul(a, a), mul(a, a)), a) and len(products) == 3
 
 
-@settings(max_examples=10, deadline=None)
-@given(dense_scalars)
+# where the norms y = x*sigma_i(x) and z = y*sigma_3(y) of Scalar.inverse
+# vanish in part: scalars in Q, Q(sqrt2) and Q(sqrt2, sqrt3), scalars with
+# only an i-part, and dense ones, with small numerators or numerators above
+# 2**60
+_TOWER_SUPPORTS = ((0,), (0, 1), (0, 1, 2, 3), (4, 5, 6, 7), tuple(range(8)))
+tower_scalars = st.one_of(dense_scalars, st.builds(
+    lambda support, nums, den: Scalar.from_ratios(
+        [(x, den) if t in support else (0, 1) for t, x in enumerate(nums)]),
+    st.sampled_from(_TOWER_SUPPORTS),
+    st.lists(st.one_of(st.integers(-30, 30), big_ints), min_size=8, max_size=8),
+    st.integers(1, 2**64)).filter(lambda s: not s.is_zero()))
+
+
+@settings(max_examples=100, deadline=None)
+@given(tower_scalars)
 def test_tower_inverse_matches_oracle_on_dense_scalars(a):
-    assert all(a.nums)
-    assert to_k(a) * to_k(a.inverse()) == K.one
+    inv = a.inverse()
+    assert to_k(a) * to_k(inv) == K.one
+    assert _canonical(inv)
 
 
 @settings(max_examples=10, deadline=None)
@@ -286,9 +303,7 @@ def test_fast_paths_match_fraction_reference(a, b):
         assert _canonical(s)
 
 
-# numerators above 2**60, rational and dense, over large denominators
-big_ints = st.tuples(st.sampled_from([1, -1]), st.integers(2**60, 2**66)).map(
-    lambda t: t[0] * t[1])
+# rational and dense, over large denominators
 big_scalars = st.one_of(
     st.builds(Scalar.rational, big_ints, st.integers(1, 2**64)),
     st.builds(lambda nums, den: Scalar.from_ratios([(x, den) for x in nums]),
@@ -311,18 +326,20 @@ sparse_rows = st.dictionaries(st.integers(0, 5), st.one_of(
 # draws took a minute
 @settings(max_examples=100, deadline=None,
           phases=tuple(phase for phase in Phase if phase is not Phase.explain))
-@given(sparse_rows, sparse_rows, st.lists(st.booleans(), min_size=6, max_size=6), factors)
-def test_add_multiple_matches_plain_arithmetic_for_every_factor(v, row, cancel, f):
-    # some entries of v are exactly -f times row's, so the sum drops them
-    v.update({j: -(f * x) for j, x in row.items() if cancel[j]})
+@given(sparse_rows, sparse_rows, st.lists(st.booleans(), min_size=6, max_size=6), factors,
+       st.booleans())
+def test_add_multiple_matches_plain_arithmetic_for_every_factor(v, row, cancel, f, subtract):
+    g = -f if subtract else f  # the factor row is added with
+    # some entries of v are exactly -g times row's, so the sum drops them
+    v.update({j: -(g * x) for j, x in row.items() if cancel[j]})
     want = dict(v)
     for j, x in row.items():
-        y = want.get(j, ZERO) + f * x
+        y = want.get(j, ZERO) + g * x
         if y.is_zero():
             want.pop(j, None)
         else:
             want[j] = y
-    add_multiple(v, f, row)
+    add_multiple(v, f, row, subtract=subtract)
     assert v == want
     assert all(not x.is_zero() and _canonical(x) for x in v.values())
 

@@ -1310,6 +1310,29 @@ def test_null_space_eliminates_each_row_once(monkeypatch):
     assert inserted == [{1: ONE, 0: ZETA}]
 
 
+def test_eliminations_negate_no_row_factor(monkeypatch):
+    # every row update subtracts through field.add_multiple, which folds the
+    # sign into its multiply-add, so an elimination builds no negated
+    # Scalar; null_space's only negations are its kernel entries -row_p[f]
+    dense = [Scalar([Fraction(3 * i + j + 1, 1 + (i + j) % 4) for j in range(8)])
+             for i in range(24)]
+    b = Matrix([dense[5 * i:5 * i + 5] for i in range(3)])
+    system = [dict(enumerate(row)) for row in b.rows]
+    a = Matrix([dense[3 * i:3 * i + 3] for i in range(3)])
+    negated = []
+    neg = Scalar.__neg__
+    monkeypatch.setattr(Scalar, "__neg__", lambda x: negated.append(x) or neg(x))
+    space = null_space(system, 5)
+    assert len(negated) == sum(len(row) - 1 for row in space.rows)
+    negated.clear()
+    inv = a.inverse()
+    assert negated == []
+    monkeypatch.undo()
+    assert space.dim == 2
+    assert k_rows(space.basis) == oracle_kernel(k_matrix(b))
+    assert a * inv == Matrix.identity(3)
+
+
 # systems whose rows pin unknowns: single entries, chains in which each row
 # holds one unknown beyond those pinned before it, duplicates and empty rows
 @st.composite
