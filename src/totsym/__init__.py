@@ -3,4 +3,4 @@ matrix sets and subspace arrangements over Q(i, sqrt2, sqrt3)."""
 
 __version__ = "0.1.0"
 
-from .field import Scalar, sqrt_restricted, constants, NotRepresentable  # noqa: F401
+from .field import Scalar, sqrt_restricted, NotRepresentable  # noqa: F401

@@ -19,6 +19,7 @@ from .core import (
     swap_adjacent,
 )
 from .field import (
+    ALPHA_SPORADIC,
     HALF,
     I_UNIT,
     MU_SPORADIC,
@@ -409,16 +410,15 @@ def sporadic4(nu=1):
     nu = as_scalar(nu)
     mu = MU_SPORADIC
     lam = mu.inverse()
-    alpha = (mu - lam) * HALF
     trio = ncsimplex(3, lam, mu)
     eye2 = Matrix.identity(2)
     zero2 = Matrix.zero(2, 2)
     nu2 = Matrix.scalar(2, nu)
     elements = [Matrix.block([[nu2, x], [zero2, nu2]])
                 for x in [eye2] + list(trio.elements)]
-    b = alpha.inverse() * (ONE - mu)
+    b = ALPHA_SPORADIC.inverse() * (ONE - mu)
     p = Matrix([[ONE, b], [TWO, -ONE]])
-    q = Matrix([[lam, alpha + mu * b], [TWO * lam, -lam]])
+    q = Matrix([[lam, ALPHA_SPORADIC + mu * b], [TWO * lam, -lam]])
     witness = [Matrix.block([[p, zero2], [zero2, q]])]
     witness += [Matrix.block([[w, zero2], [zero2, w]]) for w in trio.witness]
     return Tss(elements, witness=witness, params=(nu,))

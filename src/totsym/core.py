@@ -268,14 +268,14 @@ def _no_invertible_detail(what, j, space, n):
     return f"no invertible {what} found for transposition ({j}, {j + 1})"
 
 
-def _transposition_spaces(members, n, solve):
-    """Yield S_j, the solution space of the adjacent transposition (j, j+1),
-    for j = 0, ..., k-2 in turn (k >= 2), each as a canonical Subspace.
+def _search_transpositions(members, n, solve, what):
+    """Certificate from an invertible element of each transposition space
+    S_j, the matrices that realize (j, j+1), or naming the first S_j where
+    the search found none.
 
     ``solve(members, targets)`` is the space of matrices that move each
     member to its target (``intertwiner_space`` or ``transport_space``).
-    S_0 is solved directly.  A caller stops at the first S_j with no
-    invertible element, so when S_1 is asked for, S_0 had one.  Then, for
+    S_0 is solved directly.  Once it holds an invertible element, for
     k >= 4, the space of the k-cycle c = (0 1 ... k-1) (targets
     members[1:] + members[:1]) is solved and searched once: with an
     invertible C in it, tau_{j+1} = c tau_j c^-1 gives S_{j+1} = C S_j C^-1,
@@ -283,33 +283,25 @@ def _transposition_spaces(members, n, solve):
     solve.  For k <= 3, where the cycle would save no solve, or when no
     such C is found, each S_j is solved directly.
     """
+    members = list(members)
     k = len(members)
-    space = solve(members, swap_adjacent(members, 0))
-    yield space
     cycle = None
-    if k >= 4:
-        cycle = invertible_in_space(solve(members, members[1:] + members[:1]), n)
-    if cycle is None:
-        for j in range(1, k - 1):
-            yield solve(members, swap_adjacent(members, j))
-        return
-    cycle_inv = cycle.inverse()
-    for _ in range(1, k - 1):
-        space = conjugate_space(space, cycle, cycle_inv)
-        yield space
-
-
-def _search_transpositions(members, n, solve, what):
-    """Certificate from an invertible element of each transposition space,
-    or naming the first space where the search found none."""
     found = []
-    for j, space in enumerate(_transposition_spaces(list(members), n, solve)):
+    for j in range(k - 1):
+        if cycle is None:
+            space = solve(members, swap_adjacent(members, j))
+        else:
+            space = conjugate_space(space, *cycle)
         p = invertible_in_space(space, n)
         if p is None:
             return Certificate(
                 NOT_TOTALLY_SYMMETRIC, failing_transposition=j,
                 detail=_no_invertible_detail(what, j, space, n))
         found.append(p)
+        if j == 0 and k >= 4:
+            c = invertible_in_space(solve(members, members[1:] + members[:1]), n)
+            if c is not None:
+                cycle = (c, c.inverse())
     return Certificate(TOTALLY_SYMMETRIC, witness=tuple(found))
 
 
@@ -332,7 +324,7 @@ def verify_tss(t, from_scratch=False):
     space is searched for an invertible element.  For k >= 4 two systems
     are solved, for (0, 1) and for the k-cycle, and the other spaces are
     the first one conjugated by the cycle's witness (see
-    ``_transposition_spaces``); a smaller set solves each space.  A
+    ``_search_transpositions``); a smaller set solves each space.  A
     NotTotallySymmetric verdict names the first transposition whose
     solution space held no invertible element we could find; its detail
     says "exists" instead of "found" when the supports of that space prove
@@ -375,9 +367,12 @@ def realize_permutation(witness, sigma, n=None):
 
 
 def isomorphic(a, b):
-    """An invertible T with T·A_i·T^-1 = B_i, or None."""
+    """An invertible T with T·A_i·T^-1 = B_i, or None; the identity for
+    two empty sets, since any T conjugates the empty family."""
     if (a.n, a.k) != (b.n, b.k):
         return None
+    if not a.k:
+        return Matrix.identity(a.n)
     space = intertwiner_space(list(a.elements), list(b.elements))
     return invertible_in_space(space, a.n)
 

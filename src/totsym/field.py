@@ -478,17 +478,3 @@ ZETA_INV = Scalar((Fraction(1, 2), 0, 0, 0, 0, 0, Fraction(-1, 2), 0))
 MU_SPORADIC = Scalar((Fraction(-1, 3), 0, 0, 0, 0, Fraction(2, 3), 0, 0))
 # alpha = (mu - mu^{-1})/2 = (2*sqrt2/3) i
 ALPHA_SPORADIC = Scalar((0, 0, 0, 0, 0, Fraction(2, 3), 0, 0))
-
-
-def constants():
-    """The named field constants used by the catalog, keyed by name."""
-    return {
-        "zeta": ZETA,
-        "zeta_inv": ZETA_INV,
-        "sqrt2": SQRT2,
-        "sqrt3": SQRT3,
-        "sqrt6": SQRT6,
-        "i_unit": I_UNIT,
-        "mu_sporadic": MU_SPORADIC,
-        "alpha_sporadic": ALPHA_SPORADIC,
-    }

@@ -4,7 +4,7 @@ A Matrix is immutable and is its rows of nonzero entries ``{column: nonzero
 Scalar}``, which ``Matrix.nonzero_rows`` reads and ``Matrix.from_nonzero_rows``
 takes, as documents do; the dense tuple of rows is a view built on access
 for the edges that want tuples (printing, submatrices).  Products run over the
-nonzero rows, and every elimination (determinant, inverse, solve, kernel,
+nonzero rows, and every elimination (determinant, inverse, kernel,
 subspace bases and intersections, algebra closure) goes through one
 sparse-row Gauss-Jordan routine, ``_insert``, over rows of that form.
 Subspaces keep that reduced echelon form, which is canonical, so equality of
@@ -28,7 +28,6 @@ from .field import MINUS_ONE, ONE, ZERO, Scalar, add_multiple, as_scalar
 
 __all__ = [
     "Matrix",
-    "NoSolution",
     "Polynomial",
     "Singular",
     "Subspace",
@@ -41,7 +40,6 @@ __all__ = [
     "mat_vec",
     "matrix_to_vec",
     "null_space",
-    "solve",
     "structurally_singular",
     "transport_space",
     "vec_to_matrix",
@@ -156,9 +154,6 @@ class Matrix:
     def column(self, j):
         return tuple(row.get(j, ZERO) for row in self._nonzero)
 
-    def columns(self):
-        return [self.column(j) for j in range(self.n)]
-
     def submatrix(self, row_idx, col_idx):
         rows = self.rows
         return Matrix(tuple(tuple(rows[i][j] for j in col_idx) for i in row_idx))
@@ -181,9 +176,6 @@ class Matrix:
 
     def is_zero(self):
         return not any(self._nonzero)
-
-    def is_identity(self):
-        return self.m == self.n and self == Matrix.identity(self.n)
 
     def _plus(self, f, rows):
         """self + f * (the matrix with the sparse rows given), f = 1 or -1."""
@@ -487,31 +479,8 @@ def kernel(mat):
     return null_space(mat._nonzero, mat.n)
 
 
-class NoSolution(ValueError):
-    pass
-
-
 class Singular(ZeroDivisionError):
     pass
-
-
-def solve(mat, rhs):
-    """One exact solution of mat * x = rhs; raises NoSolution if inconsistent."""
-    n = mat.n
-    rhs = vec(rhs)
-    if len(rhs) != mat.m:
-        raise ValueError(f"shape mismatch {mat.m}x{n} system, right side of "
-                         f"length {len(rhs)}")
-    echelon = {}
-    for row, b in zip(mat._nonzero, rhs):
-        v = dict(row)
-        if not b.is_zero():
-            v[n] = b
-        _insert(v, echelon)
-    if n in echelon:
-        raise NoSolution("inconsistent linear system")
-    return tuple(echelon[p].get(n, ZERO) if p in echelon else ZERO
-                 for p in range(n))
 
 
 @dataclass(frozen=True, slots=True, init=False, repr=False)
@@ -577,12 +546,8 @@ class Subspace:
         """The basis as the columns of an n-by-dim matrix."""
         return Matrix.from_columns(self.basis)
 
-    def contains(self, v):
-        v = vec(v)
-        _require_same_ambient(self.n, len(v))
-        return not _reduce(_sparse(v), self._echelon)
-
     def contains_space(self, other):
+        _require_same_ambient(self.n, other.n)
         return all(not _reduce(row, self._echelon) for row in other.rows)
 
     def __add__(self, other):
@@ -622,10 +587,6 @@ class Subspace:
             for j, x in acc.items():
                 images[j][i] = x
         return images
-
-    def apply(self, mat):
-        """The image subspace mat(W)."""
-        return Subspace(self._images(mat), mat.m)
 
     def maps_into(self, mat, target):
         """Whether mat maps this subspace W of K^n into the subspace target
@@ -770,12 +731,6 @@ class Polynomial:
         acc = ZERO
         for c in reversed(self.coeffs):
             acc = acc * x + c
-        return acc
-
-    def eval_matrix(self, a):
-        acc = Matrix.zero(a.n)
-        for c in reversed(self.coeffs):
-            acc = (acc * a).shift(c)
         return acc
 
     def deflate(self, root):

@@ -337,6 +337,14 @@ def reference_apply(space, mat):
     return Subspace([mat_vec(mat, v) for v in space.basis], mat.m)
 
 
+def reference_polynomial_at(poly, a):
+    """poly(a) for a square matrix a, by Horner's rule over whole matrices."""
+    acc = Matrix.zero(a.n)
+    for c in reversed(poly.coeffs):
+        acc = acc * a + Matrix.scalar(a.n, c)
+    return acc
+
+
 def reference_algebra_closure(gens):
     """The reduced echelon basis, as matrices, of the span of I and gens
     closed under right multiplication by every generator: each element that
@@ -350,8 +358,9 @@ def reference_algebra_closure(gens):
             for g in gens:
                 prod = x * g
                 v = matrix_to_vec(prod)
-                if not span.contains(v):
-                    span = Subspace([*span.basis, v], n * n)
+                bigger = Subspace([*span.basis, v], n * n)
+                if bigger.dim > span.dim:
+                    span = bigger
                     new.append(prod)
         found = new
     return [vec_to_matrix(v, n) for v in span.basis]

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from totsym import catalog, linalg
+from totsym import catalog, core, linalg
 from totsym.core import (
     DEGENERATE,
     NOT_TOTALLY_SYMMETRIC,
@@ -16,7 +16,7 @@ from totsym.core import (
     NotComplementary,
     NotInvariant,
     Tss,
-    _transposition_spaces,
+    _search_transpositions,
     dual_arrangement,
     half_dim_normal_form,
     involution_checks,
@@ -44,6 +44,7 @@ from totsym.spectral import Weight, is_commutative
 
 from oracles import (
     oracle_involution_flags,
+    reference_apply,
     reference_certificate,
     reference_realize_permutation,
     reference_reduce_arrangement,
@@ -80,7 +81,7 @@ def test_all_equal_keeps_formal_cardinality():
     t = Tss([diag(3, 3), diag(3, 3), diag(3, 3)])
     assert t.k == 3 and t.degenerate
     assert t.witness is not None and len(t.witness) == 2
-    assert all(p.is_identity() for p in t.witness)
+    assert all(p == Matrix.identity(t.n) for p in t.witness)
 
 
 def test_partial_collision_collapses_to_singleton():
@@ -341,42 +342,74 @@ def _scratch_parts(obj):
     return list(obj.elements), intertwiner_space, verify_tss, "intertwiner"
 
 
+def _counting(solve, targets):
+    """solve, recording the targets of each system it is asked for."""
+    def counting(ms, ts):
+        targets.append(list(ts))
+        return solve(ms, ts)
+    return counting
+
+
+def _recording_search(monkeypatch):
+    """The spaces that core searches for an invertible element, in order."""
+    searched = []
+    search = core.invertible_in_space
+
+    def recording(space, n):
+        searched.append(space)
+        return search(space, n)
+
+    monkeypatch.setattr("totsym.core.invertible_in_space", recording)
+    return searched
+
+
 @pytest.mark.parametrize("name", sorted(FROM_SCRATCH_CASES))
-def test_transposition_spaces_from_the_cycle_equal_direct_solves(name):
+def test_transposition_spaces_from_the_cycle_equal_direct_solves(name, monkeypatch):
     obj = FROM_SCRATCH_CASES[name]()
     members, solve, verify, what = _scratch_parts(obj)
     assert obj.k >= 4
     targets = []
-
-    def counting(ms, ts):
-        targets.append(list(ts))
-        return solve(ms, ts)
-
-    spaces = list(_transposition_spaces(members, obj.n, counting))
+    searched = _recording_search(monkeypatch)
+    cert = _search_transpositions(members, obj.n, _counting(solve, targets), what)
     # two systems: (0, 1) and the k-cycle; the rest are conjugates
-    assert targets == [swap_adjacent(members, 0), members[1:] + members[:1]]
+    cycle = members[1:] + members[:1]
+    assert targets == [swap_adjacent(members, 0), cycle]
+    assert searched[1] == solve(members, cycle)
+    spaces = searched[:1] + searched[2:]
     assert len(spaces) == obj.k - 1
     for j, space in enumerate(spaces):
         assert space == solve(members, swap_adjacent(members, j))
-    cert = verify(obj, from_scratch=True)
     assert cert.verdict == TOTALLY_SYMMETRIC
     assert cert == reference_certificate(members, obj.n, solve, what)
+    assert verify(obj, from_scratch=True) == cert
 
 
-def test_three_members_solve_each_transposition_directly():
+def test_three_members_solve_each_transposition_directly(monkeypatch):
     t = catalog.ncsimplex(3)
     members = list(t.elements)
     targets = []
-
-    def counting(ms, ts):
-        targets.append(list(ts))
-        return intertwiner_space(ms, ts)
-
-    spaces = list(_transposition_spaces(members, t.n, counting))
+    searched = _recording_search(monkeypatch)
+    cert = _search_transpositions(
+        members, t.n, _counting(intertwiner_space, targets), "intertwiner")
     assert targets == [swap_adjacent(members, 0), swap_adjacent(members, 1)]
-    assert spaces == [intertwiner_space(members, ts) for ts in targets]
-    assert verify_tss(t, from_scratch=True) == reference_certificate(
+    assert searched == [intertwiner_space(members, ts) for ts in targets]
+    assert cert == reference_certificate(
         members, t.n, intertwiner_space, "intertwiner")
+
+
+def test_four_members_refuted_at_the_first_transposition_solve_one_system(monkeypatch):
+    # no cycle is solved when S_0 already holds no invertible element
+    members = [diag(1, 1, 2), diag(1, 2, 2), diag(1, 1, 3), diag(1, 3, 3)]
+    targets = []
+    searched = _recording_search(monkeypatch)
+    cert = _search_transpositions(
+        members, 3, _counting(intertwiner_space, targets), "intertwiner")
+    assert targets == [swap_adjacent(members, 0)]
+    assert searched == [intertwiner_space(members, targets[0])]
+    assert cert.verdict == NOT_TOTALLY_SYMMETRIC
+    assert cert.failing_transposition == 0
+    assert cert.detail == NOT_EXISTS.format("intertwiner", 0, 1)
+    assert cert == reference_certificate(members, 3, intertwiner_space, "intertwiner")
 
 
 def test_conjugate_space():
@@ -407,7 +440,7 @@ def test_verify_arrangement_solver():
         planes = s2_lines()
         want = planes[:]
         want[j], want[j + 1] = want[j + 1], want[j]
-        assert [w.apply(p) for w in planes] == want
+        assert [reference_apply(w, p) for w in planes] == want
 
 
 def test_verify_arrangement_solves_each_annihilator_once(monkeypatch):
@@ -451,7 +484,7 @@ def standard3():
 
 def test_realize_identity():
     t = standard3()
-    assert realize_permutation(t.witness, (0, 1, 2)).is_identity()
+    assert realize_permutation(t.witness, (0, 1, 2)) == Matrix.identity(3)
 
 
 def test_realize_all_of_sym3():
@@ -468,7 +501,7 @@ def test_realize_transport_on_arrangement():
     cert = verify_arrangement(Arrangement(s2_lines()))
     r = realize_permutation(cert.witness, (1, 2, 0))
     planes = s2_lines()
-    assert [w.apply(r) for w in planes] == [planes[1], planes[2], planes[0]]
+    assert [reference_apply(w, r) for w in planes] == [planes[1], planes[2], planes[0]]
 
 
 @pytest.mark.parametrize("make", [
@@ -519,6 +552,12 @@ def test_isomorphic_conjugated_copy():
     assert tr is not None
     for a, b in zip(s.elements, t.elements):
         assert tr * a == b * tr
+
+
+def test_empty_sets_are_isomorphic_by_the_identity():
+    # any invertible T conjugates the empty family; no system is solved
+    assert isomorphic(Tss([], n=2), Tss([], n=2)) == Matrix.identity(2)
+    assert isomorphic(Tss([], n=2), Tss([], n=3)) is None
 
 
 def test_not_isomorphic_different_spectra():
@@ -644,7 +683,7 @@ def test_restriction_quotient_matches_the_change_of_basis(data):
     if data.draw(st.booleans()):
         witness = [s * member() * s_inv for _ in range(k - 1)]
     t = Tss(elements, witness=witness, params=(2,))
-    space = Subspace(s.columns()[:d], n)
+    space = Subspace([s.column(j) for j in range(d)], n)
     ours = outcome(lambda: tuple(map(tss_fields, restriction_quotient(t, space))))
     theirs = outcome(lambda: tuple(map(tss_fields, reference_restriction_quotient(t, space))))
     assert ours == theirs
@@ -736,7 +775,8 @@ def test_stabilizer_single_plane_formula():
     dim, basis = stabilizer_dimension(Arrangement([w]))
     assert dim == 3  # n^2 - d(n-d) = 4 - 1
     for b in basis:
-        assert w.apply(b).dim <= w.dim and w.contains_space(w.apply(b))
+        image = reference_apply(w, b)
+        assert image.dim <= w.dim and w.contains_space(image)
 
 
 def test_stabilizer_three_lines():
@@ -769,7 +809,7 @@ def test_half_dim_requires_complements():
 def test_half_dim_invariant_under_coordinate_change():
     lines = s2_lines() + [line(1, 2)]
     u = M((3, 1), (2, 1))
-    moved = [w.apply(u) for w in lines]
+    moved = [reference_apply(w, u) for w in lines]
     _, t1 = half_dim_normal_form(Arrangement(lines))
     _, t2 = half_dim_normal_form(Arrangement(moved))
     assert t1.elements == t2.elements

@@ -46,7 +46,12 @@ from totsym.spectral import (
 from totsym.spectral import _invariant_submodule
 from totsym.suite import halfdim_nonexistence_suite, rep_obstruction_suite
 
-from oracles import reference_algebra_closure, reference_classify, reference_depth_table
+from oracles import (
+    reference_algebra_closure,
+    reference_apply,
+    reference_classify,
+    reference_depth_table,
+)
 
 
 def diag(*entries):
@@ -265,7 +270,7 @@ def test_eigenspace_transport():
     t = partition_construction([1, 2, 3])
     for sigma, s in [((1, 0, 2), (0,)), ((2, 0, 1), (0, 2)), ((1, 2, 0), (1,))]:
         r = realize_permutation(t.witness, list(sigma))
-        moved = jfold(t, 1, 1, s).apply(r)
+        moved = reference_apply(jfold(t, 1, 1, s), r)
         assert moved == jfold(t, 1, 1, [sigma[i] for i in s])
 
 
