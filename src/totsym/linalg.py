@@ -985,49 +985,38 @@ def structurally_singular(space, n):
 
 
 def invertible_in_space(space, n, seed=None):
-    """Search a subspace of vectorised n-by-n matrices for an invertible one.
+    """Search a subspace of vectorised n-by-n matrices for an invertible one,
+    by one rule for each kind of space.
 
-    Deterministic sweeps first (single basis elements, pairwise sums and
-    differences, then a small integer-coefficient grid when the dimension
-    allows), falling back to random combinations drawn from ``seed`` (0
-    when None).  Each candidate is an integer combination of the sparse
-    basis rows.  A candidate whose support admits no perfect matching is
-    singular and skipped (the union of the supports of the basis rows it
-    uses is tested once per set of rows); the others are combined and
-    tested by their determinant.  A combination with fewer than n nonzero
-    cells in all is singular, so the singles are not swept when no basis row
-    has n cells, nor the pairs when two of the widest rows have fewer.
-
-    When every candidate fails and the space is a coordinate space, spanned
-    by unit matrices (each canonical basis row has one entry), the
-    permutation matrix of a perfect matching of its cells lies in it and is
-    invertible, and is returned.  Such a space has one when it is not
-    structurally singular.
-    Returns a Matrix or None, which is exact when the whole space is
-    structurally singular (see ``structurally_singular``) or a coordinate
-    space.
+    A space whose supports admit no perfect matching is singular (see
+    ``structurally_singular``) and gives None.  A coordinate space, spanned
+    by unit matrices (each canonical basis row has one entry), holds the
+    permutation matrix of that matching, which is invertible and is
+    returned with no determinant.  Any other space tries its single basis
+    elements with n cells or more (a matrix with fewer is singular), then
+    300 random integer combinations of its basis drawn from ``seed`` (0 when
+    None).  A candidate whose support admits no perfect matching is singular
+    and skipped (the union of the supports of the basis rows it uses is
+    tested once per set of rows); the others are combined and tested by
+    their determinant.
+    Returns a Matrix or None, which is exact when the space is structurally
+    singular or a coordinate space.
     """
     _require_vectorised(space, n)
     basis = space.rows
     matching = _perfect_matching(_support_masks(basis, n))
     if matching is None or not basis:
         return None
+    if all(len(row) == 1 for row in basis):
+        return _to_matrix({r * n + c: ONE for c, r in enumerate(matching)}, n, n)
     k = len(basis)
-    widest = max(map(len, basis))
     matchable = {}
 
     def candidates():
-        if widest >= n:
-            for i in range(k):
+        for i, row in enumerate(basis):
+            if len(row) >= n:
                 yield {i: 1}
-        if 2 * widest >= n:
-            for i, j in itertools.combinations(range(k), 2):
-                yield {i: 1, j: 1}
-                yield {i: 1, j: -1}
-        if k <= 4 and n <= 8:
-            for coeffs in itertools.product(range(-2, 3), repeat=k):
-                if any(coeffs):
-                    yield dict(enumerate(coeffs))
+        # seeded only once the singles miss: seeding costs more than most hits
         rng = random.Random(0 if seed is None else seed)
         for _ in range(300):
             yield {i: rng.randint(-5, 5) for i in range(k)}
@@ -1047,8 +1036,6 @@ def invertible_in_space(space, n, seed=None):
         x = _to_matrix(acc, n, n)
         if not x.det().is_zero():
             return x
-    if all(len(row) == 1 for row in basis):
-        return _to_matrix({r * n + c: ONE for c, r in enumerate(matching)}, n, n)
     return None
 
 

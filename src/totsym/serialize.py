@@ -442,6 +442,8 @@ def parse(text):
     _require(isinstance(meta, dict), "meta must be an object")
     _require(meta.get("field_basis") == FIELD_BASIS,
              "document uses a different scalar basis")
+    _require(meta.get("version") == SCHEMA_VERSION,
+             f"document version {meta.get('version')!r} is not {SCHEMA_VERSION!r}")
     return doc
 
 

@@ -429,11 +429,14 @@ def _classify_blocks(t, blocks):
         if len(columns) == len(orbit) and set(columns) == set(orbit):
             return ClassificationResult(IRREDUCIBLE, weight=weight)
 
-    # not a free orbit: exhibit a proper invariant subspace if one exists
+    # not a free orbit: exhibit a proper invariant subspace if one exists.
+    # The blocks make a direct sum of K^n, so ker(A_i - c) is spanned by the
+    # blocks whose column has c at i.
     for i in range(t.k):
         classes = sorted({col[i] for col in columns}, key=Scalar.sort_key)
         if len(classes) > 1:
-            witness = kernel(t.elements[i].shift(-classes[0]))
+            witness = Subspace([row for space, col in blocks if col[i] == classes[0]
+                                for row in space.rows], t.n)
             return ClassificationResult(REDUCIBLE, subspace=witness)
     if t.n > 1:
         line = Subspace([blocks[0][0].basis[0]], t.n)

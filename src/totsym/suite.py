@@ -3,7 +3,8 @@
 Each check is named by what it verifies and returns pass/fail with a detail
 string; failures embed the exact offending matrices.  run_suite() gathers
 them all, sorted by name, and format_report renders one line per check.
-Several check groups accept an override argument so tests can inject faults.
+One check group, ``spin_presentation_checks(ts)``, accepts replacement
+generator matrices, so tests can inject faults.
 """
 
 from itertools import combinations

@@ -248,6 +248,21 @@ def test_verify_non_square_witness_exit_2(tmp_path, capsys):
     assert "non-square" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("relabel", [
+    lambda meta: meta.update(version="2"),
+    lambda meta: meta.pop("version"),
+], ids=["version-2", "no-version"])
+def test_export_refuses_another_version_exit_2(tmp_path, capsys, relabel):
+    doc = tmp_path / "std.json"
+    assert run("construct", "standard", "--k", "3", "--out", str(doc)) == 0
+    data = json.loads(doc.read_text())
+    relabel(data["meta"])
+    doc.write_text(json.dumps(data))
+    assert run("export", "--in", str(doc)) == 2
+    err = capsys.readouterr().err
+    assert "version" in err and "Traceback" not in err
+
+
 def _constructed(tmp_path, spec):
     path = tmp_path / "doc.json"
     assert run("construct", *shlex.split(spec), "--out", str(path)) == 0

@@ -287,8 +287,8 @@ def test_largest_permutation_type_set_verifies_from_scratch():
 
 def test_two_coordinate_lines_skip_the_sweeps(monkeypatch):
     # the transport space has dimension 30^2 - 58 and holds unit matrices
-    # only: no single one and no pair has 30 cells, so the search tests
-    # the whole space and its first random draw, with no sweep before it
+    # only: a coordinate space, decided by the one matching of its whole
+    # support, with no candidate tested after it
     n = 30
     lines = [Subspace([{j: ONE}], n) for j in (0, 1)]
     tested = []
@@ -298,7 +298,7 @@ def test_two_coordinate_lines_skip_the_sweeps(monkeypatch):
     cert = verify_arrangement(Arrangement(lines), from_scratch=True)
     assert cert.verdict == TOTALLY_SYMMETRIC
     assert lines[0].maps_into(cert.witness[0], lines[1])
-    assert len(tested) == 2
+    assert len(tested) == 1
 
 
 # ------------------------------------------ transposition spaces from a cycle

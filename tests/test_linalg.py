@@ -631,12 +631,14 @@ def test_full_algebra_closure_is_matrix_units(gens):
 
 # ------------------------------------------ invertible search: golden values
 #
-# The exact witness for one space per phase of the search, the number of
+# The exact witness for one space per path of the search, the number of
 # candidates the reference search (a determinant on every candidate) tries
 # before it, and the number of determinants the search itself computes,
 # once the structural test has skipped the singular candidates.  A change
 # to the search order, to the random draws or to the arithmetic shows up
-# here.
+# here.  A coordinate space is decided by a perfect matching of its cells,
+# which is the search's own choice, so its witness is checked by what any
+# such choice gives: a permutation matrix on unit matrices of the space.
 
 
 def diag(*xs):
@@ -663,20 +665,39 @@ GOLDEN_SEARCHES = {
     # phase: (basis, n, seed, witness, candidates tried, determinants tried)
     "single": ([E(2, 0, 0), M((0, 1), (SQRT2, 0))], 2, None,
                M((0, 1), (SQRT2, 0)), 2, 1),
-    "pair_sum": ([E(2, 0, 0), E(2, 0, 1), E(2, 1, 0), E(2, 1, 1)], 2, None,
-                 Matrix.identity(2), 9, 1),
-    "pair_difference": ([M((0, 0, 1), (0, 0, 2), (-1, 1, 0)),
-                         M((0, 0, 0), (1, 0, 1), (-1, -1, 0))], 3, None,
-                        M((0, 0, 1), (-1, 0, 1), (0, 2, 0)), 4, 2),
-    "grid": ([diag(ONE, ZERO, ONE, ONE) + E(4, 0, 1) * SQRT2, diag(0, 1, 1, -1)], 4, None,
-             Matrix([[-2, Scalar.rational(-2) * SQRT2, 0, 0], [0, -1, 0, 0], [0, 0, -3, 0],
-                     [0, 0, 0, -1]]), 6, 4),
-    "random_after_grid": ([diag(1, 0, 1, 1, 1, 1, 2, 2), diag(0, 1, 1, -1, 2, -2, 1, -1)],
-                          8, 3, diag(2, 5, 7, -3, 12, -8, 9, -1), 32, 21),
+    # a coordinate space: witness and candidates None
+    "coordinate": ([E(2, 0, 0), E(2, 0, 1), E(2, 1, 0), E(2, 1, 1)], 2, None,
+                   None, None, 0),
+    # both singles are matched and rejected, then the first draw is singular
+    "random_after_singles": ([M((0, 0, 1), (0, 0, 2), (-1, 1, 0)),
+                              M((0, 0, 0), (1, 0, 1), (-1, -1, 0))], 3, None,
+                             M((0, 0, -5), (-1, 0, -11), (6, -4, 0)), 4, 2),
+    # one single has n cells, the other fewer and is not tried
+    "random_after_one_single": (
+        [diag(ONE, ZERO, ONE, ONE) + E(4, 0, 1) * SQRT2, diag(0, 1, 1, -1)], 4, None,
+        Matrix([[-5, Scalar.rational(-5) * SQRT2, 0, 0], [0, -1, 0, 0], [0, 0, -6, 0],
+                [0, 0, 0, -4]]), 4, 2),
+    # no basis row has n cells: the draws alone
+    "random_without_singles": (
+        [diag(1, 0, 1, 1, 1, 1, 2, 2), diag(0, 1, 1, -1, 2, -2, 1, -1)],
+        8, 3, diag(2, 5, 7, -3, 12, -8, 9, -1), 6, 3),
     "random": ([E(3, 0, 0), E(3, 0, 1), E(3, 0, 2), E(3, 1, 1) + E(3, 1, 2) * SQRT2,
                 E(3, 2, 2)], 3, 5,
-               M((4, -1, 0), (0, 5, Scalar.rational(5) * SQRT2), (0, 0, 3)), 26, 1),
+               M((4, -1, 0), (0, 5, Scalar.rational(5) * SQRT2), (0, 0, 3)), 6, 1),
 }
+
+
+def is_coordinate(space):
+    return bool(space.rows) and all(len(row) == 1 for row in space.rows)
+
+
+def assert_permutation_of_units(found, space, n):
+    """found has one 1 in each row and column, and each of those cells is a
+    unit matrix of the basis of the coordinate space."""
+    rows = found.nonzero_rows
+    assert all(len(row) == 1 and set(row.values()) == {ONE} for row in rows)
+    assert sorted(c for row in rows for c in row) == list(range(n))
+    assert all({r * n + c: ONE} in space.rows for r, row in enumerate(rows) for c in row)
 
 
 @pytest.mark.parametrize("phase", sorted(GOLDEN_SEARCHES))
@@ -684,9 +705,13 @@ def test_invertible_in_space_golden(monkeypatch, phase):
     mats, n, seed, witness, candidates, determinants = GOLDEN_SEARCHES[phase]
     space = Subspace([matrix_to_vec(x) for x in mats], n * n)
     found, tried = counted_search(monkeypatch, space, n, seed)
-    assert found == witness
     assert tried == determinants
-    assert reference_invertible_search(space, n, seed) == (witness, candidates)
+    if witness is None:
+        assert is_coordinate(space)
+        assert_permutation_of_units(found, space, n)
+    else:
+        assert found == witness
+        assert reference_invertible_search(space, n, seed) == (witness, candidates)
 
 
 def test_invertible_in_space_rejects_a_space_of_the_wrong_size():
@@ -727,12 +752,29 @@ ALL_ONES_2 = Subspace([{p: ONE for p in range(4)}], 4)
 @example((ALL_ONES_2, 2), 0)
 @example((Subspace([matrix_to_vec(M((1, 0), (1, 0))),
                     matrix_to_vec(M((0, 1), (0, 1)))], 4), 2), 1)
+# coordinate spaces, with and without a perfect matching of their cells
+@example((Subspace([{0: ONE}, {1: ONE}, {2: ONE}], 4), 2), 0)
+@example((Subspace([{0: ONE}, {2: ONE}], 4), 2), 0)
 def test_invertible_in_space_matches_the_reference_search(space_n, seed):
     space, n = space_n
-    found = invertible_in_space(space, n, seed=seed)
-    assert found == reference_invertible_search(space, n, seed)[0]
+    found = assert_matches_the_reference(space, n, seed)
     if structurally_singular(space, n):
         assert found is None
+
+
+def assert_matches_the_reference(space, n, seed):
+    """The search's witness is the dense reference search's, or for a
+    coordinate space a permutation matrix on its units, found exactly when
+    the cells of some permutation are all units of the space."""
+    found = invertible_in_space(space, n, seed=seed)
+    if not is_coordinate(space):
+        assert found == reference_invertible_search(space, n, seed)[0]
+    elif any(all({r * n + p[r]: ONE} in space.rows for r in range(n))
+             for p in itertools.permutations(range(n))):
+        assert_permutation_of_units(found, space, n)
+    else:
+        assert found is None
+    return found
 
 
 @st.composite
@@ -789,25 +831,29 @@ def coordinate_space(n, cells):
     return Subspace([{r * n + c: ONE} for r, c in cells], n * n)
 
 
-def test_coordinate_spaces_are_decided_exactly():
-    # the cells of one permutation of 120: every random draw misses a cell
-    # with probability 1 - (10/11)^120, so only the matching finds the
-    # permutation matrix, the one invertible element up to scaling its cells
+def test_coordinate_spaces_are_decided_exactly(monkeypatch):
+    # the cells of one permutation of 120: every random draw would miss a
+    # cell with probability 1 - (10/11)^120, and the matching gives the
+    # permutation matrix, the one invertible element up to scaling its
+    # cells, with no determinant
     n = 120
     perm = [(7 * r + 3) % n for r in range(n)]
     space = coordinate_space(n, [(r, perm[r]) for r in range(n)])
     assert not structurally_singular(space, n)
-    assert invertible_in_space(space, n) == Matrix(
+    found, dets = counted_search(monkeypatch, space, n)
+    assert dets == 0
+    assert found == Matrix(
         [[ONE if c == perm[r] else ZERO for c in range(n)] for r in range(n)])
     # more cells: still the permutation matrix of one perfect matching
     extra = [(r, perm[r]) for r in range(n)] + [(r, (r + 1) % n) for r in range(0, n, 2)]
-    found = invertible_in_space(coordinate_space(n, extra), n)
+    found, dets = counted_search(monkeypatch, coordinate_space(n, extra), n)
+    assert dets == 0
     assert found is not None and not found.det().is_zero()
     assert all(len(row) == 1 and (r, *row) in set(extra) for r, row in enumerate(found._nonzero))
     # no perfect matching: two rows share their one column
     cells = [(r, perm[r]) for r in range(n - 1)] + [(n - 1, perm[0])]
     assert structurally_singular(coordinate_space(n, cells), n)
-    assert invertible_in_space(coordinate_space(n, cells), n) is None
+    assert counted_search(monkeypatch, coordinate_space(n, cells), n) == (None, 0)
 
 
 @st.composite
@@ -823,10 +869,9 @@ def narrow_spans(draw):
 @settings(max_examples=40, deadline=None)
 @given(narrow_spans(), st.integers(0, 2**16))
 def test_narrow_spaces_match_the_reference_search(space_n, seed):
-    # skipping the sweeps skips only candidates the matching rejects
+    # skipping the singles skips only candidates the matching rejects
     space, n = space_n
-    assert invertible_in_space(space, n, seed=seed) == reference_invertible_search(
-        space, n, seed)[0]
+    assert_matches_the_reference(space, n, seed)
 
 
 # ------------------------------------------------------------ nonzero rows

@@ -19,6 +19,7 @@ from totsym.serialize import (
     FIELD_BASIS,
     KindMismatch,
     ParseError,
+    SCHEMA_VERSION,
     certificate_to_json,
     document,
     emit,
@@ -305,6 +306,18 @@ def test_document_shape_rejections():
     doc = json.loads(emit(to_document(standard(2, 1, 2))))
     doc["meta"]["field_basis"] = "1,sqrt5"
     with pytest.raises(ParseError):
+        parse(json.dumps(doc))
+
+
+@pytest.mark.parametrize("version", ["2", 1, None, "missing"])
+def test_a_document_of_another_version_is_refused(version):
+    doc = json.loads(emit(to_document(standard(3))))
+    assert parse(json.dumps(doc))["meta"]["version"] == SCHEMA_VERSION
+    if version == "missing":
+        del doc["meta"]["version"]
+    else:
+        doc["meta"]["version"] = version
+    with pytest.raises(ParseError, match="version"):
         parse(json.dumps(doc))
 
 
