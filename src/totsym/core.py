@@ -281,7 +281,8 @@ def _search_transpositions(members, n, solve, what):
     invertible C in it, tau_{j+1} = c tau_j c^-1 gives S_{j+1} = C S_j C^-1,
     and the canonical echelon form makes that the same Subspace as a direct
     solve.  For k <= 3, where the cycle would save no solve, or when no
-    such C is found, each S_j is solved directly.
+    such C is found, each S_j is solved directly.  A derived S_j holds
+    C P_{j-1} C^-1, which is its witness when the search of it misses.
     """
     members = list(members)
     k = len(members)
@@ -293,6 +294,8 @@ def _search_transpositions(members, n, solve, what):
         else:
             space = conjugate_space(space, *cycle)
         p = invertible_in_space(space, n)
+        if p is None and cycle is not None:
+            p = cycle[0] * found[-1] * cycle[1]
         if p is None:
             return Certificate(
                 NOT_TOTALLY_SYMMETRIC, failing_transposition=j,

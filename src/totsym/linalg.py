@@ -159,7 +159,9 @@ class Matrix:
         return Matrix(tuple(tuple(rows[i][j] for j in col_idx) for i in row_idx))
 
     def transpose(self):
-        return Matrix(zip(*self.rows))
+        if not self.n:
+            raise ValueError("matrix needs at least one row")
+        return _from_nonzero(_columns(self), self.m)
 
     def trace(self):
         _require_square(self, "trace")
@@ -650,7 +652,8 @@ class Subspace:
         """``quotient`` for a mat known to map W into itself: its column f
         is the coset of mat·e_f, for each non-pivot column f."""
         free = [f for f in range(self.n) if f not in self._echelon]
-        columns = self._cosets(_sparse(mat.column(f)) for f in free)
+        images = _columns(mat)
+        columns = self._cosets(images[f] for f in free)
         return _from_nonzero(columns, len(free)).transpose()
 
     def blocks(self, mats):
@@ -977,14 +980,15 @@ def structurally_singular(space, n):
     (Konig-Hall), so no element is invertible; this is exact and needs no
     field arithmetic.  False says only that the supports allow one, except
     for a coordinate space (each canonical basis row has one entry), which
-    then holds the permutation matrix of the matching (see
-    ``invertible_in_space``).
+    then holds the permutation matrix of the matching.
+    ``invertible_in_space`` runs this test once, on the whole space, and
+    leaves every other singular candidate to its determinant.
     """
     _require_vectorised(space, n)
     return _perfect_matching(_support_masks(space.rows, n)) is None
 
 
-def invertible_in_space(space, n, seed=None):
+def invertible_in_space(space, n):
     """Search a subspace of vectorised n-by-n matrices for an invertible one,
     by one rule for each kind of space.
 
@@ -994,11 +998,8 @@ def invertible_in_space(space, n, seed=None):
     permutation matrix of that matching, which is invertible and is
     returned with no determinant.  Any other space tries its single basis
     elements with n cells or more (a matrix with fewer is singular), then
-    300 random integer combinations of its basis drawn from ``seed`` (0 when
-    None).  A candidate whose support admits no perfect matching is singular
-    and skipped (the union of the supports of the basis rows it uses is
-    tested once per set of rows); the others are combined and tested by
-    their determinant.
+    300 random integer combinations of its basis drawn from seed 0.  Each
+    candidate is combined and tested by its determinant.
     Returns a Matrix or None, which is exact when the space is structurally
     singular or a coordinate space.
     """
@@ -1010,25 +1011,17 @@ def invertible_in_space(space, n, seed=None):
     if all(len(row) == 1 for row in basis):
         return _to_matrix({r * n + c: ONE for c, r in enumerate(matching)}, n, n)
     k = len(basis)
-    matchable = {}
 
     def candidates():
         for i, row in enumerate(basis):
             if len(row) >= n:
                 yield {i: 1}
         # seeded only once the singles miss: seeding costs more than most hits
-        rng = random.Random(0 if seed is None else seed)
+        rng = random.Random(0)
         for _ in range(300):
             yield {i: rng.randint(-5, 5) for i in range(k)}
 
     for coeffs in candidates():
-        used = frozenset(i for i, c in coeffs.items() if c)
-        ok = matchable.get(used)
-        if ok is None:
-            ok = matchable[used] = _perfect_matching(
-                _support_masks([basis[i] for i in used], n)) is not None
-        if not ok:
-            continue
         acc = {}
         for i, c in coeffs.items():
             if c:

@@ -412,6 +412,26 @@ def test_four_members_refuted_at_the_first_transposition_solve_one_system(monkey
     assert cert == reference_certificate(members, 3, intertwiner_space, "intertwiner")
 
 
+@pytest.mark.parametrize("name", ["standard4", "sporadic4", "simplex4"])
+def test_a_miss_on_a_derived_space_is_not_a_refutation(name, monkeypatch):
+    # the third search is of S_1 = C S_0 C^-1, which holds C P_0 C^-1: a
+    # miss there takes that witness and refutes nothing
+    obj = FROM_SCRATCH_CASES[name]()
+    members, solve, verify, what = _scratch_parts(obj)
+    searched = []
+    search = core.invertible_in_space
+
+    def missing_the_third(space, n):
+        searched.append(space)
+        return None if len(searched) == 3 else search(space, n)
+
+    monkeypatch.setattr("totsym.core.invertible_in_space", missing_the_third)
+    cert = verify(obj, from_scratch=True)
+    assert len(searched) == obj.k
+    assert cert.verdict == TOTALLY_SYMMETRIC
+    assert core.realizes(type(obj)(members, witness=cert.witness))
+
+
 def test_conjugate_space():
     swap = M((0, 1), (1, 0))
     upper = Subspace([(0, 1, 0, 0)], 4)  # E12

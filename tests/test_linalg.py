@@ -425,8 +425,8 @@ def test_invertible_in_space_deterministic():
     space = Subspace(
         [matrix_to_vec(M((1, 0), (0, 0))), matrix_to_vec(M((0, 0), (0, 1)))], 4
     )
-    a = invertible_in_space(space, 2, seed=7)
-    b = invertible_in_space(space, 2, seed=7)
+    a = invertible_in_space(space, 2)
+    b = invertible_in_space(space, 2)
     assert a == b
     assert not a.det().is_zero()
 
@@ -455,6 +455,7 @@ def test_shape_checks_raise_value_error():
         lambda: Matrix.identity(2) + Matrix.identity(3),
         lambda: Matrix.identity(2) - Matrix.identity(3),
         lambda: wide + wide.transpose(),
+        lambda: Matrix([[]]).transpose(),
         lambda: wide.shift(ONE),
         lambda: mat_vec(Matrix.identity(3), vec((1, 2))),
         lambda: mat_vec(Matrix.identity(3), vec((1, 2, 3, 4))),
@@ -634,7 +635,7 @@ def test_full_algebra_closure_is_matrix_units(gens):
 # The exact witness for one space per path of the search, the number of
 # candidates the reference search (a determinant on every candidate) tries
 # before it, and the number of determinants the search itself computes,
-# once the structural test has skipped the singular candidates.  A change
+# which skips the singles with fewer than n cells.  A change
 # to the search order, to the random draws or to the arithmetic shows up
 # here.  A coordinate space is decided by a perfect matching of its cells,
 # which is the search's own choice, so its witness is checked by what any
@@ -646,7 +647,7 @@ def diag(*xs):
                    for i, x in enumerate(xs)])
 
 
-def counted_search(monkeypatch, space, n, seed=None):
+def counted_search(monkeypatch, space, n):
     calls = []
     det = Matrix.det
 
@@ -655,35 +656,35 @@ def counted_search(monkeypatch, space, n, seed=None):
         return det(self)
 
     monkeypatch.setattr(Matrix, "det", counting)
-    found = invertible_in_space(space, n, seed=seed)
+    found = invertible_in_space(space, n)
     monkeypatch.setattr(Matrix, "det", det)
     return found, len(calls)
 
 
 E = matrix_unit
 GOLDEN_SEARCHES = {
-    # phase: (basis, n, seed, witness, candidates tried, determinants tried)
-    "single": ([E(2, 0, 0), M((0, 1), (SQRT2, 0))], 2, None,
+    # phase: (basis, n, witness, candidates tried, determinants tried)
+    "single": ([E(2, 0, 0), M((0, 1), (SQRT2, 0))], 2,
                M((0, 1), (SQRT2, 0)), 2, 1),
     # a coordinate space: witness and candidates None
-    "coordinate": ([E(2, 0, 0), E(2, 0, 1), E(2, 1, 0), E(2, 1, 1)], 2, None,
+    "coordinate": ([E(2, 0, 0), E(2, 0, 1), E(2, 1, 0), E(2, 1, 1)], 2,
                    None, None, 0),
-    # both singles are matched and rejected, then the first draw is singular
+    # both singles and the first draw are singular by their determinants
     "random_after_singles": ([M((0, 0, 1), (0, 0, 2), (-1, 1, 0)),
-                              M((0, 0, 0), (1, 0, 1), (-1, -1, 0))], 3, None,
-                             M((0, 0, -5), (-1, 0, -11), (6, -4, 0)), 4, 2),
+                              M((0, 0, 0), (1, 0, 1), (-1, -1, 0))], 3,
+                             M((0, 0, -5), (-1, 0, -11), (6, -4, 0)), 4, 4),
     # one single has n cells, the other fewer and is not tried
     "random_after_one_single": (
-        [diag(ONE, ZERO, ONE, ONE) + E(4, 0, 1) * SQRT2, diag(0, 1, 1, -1)], 4, None,
+        [diag(ONE, ZERO, ONE, ONE) + E(4, 0, 1) * SQRT2, diag(0, 1, 1, -1)], 4,
         Matrix([[-5, Scalar.rational(-5) * SQRT2, 0, 0], [0, -1, 0, 0], [0, 0, -6, 0],
-                [0, 0, 0, -4]]), 4, 2),
+                [0, 0, 0, -4]]), 4, 3),
     # no basis row has n cells: the draws alone
     "random_without_singles": (
         [diag(1, 0, 1, 1, 1, 1, 2, 2), diag(0, 1, 1, -1, 2, -2, 1, -1)],
-        8, 3, diag(2, 5, 7, -3, 12, -8, 9, -1), 6, 3),
+        8, diag(-5, -1, -6, -4, -7, -3, -11, -9), 4, 2),
     "random": ([E(3, 0, 0), E(3, 0, 1), E(3, 0, 2), E(3, 1, 1) + E(3, 1, 2) * SQRT2,
-                E(3, 2, 2)], 3, 5,
-               M((4, -1, 0), (0, 5, Scalar.rational(5) * SQRT2), (0, 0, 3)), 6, 1),
+                E(3, 2, 2)], 3,
+               M((1, 1, -5), (0, -1, -SQRT2), (0, 0, 3)), 6, 1),
 }
 
 
@@ -702,16 +703,16 @@ def assert_permutation_of_units(found, space, n):
 
 @pytest.mark.parametrize("phase", sorted(GOLDEN_SEARCHES))
 def test_invertible_in_space_golden(monkeypatch, phase):
-    mats, n, seed, witness, candidates, determinants = GOLDEN_SEARCHES[phase]
+    mats, n, witness, candidates, determinants = GOLDEN_SEARCHES[phase]
     space = Subspace([matrix_to_vec(x) for x in mats], n * n)
-    found, tried = counted_search(monkeypatch, space, n, seed)
+    found, tried = counted_search(monkeypatch, space, n)
     assert tried == determinants
     if witness is None:
         assert is_coordinate(space)
         assert_permutation_of_units(found, space, n)
     else:
         assert found == witness
-        assert reference_invertible_search(space, n, seed) == (witness, candidates)
+        assert reference_invertible_search(space, n) == (witness, candidates)
 
 
 def test_invertible_in_space_rejects_a_space_of_the_wrong_size():
@@ -720,7 +721,7 @@ def test_invertible_in_space_rejects_a_space_of_the_wrong_size():
     with pytest.raises(ValueError):
         invertible_in_space(Subspace.full(10), 3)
     with pytest.raises(ValueError):
-        invertible_in_space(Subspace.full(6), 2, 2)
+        invertible_in_space(Subspace.full(6), 2)
     with pytest.raises(ValueError):
         structurally_singular(Subspace.full(10), 3)
 
@@ -746,29 +747,29 @@ ALL_ONES_2 = Subspace([{p: ONE for p in range(4)}], 4)
 
 
 @settings(max_examples=60, deadline=None)
-@given(sparse_spans(), st.integers(0, 2**16))
+@given(sparse_spans())
 # singular only through cancellation: span(J), and the rank-one matrices
 # (1, 1)^T (x, y), whose supports together match
-@example((ALL_ONES_2, 2), 0)
+@example((ALL_ONES_2, 2))
 @example((Subspace([matrix_to_vec(M((1, 0), (1, 0))),
-                    matrix_to_vec(M((0, 1), (0, 1)))], 4), 2), 1)
+                    matrix_to_vec(M((0, 1), (0, 1)))], 4), 2))
 # coordinate spaces, with and without a perfect matching of their cells
-@example((Subspace([{0: ONE}, {1: ONE}, {2: ONE}], 4), 2), 0)
-@example((Subspace([{0: ONE}, {2: ONE}], 4), 2), 0)
-def test_invertible_in_space_matches_the_reference_search(space_n, seed):
+@example((Subspace([{0: ONE}, {1: ONE}, {2: ONE}], 4), 2))
+@example((Subspace([{0: ONE}, {2: ONE}], 4), 2))
+def test_invertible_in_space_matches_the_reference_search(space_n):
     space, n = space_n
-    found = assert_matches_the_reference(space, n, seed)
+    found = assert_matches_the_reference(space, n)
     if structurally_singular(space, n):
         assert found is None
 
 
-def assert_matches_the_reference(space, n, seed):
+def assert_matches_the_reference(space, n):
     """The search's witness is the dense reference search's, or for a
     coordinate space a permutation matrix on its units, found exactly when
     the cells of some permutation are all units of the space."""
-    found = invertible_in_space(space, n, seed=seed)
+    found = invertible_in_space(space, n)
     if not is_coordinate(space):
-        assert found == reference_invertible_search(space, n, seed)[0]
+        assert found == reference_invertible_search(space, n)[0]
     elif any(all({r * n + p[r]: ONE} in space.rows for r in range(n))
              for p in itertools.permutations(range(n))):
         assert_permutation_of_units(found, space, n)
@@ -867,11 +868,11 @@ def narrow_spans(draw):
 
 
 @settings(max_examples=40, deadline=None)
-@given(narrow_spans(), st.integers(0, 2**16))
-def test_narrow_spaces_match_the_reference_search(space_n, seed):
-    # skipping the singles skips only candidates the matching rejects
+@given(narrow_spans())
+def test_narrow_spaces_match_the_reference_search(space_n):
+    # skipping the singles skips only singular candidates
     space, n = space_n
-    assert_matches_the_reference(space, n, seed)
+    assert_matches_the_reference(space, n)
 
 
 # ------------------------------------------------------------ nonzero rows
