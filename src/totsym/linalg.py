@@ -151,9 +151,6 @@ class Matrix:
             out_rows.extend(itertools.chain(*rows) for rows in zip(*(b.rows for b in band)))
         return cls(out_rows)
 
-    def column(self, j):
-        return tuple(row.get(j, ZERO) for row in self._nonzero)
-
     def submatrix(self, row_idx, col_idx):
         rows = self.rows
         return Matrix(tuple(tuple(rows[i][j] for j in col_idx) for i in row_idx))
@@ -1056,6 +1053,16 @@ def algebra_closure(gens):
     returned as a list of matrices whose vectorisations are in reduced
     echelon form (the standard matrix units when it is M_n), which depends
     only on the algebra, not on the order or repetition of the generators.
+
+    What is multiplied is not an element x that enlarged the span but its
+    row as reduced when it joined, (x - v) / c with v in the span so far
+    and c the leading entry, as the MeatAxe spins reduced vectors.  Those
+    rows are zero at every earlier pivot, so products and reductions read
+    fewer entries.  The span is still the generated algebra: at every step
+    I and the reduced rows span what I and the elements span, and when a
+    generator g joins, the span is the algebra A of the generators before
+    it, which their reduced rows generate too, so closure under A and under
+    the reduced row of g is closure under g = c * (reduced row) + v.
     """
     if not gens:
         raise ValueError("need at least one generator")
@@ -1065,11 +1072,17 @@ def algebra_closure(gens):
     full = n * n
     echelon = {}
     _insert({i * (n + 1): ONE for i in range(n)}, echelon)  # I
-    found = []  # the elements other than I that enlarged the span
+    found = []  # reduced rows of the elements other than I that enlarged the span
     active = []
+
+    def reduced(pivot):  # the row just inserted at pivot, as a matrix
+        return _to_matrix({pivot: ONE, **echelon[pivot]}, n, n)
+
     for g in gens:
-        if not _insert(_vectorise(g), echelon):
+        joined = _insert(_vectorise(g), echelon)
+        if not joined:
             continue
+        g = reduced(joined[0])
         active.append(g)
         every = tuple(active)
         todo = [(x, (g,)) for x in found]  # I * g is g itself
@@ -1077,10 +1090,11 @@ def algebra_closure(gens):
         todo.append((g, every))
         for x, hs in todo:
             for h in hs:
-                prod = x * h
-                if _insert(_vectorise(prod), echelon):
+                joined = _insert(_vectorise(x * h), echelon)
+                if joined:
                     if len(echelon) == full:
                         return [_to_matrix({p: ONE}, n, n) for p in range(full)]
+                    prod = reduced(joined[0])
                     found.append(prod)
                     todo.append((prod, every))
     return [_to_matrix({p: ONE, **echelon[p]}, n, n) for p in sorted(echelon)]

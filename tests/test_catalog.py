@@ -364,7 +364,7 @@ def test_suspension_simplex_pair():
 def test_suspension_simplex_three():
     t = suspension_simplex(3, 2)
     assert t.k == 4 and t.n == 4
-    last_columns = [tuple(e.column(3)[:3]) for e in t.elements]
+    last_columns = [tuple(row[3] for row in e.rows[:3]) for e in t.elements]
     assert last_columns == as_scalar_rows(
         [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)])
     assert all(e.rows[i][i] == r(2) for e in t.elements for i in range(4))

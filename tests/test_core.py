@@ -703,7 +703,7 @@ def test_restriction_quotient_matches_the_change_of_basis(data):
     if data.draw(st.booleans()):
         witness = [s * member() * s_inv for _ in range(k - 1)]
     t = Tss(elements, witness=witness, params=(2,))
-    space = Subspace([s.column(j) for j in range(d)], n)
+    space = Subspace([[row[j] for row in s.rows] for j in range(d)], n)
     ours = outcome(lambda: tuple(map(tss_fields, restriction_quotient(t, space))))
     theirs = outcome(lambda: tuple(map(tss_fields, reference_restriction_quotient(t, space))))
     assert ours == theirs

@@ -23,7 +23,7 @@ from totsym.linalg import (
     vec,
     vec_to_matrix,
 )
-from totsym import linalg
+from totsym import catalog, linalg
 from totsym.linalg import _sparse, _to_matrix
 
 from oracles import (
@@ -69,7 +69,7 @@ def M(*rows):
 def test_shape_and_accessors():
     a = M((1, 2, 3), (4, 5, 6))
     assert (a.m, a.n) == (2, 3)
-    assert a.column(1) == (Scalar.rational(2), Scalar.rational(5))
+    assert [row[1] for row in a.rows] == [Scalar.rational(2), Scalar.rational(5)]
     assert a.transpose().rows[2][1] == Scalar.rational(6)
     with pytest.raises(ValueError):
         Matrix([(1, 2), (3,)])
@@ -276,7 +276,7 @@ def test_lifted_kernels_of_the_restriction_are_the_meets(top, bottom, r):
     block = M(*(list(top.rows[i]) + [0, 0] for i in range(2)),
               *([0, 0] + list(bottom.rows[i]) for i in range(2)))
     a = p * block * p.inverse()
-    w = Subspace([p.column(0), p.column(1)], 4)
+    w = Subspace([[row[j] for row in p.rows] for j in (0, 1)], 4)
     restricted = w.restriction(a)
     assert restricted is not None
     assert w.lift(kernel(restricted.shift(-r))) == w.intersection(kernel(a.shift(-r)))
@@ -1094,6 +1094,57 @@ def test_algebra_closure_ignores_generator_order_and_products(data):
         extended.append(extended[i] * extended[j])
     assert algebra_closure(extended) == basis
     assert algebra_closure(data.draw(st.permutations(extended))) == basis
+
+
+# a dense change of basis over K: no entry is zero
+DENSE = M((1, ZETA, 2), (SQRT2, 1, I_UNIT), (-1, 3, ONE + SQRT2))
+E12, E13, E23, E31 = (matrix_unit(3, i, j) for i, j in ((0, 1), (0, 2), (1, 2), (2, 0)))
+
+
+@pytest.mark.parametrize("p", [Matrix.identity(3), DENSE], ids=["plain", "disguised"])
+@pytest.mark.parametrize("gens, dim", [
+    # E12 again, and E13 = E12 E23, which the span holds once E23 has joined
+    ([E12, E23, E12, E13], 4),
+    # then E31 gives all of M_3, but only if the products found after it
+    # are multiplied by E12 and E23 as well
+    ([E12, E23, E12, E13, E31], 9),
+], ids=["proper", "full"])
+def test_algebra_closure_matches_the_reference_after_a_change_of_basis(gens, dim, p):
+    p_inv = p.inverse()
+    disguised = [p * g * p_inv for g in gens]
+    basis = algebra_closure(disguised)
+    assert len(basis) == dim
+    assert basis == reference_algebra_closure(disguised)
+
+
+# The closures that spectral.irreducibility_certificate takes on three
+# catalog sets, in its generator order [A_1, *witness, A_2, ...]: the
+# number of products and of _insert calls is fixed, so a faster closure
+# has to get there through cheaper operands, not by checking fewer products.
+@pytest.mark.parametrize("make, dim, products, inserts", [
+    (lambda: catalog.sporadic4(2), 12, 44, 52),
+    (lambda: catalog.suspension_simplex(4, 3), 21, 100, 110),
+    (lambda: catalog.induction(catalog.standard(2, 1, 3), 1, 2), 36, 68, 72),
+], ids=["sporadic4", "suspension-simplex4", "induction6"])
+def test_algebra_closure_makes_a_fixed_number_of_products(monkeypatch, make, dim,
+                                                          products, inserts):
+    t = make()
+    gens = [*t.elements[:1], *t.witness, *t.elements[1:]]
+    calls = {"mul": 0, "insert": 0}
+    mul, insert = Matrix.__mul__, linalg._insert
+
+    def counted_mul(x, y):
+        calls["mul"] += 1
+        return mul(x, y)
+
+    def counted_insert(v, echelon):
+        calls["insert"] += 1
+        return insert(v, echelon)
+
+    monkeypatch.setattr(Matrix, "__mul__", counted_mul)
+    monkeypatch.setattr(linalg, "_insert", counted_insert)
+    assert len(algebra_closure(gens)) == dim
+    assert calls == {"mul": products, "insert": inserts}
 
 
 # ------------------------------------ solution spaces in one elimination
