@@ -29,7 +29,6 @@ from .field import (
     TWO,
     ZERO,
     ZETA,
-    ZETA_INV,
     Scalar,
     as_scalar,
 )
@@ -308,7 +307,6 @@ def ncsimplex(k, lam=2, mu=1):
 # the five-element family in dimension four
 
 _THIRD = Scalar.rational(1, 3)
-_SIXTH = Scalar.rational(1, 6)
 
 
 def tilde_sigma5_rep():
@@ -330,25 +328,9 @@ def tilde_sigma5_rep():
     ]
 
 
-def _plane_representatives():
-    eye = Matrix.identity(2)
-    zero = Matrix.zero(2, 2)
-    a4 = _diag([ZETA, ZETA_INV])
-    s36 = I_UNIT * SQRT3 * _SIXTH
-    s63 = I_UNIT * SQRT6 * _THIRD
-    a5 = Matrix([[HALF + s36, s63], [s63, HALF - s36]])
-    return [
-        Matrix.block([[eye], [zero]]),
-        Matrix.block([[zero], [eye]]),
-        Matrix.block([[eye], [eye]]),
-        Matrix.block([[a4], [eye]]),
-        Matrix.block([[a5], [eye]]),
-    ]
-
-
 def _first_complement():
     s612 = I_UNIT * SQRT6 * Scalar.rational(1, 12)
-    s36 = I_UNIT * SQRT3 * _SIXTH
+    s36 = I_UNIT * SQRT3 * Scalar.rational(1, 6)
     return Matrix([
         [s612, HALF + s36],
         [HALF - s36, s612],
@@ -357,41 +339,51 @@ def _first_complement():
     ])
 
 
-def _staircase(ts):
-    """Lifts L_i with L_1 = I and L_{i+1} = T_i L_i, sending index 1 to i."""
-    lifts = [Matrix.identity(4)]
+def _first_plane():
+    """(I; 0), whose columns span e1, e2."""
+    return Matrix.block([[Matrix.identity(2)], [Matrix.zero(2, 2)]])
+
+
+def _staircase(ts, w):
+    """The images L_i·w under the lifts L_1 = I and L_{i+1} = T_i L_i,
+    which send index 1 to i."""
+    images = [w]
     for t in ts:
-        lifts.append(t * lifts[-1])
-    return lifts
+        images.append(t * images[-1])
+    return images
+
+
+def _orbit(ts, w):
+    """The column spans of the images L_i·w."""
+    return [Subspace.from_matrix_columns(m) for m in _staircase(ts, w)]
 
 
 def tilde_sigma5_arrangement():
-    """Five pairwise-complementary 2-planes in K^4, permuted by the spin
-    representation matrices."""
-    planes = [Subspace.from_matrix_columns(w) for w in _plane_representatives()]
-    return Arrangement(planes, witness=tilde_sigma5_rep())
+    """Five pairwise-complementary 2-planes in K^4: the orbit of
+    span(e1, e2) under the spin generators, which permute them."""
+    ts = tilde_sigma5_rep()
+    return Arrangement(_orbit(ts, _first_plane()), witness=ts)
 
 
 def tilde_sigma5_system():
-    """Each of the five 2-planes paired with its transported complement."""
+    """Each 2-plane L_i·span(e1, e2) of the arrangement paired with its
+    complement, the image L_i·W of one complement W of span(e1, e2)."""
     ts = tilde_sigma5_rep()
-    lifts = _staircase(ts)
-    w1a = _first_complement()
-    planes = [Subspace.from_matrix_columns(w) for w in _plane_representatives()]
-    comps = [Subspace.from_matrix_columns(l * w1a) for l in lifts]
-    return DecompositionSystem(list(zip(planes, comps)), witness=ts)
+    pairs = zip(_orbit(ts, _first_plane()), _orbit(ts, _first_complement()))
+    return DecompositionSystem(list(pairs), witness=ts)
 
 
 def tilde_sigma5_construction(lam=2, mu=1):
-    """Five matrices with eigenvalue lam on the i-th 2-plane and mu on its
-    complement, conjugate-transported along the spin generators."""
+    """Five matrices, the i-th with eigenvalue lam on the 2-plane
+    L_i·span(e1, e2) and mu on its complement L_i·W, the pairs of
+    ``tilde_sigma5_system``: A_i = L_i·A_1·L_i^(-1)."""
     lam, mu = as_scalar(lam), as_scalar(mu)
     if lam == mu:
         raise EqualEigenvalues("plane and complement eigenvalues coincide")
     ts = tilde_sigma5_rep()
-    m = Matrix.block([[_plane_representatives()[0], _first_complement()]])
+    m = Matrix.block([[_first_plane(), _first_complement()]])
     base = m * _diag([lam, lam, mu, mu]) * m.inverse()
-    elements = [l * base * l.inverse() for l in _staircase(ts)]
+    elements = [l * base * l.inverse() for l in _staircase(ts, Matrix.identity(4))]
     return Tss(elements, witness=ts, params=(lam, mu))
 
 

@@ -417,8 +417,8 @@ def dual_arrangement(a):
 def reduce_arrangement(a):
     """Quotient out the common intersection Q of all planes.
 
-    The result lives in K^n/Q = K^(n-q), in the coordinates of
-    ``Subspace.quotient``: the planes are their images there
+    The result lives in K^n/Q = K^(n-q), in the coordinates of the
+    quotients of ``Subspace.blocks``: the planes are their images there
     (``Subspace.modulo``) and the witnesses descend to their quotient
     matrices.  Already-reduced arrangements are returned unchanged.
     """
@@ -427,11 +427,12 @@ def reduce_arrangement(a):
         q = q.intersection(w)
     if q.dim == 0:
         return a
-    witness = None
-    if a.witness is not None:
-        witness = [q.quotient(p) for p in a.witness]
-        if None in witness:
+    witness = a.witness
+    if witness:
+        blocks = q.blocks(witness)
+        if blocks is None:
             raise NotInvariant("subspace is not invariant")
+        witness = blocks[1]
     return Arrangement([w.modulo(q) for w in a.planes], witness=witness)
 
 

@@ -636,28 +636,13 @@ class Subspace:
         index = {f: i for i, f in enumerate(f for f in range(self.n) if f not in echelon)}
         return [{index[f]: x for f, x in _reduce(row, echelon).items()} for row in rows]
 
-    def quotient(self, mat):
-        """The matrix of mat on K^n/W, for a proper subspace W, in the basis
-        of ``_cosets``, or None when mat does not map W into itself."""
-        if self.dim == self.n:
-            raise ValueError("quotient by the whole space")
-        if not self.maps_into(mat, self):
-            return None
-        return self._quotient(mat)
-
-    def _quotient(self, mat):
-        """``quotient`` for a mat known to map W into itself: its column f
-        is the coset of mat·e_f, for each non-pivot column f."""
-        free = [f for f in range(self.n) if f not in self._echelon]
-        images = _columns(mat)
-        columns = self._cosets(images[f] for f in free)
-        return _from_nonzero(columns, len(free)).transpose()
-
     def blocks(self, mats):
         """(restrictions, quotients) of the square matrices mats on this
-        proper nonzero subspace W, as ``restriction`` and ``quotient`` give
-        them, or None when some matrix does not map W into itself.  Every
-        matrix is restricted, which checks its invariance, before any
+        proper nonzero subspace W, or None when some matrix does not map W
+        into itself.  Restrictions are as ``restriction`` gives them; the
+        quotient of mat is its matrix on K^n/W in the basis of ``_cosets``,
+        whose column f is the coset of mat·e_f for each non-pivot column f.
+        Every matrix is restricted, which checks its invariance, before any
         quotient is built, so no invariance is checked twice."""
         if self.dim == self.n:
             raise ValueError("quotient by the whole space")
@@ -667,11 +652,17 @@ class Subspace:
             if restricted is None:
                 return None
             restrictions.append(restricted)
-        return restrictions, [self._quotient(mat) for mat in mats]
+        free = [f for f in range(self.n) if f not in self._echelon]
+        quotients = []
+        for mat in mats:
+            images = _columns(mat)
+            columns = self._cosets(images[f] for f in free)
+            quotients.append(_from_nonzero(columns, len(free)).transpose())
+        return restrictions, quotients
 
     def modulo(self, q):
         """The image of this subspace in K^n/q, a subspace of K^(n - dim q)
-        in the coordinates of ``q.quotient``."""
+        in the coordinates of the quotients of ``q.blocks``."""
         _require_same_ambient(self.n, q.n)
         return Subspace(q._cosets(self.rows), q.n - q.dim)
 

@@ -466,20 +466,20 @@ class ProperAlgebra:
     invariant_subspace: Subspace | None = None
 
 
-def irreducibility_certificate(t, witness=None):
-    """Burnside test: the set is irreducible relative to its witness exactly
-    when elements plus witness matrices generate the full matrix algebra.
+def irreducibility_certificate(t):
+    """Burnside test: the set is irreducible relative to its witness
+    ``t.witness`` exactly when elements plus witness matrices generate the
+    full matrix algebra.  Raises ValueError when the set has no witness.
 
     On a proper closure, searches for a K-rational invariant subspace as the
     module generated by an eigenvector.
     """
-    witness = witness if witness is not None else t.witness
-    if witness is None:
+    if t.witness is None:
         raise ValueError("needs a realization witness")
     # A_2..A_k are conjugates of A_1 by a realizing witness, so the closure
     # finds them in its span and skips them; the witness is not trusted, and
     # an A_i outside the span is still multiplied in
-    basis = algebra_closure([*t.elements[:1], *witness, *t.elements[1:]])
+    basis = algebra_closure([*t.elements[:1], *t.witness, *t.elements[1:]])
     if len(basis) == t.n * t.n:
         return FullAlgebra(len(basis))
     return ProperAlgebra(len(basis), _invariant_submodule(t, basis))

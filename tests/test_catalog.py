@@ -489,6 +489,17 @@ def test_spin_construction_matches_eigenspace_construction():
         tilde_sigma5_system(), [2, 1])
 
 
+@pytest.mark.parametrize("lam, mu", [(2, 1), (3, -1), (1, -1), (r(1, 3), I_UNIT)])
+def test_spin_construction_is_the_eigenspace_construction_of_the_system(lam, mu):
+    # no construct digest covers the system's complements L_i·W; this pins
+    # them through the set they build, field for field and byte for byte
+    built = tilde_sigma5_construction(lam, mu)
+    via = eigenspace_construction(tilde_sigma5_system(), [lam, mu])
+    assert built.elements == via.elements
+    assert built.witness == via.witness and built.params == via.params
+    assert emit(to_document(built)) == emit(to_document(via))
+
+
 def test_spin_construction_verifies():
     t = tilde_sigma5_construction()
     cert = verify_tss(t)

@@ -16,8 +16,17 @@ from totsym.catalog import simplex_arrangement, simplex_system, standard, tilde_
 from totsym.cli import main
 from totsym.core import Tss
 from totsym.field import ONE
-from totsym.linalg import Matrix
-from totsym.serialize import FIELD_BASIS, document, emit, from_document, parse, to_document
+from totsym.linalg import Matrix, Subspace
+from totsym.serialize import (
+    FIELD_BASIS,
+    document,
+    emit,
+    from_document,
+    matrix_to_json,
+    parse,
+    subspace_to_json,
+    to_document,
+)
 from totsym.suite import format_report, run_suite, spin_presentation_checks
 
 
@@ -488,6 +497,62 @@ def test_one_mutation_never_raises(fuzz_dir, data):
     doc.write_text(json.dumps(tree))
     for command in ("verify", "export", "classify", "stabilizer"):
         assert run(command, "--in", str(doc), "--out", str(out)) in (0, 1, 2)
+
+
+def _line(n, i):
+    return subspace_to_json(Subspace([[int(j == i) for j in range(n)]], n))
+
+
+def _export(kind, payload):
+    """argv for `tss export` of a document that parses as JSON but that no
+    set, arrangement or system fits."""
+    def argv(tmp_path):
+        path = tmp_path / "doc.json"
+        path.write_text(emit(document(kind, payload)))
+        return ["export", "--in", str(path)]
+    return argv
+
+
+def _induction_p0(tmp_path):
+    base = tmp_path / "base.json"
+    assert run("construct", *INDUCTION_BASE, "--out", str(base)) == 0
+    return ["construct", "induction", "--in", str(base), "--p", "0", "--lambda", "5"]
+
+
+BAD_INPUT = {
+    "non-square-element": (_export("tss", {
+        "n": 2, "k": 1, "elements": [matrix_to_json(Matrix([[1, 0, 0], [0, 1, 0]]))],
+    }), "elements must be square and equal-sized"),
+    "elements-of-two-sizes": (_export("tss", {
+        "n": 2, "k": 2,
+        "elements": [matrix_to_json(Matrix.identity(2)), matrix_to_json(Matrix.identity(3))],
+    }), "elements must be square and equal-sized"),
+    "planes-of-two-ambients": (_export("arrangement", {
+        "n": 2, "k": 2, "d": 1, "planes": [_line(2, 0), _line(3, 0)],
+    }), "planes must share ambient and plane dimension"),
+    "ragged-grid": (_export("system", {
+        "n": 2, "k": 2, "parts": 2,
+        "grid": [[_line(2, 0), _line(2, 1)], [subspace_to_json(Subspace.full(2))]],
+    }), "ragged grid"),
+    "short-row": (_export("system", {
+        "n": 2, "k": 1, "parts": 1, "grid": [[_line(2, 0)]],
+    }), "row dimensions do not sum to the ambient dimension"),
+    "standard-k0": (lambda _: ["construct", "standard", "--k", "0"], "need k >= 1"),
+    "simplex-n0": (lambda _: ["construct", "simplex", "--n", "0"], "need n >= 1"),
+    "dual-simplex-n0": (lambda _: ["construct", "dual-simplex", "--n", "0"], "need n >= 1"),
+    "ncsimplex-k1": (lambda _: ["construct", "ncsimplex", "--k", "1"], "need k >= 2"),
+    "induction-p0": (_induction_p0, "need at least one new index"),
+    "missing-file": (lambda d: ["verify", "--in", str(d / "missing.json")], "cannot read"),
+    "directory": (lambda d: ["verify", "--in", str(d)], "cannot read"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_INPUT))
+def test_bad_input_names_its_fault_and_exits_2(tmp_path, capsys, name):
+    argv, message = BAD_INPUT[name]
+    assert run(*argv(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
 
 
 def test_verify_garbage_exit_2(tmp_path, capsys):

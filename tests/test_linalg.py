@@ -224,14 +224,14 @@ def test_quotient_and_modulo_in_the_coordinates_off_the_pivots():
     a = M((1, 1, 0), (0, 2, 0), (0, 0, 1))
     w = Subspace([(1, 0, 1)], 3)
     assert w.maps_into(a, w)
-    # a·e1 = e0 + 2 e1 = 2 e1 - e2 + (e0 + e2), and a·e2 = e2
-    assert w.quotient(a) == M((2, 0), (-1, 1))
-    assert w.quotient(M((0, 1, 0), (1, 0, 0), (0, 0, 1))) is None
+    # a·(e0 + e2) = e0 + e2; a·e1 = e0 + 2 e1 = 2 e1 - e2 + (e0 + e2), and
+    # a·e2 = e2
+    assert w.blocks([a]) == ([M((1,))], [M((2, 0), (-1, 1))])
+    assert w.blocks([a, M((0, 1, 0), (1, 0, 0), (0, 0, 1))]) is None
     assert Subspace([(0, 1, 0)], 3).modulo(w) == Subspace([(1, 0)], 2)
     assert Subspace([(1, 0, 0)], 3).modulo(w) == Subspace([(0, -1)], 2)
-    assert Subspace([], 3).quotient(a) == a
     with pytest.raises(ValueError):
-        Subspace.full(3).quotient(a)
+        Subspace.full(3).blocks([a])
 
 
 def test_subspace_eigenspaces_split_inside_the_subspace():

@@ -327,6 +327,14 @@ def test_kind_mismatch():
         from_document(doc, expect="arrangement")
 
 
+def test_report_round_trip():
+    report = {"verdict": "TotallySymmetric", "dim": 1,
+              "checks": [{"name": "spin.braid", "passed": True}]}
+    doc = to_document(report)
+    assert doc["kind"] == "report"
+    assert from_document(parse(emit(doc)), expect="report") == report
+
+
 def test_certificate_payload_fields():
     d = certificate_to_json(Certificate(
         "NotTotallySymmetric",

@@ -600,7 +600,7 @@ def test_certificate_needs_witness():
     with pytest.raises(ValueError):
         irreducibility_certificate(Tss([diag(1, 2), diag(2, 1)]))
     with pytest.raises(ValueError):  # no elements and no witness matrices
-        irreducibility_certificate(Tss([], n=2), [])
+        irreducibility_certificate(Tss([], n=2, witness=[]))
 
 
 @pytest.mark.parametrize("k,p", [(1, 1), (2, 1), (1, 2), (2, 2)])
@@ -641,7 +641,7 @@ def test_certificate_does_not_trust_the_witness(t, witness):
     # a witness that does not realize the set: A_2..A_k may lie outside the
     # algebra of A_1 and the witness, and must still be multiplied in
     basis = reference_algebra_closure(list(t.elements) + list(witness))
-    cert = irreducibility_certificate(t, witness)
+    cert = irreducibility_certificate(Tss(t.elements, witness=witness, params=t.params))
     if len(basis) == t.n * t.n:
         assert cert == FullAlgebra(t.n * t.n)
     else:
