@@ -5,7 +5,7 @@ Scalar}``, which ``Matrix.nonzero_rows`` reads and ``Matrix.from_nonzero_rows``
 takes, as documents do; the dense tuple of rows is a view built on access
 for the edges that want tuples (printing, submatrices).  Products run over the
 nonzero rows, and every elimination (determinant, inverse, kernel,
-subspace bases and intersections, algebra closure) goes through one
+subspace bases, sums and intersections, algebra closure) goes through one
 sparse-row Gauss-Jordan routine, ``_insert``, over rows of that form.
 Subspaces keep that reduced echelon form, which is canonical, so equality of
 subspaces is plain ``==``.  A kernel, and so each solution space, takes one
@@ -550,8 +550,18 @@ class Subspace:
         return all(not _reduce(row, self._echelon) for row in other.rows)
 
     def __add__(self, other):
+        """The sum U + W: the echelon rows of the smaller operand inserted
+        into a copy of the larger one's reduced echelon form, which is not
+        eliminated again.  When the smaller is zero or the larger is all of
+        K^n, the larger is the sum as it stands.  Neither operand changes."""
         _require_same_ambient(self.n, other.n)
-        return Subspace(self.rows + other.rows, self.n)
+        big, small = (self, other) if self.dim >= other.dim else (other, self)
+        if big.dim == big.n or not small.pivots:
+            return big
+        echelon = {p: dict(row) for p, row in big._echelon.items()}
+        for row in small.rows:
+            _insert(row, echelon)
+        return _from_echelon(echelon, self.n)
 
     def intersection(self, other):
         """Zassenhaus: reduce [B1|B1; B2|0], read the intersection off the

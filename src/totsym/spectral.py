@@ -92,12 +92,22 @@ def is_commutative(t):
 # filtrations
 
 
-def generalized_eigenspace(a, lam, c):
-    """Kernel of (A - lam*I)^c."""
+def _power(a, lam, c):
+    """(A - lam*I)^c, for a degree c >= 1."""
     if c < 1:
         raise ValueError("need degree c >= 1")
-    lam = as_scalar(lam)
-    return kernel(a.shift(-lam) ** c)
+    return a.shift(-as_scalar(lam)) ** c
+
+
+def _row_space(a, lam, c):
+    """The row space of (A - lam*I)^c, whose annihilator is the degree-c
+    generalized lam-eigenspace of A."""
+    return Subspace(_power(a, lam, c).nonzero_rows, a.n)
+
+
+def generalized_eigenspace(a, lam, c):
+    """Kernel of (A - lam*I)^c."""
+    return kernel(_power(a, lam, c))
 
 
 @dataclass(frozen=True, slots=True)
@@ -143,12 +153,14 @@ def filtration(a, lam):
 
 def jfold(t, lam, c, s):
     """Intersection of the degree-c generalized lam-eigenspaces over the
-    index subset s."""
+    index subset s: the common kernel of the (A_i - lam*I)^c for i in s,
+    which is the annihilator of the sum of their row spaces.  No subspace
+    is intersected; the empty subset gives all of K^n."""
     lam = as_scalar(lam)
-    out = Subspace.full(t.n)
+    total = Subspace([], t.n)
     for i in sorted(set(s)):
-        out = out.intersection(generalized_eigenspace(t.elements[i], lam, c))
-    return out
+        total = total + _row_space(t.elements[i], lam, c)
+    return total.annihilator()
 
 
 # ---------------------------------------------------------------------------
@@ -178,26 +190,31 @@ def depth_profile(t, lam):
 
     The table entry mu(j) is taken from the canonical subset {0..j-1}; for
     k <= 5 every same-size subset is cross-checked to give the same
-    dimension.  Each meet over a sorted index tuple is its prefix's meet
-    intersected once more, so subsets sharing a prefix share its work.
+    dimension.  Only dimensions are needed: the j-fold eigenspace over an
+    index tuple is the common kernel of the A_i - lam*I, so its dimension
+    is n minus that of the sum of their row spaces R_i.  Each sorted tuple's
+    sum is its prefix's sum plus R_last, so subsets sharing a prefix share
+    its work, and a sum that is all of K^n is every longer tuple's sum with
+    no elimination.  No subspace is intersected and no kernel is solved.
     """
     lam = as_scalar(lam)
-    firsts = [generalized_eigenspace(a, lam, 1) for a in t.elements]
-    if all(e.dim == 0 for e in firsts):
+    n = t.n
+    row_spaces = [_row_space(a, lam, 1) for a in t.elements]
+    if all(r.dim == n for r in row_spaces):
         raise NotAnEigenvalue(f"{lam!r} is not an eigenvalue")
-    meets = {(i,): e for i, e in enumerate(firsts)}
+    sums = {(i,): r for i, r in enumerate(row_spaces)}
 
-    def meet(indices):
-        out = meets.get(indices)
+    def row_sum(indices):
+        out = sums.get(indices)
         if out is None:
-            out = meets[indices] = meet(indices[:-1]).intersection(firsts[indices[-1]])
+            out = sums[indices] = row_sum(indices[:-1]) + row_spaces[indices[-1]]
         return out
 
     mu = []
     for j in range(1, t.k + 1):
-        dim = meet(tuple(range(j))).dim
+        dim = n - row_sum(tuple(range(j))).dim
         if t.k <= 5:
-            ensure(all(meet(s).dim == dim for s in combinations(range(t.k), j)),
+            ensure(all(n - row_sum(s).dim == dim for s in combinations(range(t.k), j)),
                    f"{j}-fold eigenspace dimension depends on the subset")
         mu.append(dim)
     return DepthProfile(lam, mu)

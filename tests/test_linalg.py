@@ -210,6 +210,39 @@ def test_grassmann_formula(vs, ws):
     assert u.contains_space(cap) and w.contains_space(cap)
 
 
+@st.composite
+def sparse_subspaces(draw, n):
+    """Subspaces of K^n spanned by up to n + 1 sparse vectors, so the zero
+    space and all of K^n both turn up; each vector has at most three
+    entries."""
+    entries = st.dictionaries(st.integers(0, n - 1), pattern_scalar, max_size=3)
+    return Subspace(draw(st.lists(entries, max_size=n + 1)), n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(sparse_subspaces(n),
+                                                     sparse_subspaces(n))))
+@example((Subspace([], 3), Subspace([{0: SQRT2, 2: ONE}], 3)))
+@example((Subspace([{1: ONE}], 3), Subspace([], 3)))
+@example((Subspace.full(3), Subspace([{0: ONE, 1: ZETA}], 3)))
+@example((Subspace([{0: ONE, 2: I_UNIT}, {1: ONE}], 3), Subspace.full(3)))
+@example((Subspace([], 2), Subspace.full(2)))
+def test_subspace_sum_extends_one_echelon_form(pair):
+    u, w = pair
+    n = u.n
+    before = [(hash(s), s.rows) for s in (u, w)]
+    total = u + w
+    assert total == Subspace(u.rows + w.rows, n)
+    assert total == w + u
+    assert total.dim + u.intersection(w).dim == u.dim + w.dim
+    # neither operand changes: each hashes, reads and compares as before
+    for s, (h, rows) in zip((u, w), before):
+        assert hash(s) == h and s.rows == rows and s == Subspace(rows, n)
+    zero, full = Subspace([], n), Subspace.full(n)
+    assert u + zero == u == zero + u
+    assert u + full == full == full + u
+
+
 def test_invariance_and_image():
     a = M((0, 1), (0, 0))
     line = Subspace([(1, 0)], 2)

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings
@@ -51,6 +52,7 @@ from oracles import (
     reference_apply,
     reference_classify,
     reference_depth_table,
+    reference_meet,
 )
 
 
@@ -140,6 +142,44 @@ def test_jfold_triple_intersection_vanishes():
 def test_jfold_empty_subset_is_everything():
     t = standard(2, 1, 2)
     assert jfold(t, 1, 1, []) == Subspace.full(2)
+
+
+def test_jfold_needs_positive_degree():
+    with pytest.raises(ValueError):
+        jfold(standard(3, 1, 2), 1, 0, [0])
+
+
+@st.composite
+def disguised_triangular_sets(draw):
+    """Up to four upper triangular matrices of size n <= 4, diagonal entries
+    in {0, 1, 2} and entries above it in {0, 1}, so Jordan blocks turn up,
+    seen through a unit upper triangular change of basis."""
+    n = draw(st.integers(1, 4))
+    p = Matrix([[1 if i == j else (draw(st.integers(-1, 1)) if j > i else 0)
+                 for j in range(n)] for i in range(n)])
+    p_inv = p.inverse()
+
+    def triangular():
+        return Matrix([[draw(st.integers(0, 2)) if i == j
+                        else (draw(st.integers(0, 1)) if j > i else 0)
+                        for j in range(n)] for i in range(n)])
+
+    return Tss([p * triangular() * p_inv for _ in range(draw(st.integers(1, 4)))])
+
+
+@settings(max_examples=40, deadline=None)
+@given(disguised_triangular_sets(), st.integers(0, 2), st.sampled_from([1, 2]))
+@example(suspension_simplex(3, 2), 2, 2)
+@example(suspension_simplex(3, 2), 2, 1)
+@example(ncsimplex(4), 2, 1)
+def test_jfold_matches_the_intersection_reference(t, lam, c):
+    # every index subset, given unsorted and with repeats as well
+    firsts = [generalized_eigenspace(a, lam, c) for a in t.elements]
+    for j in range(t.k + 1):
+        for s in combinations(range(t.k), j):
+            expected = reference_meet(firsts, s, t.n)
+            assert jfold(t, lam, c, s) == expected
+            assert jfold(t, lam, c, [*s, *s][::-1]) == expected
 
 
 def test_filtration_invariants_raise():
@@ -252,6 +292,10 @@ def disguised_diagonal_sets(draw):
 @example(partition_construction([1, 1, 2]), 1)
 @example(ncsimplex(4), 1)
 @example(Tss([diag(2, 2)] * 3), 2)
+# pair sums of row spaces that are already all of K^n: every longer tuple
+# takes the full-rank sum as it stands
+@example(ncsimplex(5), 2)
+@example(standard(5), 1)
 def test_depth_profile_matches_the_from_scratch_reference(t, lam):
     firsts = [generalized_eigenspace(a, lam, 1) for a in t.elements]
     table = reference_depth_table(firsts, t.n)
