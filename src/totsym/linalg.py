@@ -12,8 +12,10 @@ subspaces is plain ``==``.  A kernel, and so each solution space, takes one
 elimination: ``null_space`` first pins the unknowns that single-entry rows
 force to zero, pivots each remaining row at its last nonzero column, and
 the kernel basis it then reads off is already canonical, so it is not
-reduced a second time.  The intertwiners of diagonal families need no
-elimination at all: ``intertwiner_space`` reads them off the diagonals.
+reduced a second time.  Diagonal families need no elimination at all:
+``diagonal_groups`` groups their coordinates by column of diagonal entries,
+and ``intertwiner_space`` reads its coordinate subspace
+(``Subspace.coordinate``) off those groups.
 A Subspace is also where a matrix meets a
 subspace: containment of images (``maps_into``), the restriction, the
 quotient and the image in a quotient are all read off that form, in the
@@ -34,6 +36,7 @@ __all__ = [
     "algebra_closure",
     "char_poly",
     "conjugate_space",
+    "diagonal_groups",
     "intertwiner_space",
     "invertible_in_space",
     "kernel",
@@ -165,13 +168,17 @@ class Matrix:
         return sum((row[i] for i, row in enumerate(self._nonzero) if i in row), ZERO)
 
     def diagonal(self):
-        """The diagonal entries of a square diagonal matrix, else None."""
+        """The diagonal entries of a square diagonal matrix, else None, which
+        is given at the first row with an entry off the diagonal."""
         if self.m != self.n:
             return None
-        rows = self._nonzero
-        if any(row.keys() - {i} for i, row in enumerate(rows)):
-            return None
-        return tuple(row.get(i, ZERO) for i, row in enumerate(rows))
+        entries = []
+        for i, row in enumerate(self._nonzero):
+            x = row.get(i)
+            if len(row) != (x is not None):
+                return None
+            entries.append(ZERO if x is None else x)
+        return tuple(entries)
 
     def is_zero(self):
         return not any(self._nonzero)
@@ -520,7 +527,16 @@ class Subspace:
 
     @classmethod
     def full(cls, n):
-        return _from_echelon({j: {} for j in range(n)}, n)
+        return cls.coordinate(range(n), n)
+
+    @classmethod
+    def coordinate(cls, indices, n):
+        """The span of the unit vectors e_j of K^n for j in ``indices``, whose
+        reduced echelon form is those unit rows as they stand."""
+        echelon = {j: {} for j in indices}
+        if echelon and not (min(echelon) >= 0 and max(echelon) < n):
+            raise ValueError("vector index outside the ambient dimension")
+        return _from_echelon(echelon, n)
 
     @classmethod
     def from_matrix_columns(cls, mat):
@@ -621,12 +637,16 @@ class Subspace:
 
         The images mat·b_j are reduced against W.  In reduced echelon form a
         vector of W has its coordinates at the pivots, so those entries of
-        the images make the columns of M.
+        the images make the columns of M.  On all of K^n the echelon basis
+        is the unit vectors, and M is mat as it stands.
         """
         _require_square(mat, "restriction")
         pivots, echelon = self.pivots, self._echelon
         if not pivots:
             raise ValueError("restriction to the zero subspace")
+        if len(pivots) == self.n:
+            _require_same_ambient(self.n, mat.n)
+            return mat
         m_rows = [{} for _ in pivots]
         for j, image in enumerate(self._images(mat)):
             for i, p in enumerate(pivots):
@@ -684,9 +704,12 @@ class Subspace:
         b_j is 1 at its pivot p_j, where no other b_i has an entry, and zero
         before it.  So the image of U's echelon row with pivot i leads with
         a 1 at p_i and is zero at p_j for U's other pivots j: the images are
-        the reduced echelon basis of B·U as they stand.
+        the reduced echelon basis of B·U as they stand.  Into all of K^n,
+        where B is the identity, U is its own lift.
         """
         _require_same_ambient(self.dim, coords.n)
+        if self.dim == self.n:
+            return coords
         pivots, echelon = self.pivots, self._echelon
         lifted = {}
         for i, x in coords._echelon.items():
@@ -835,6 +858,27 @@ def char_poly(a):
 # intertwiners and algebra closure
 
 
+def diagonal_groups(mats):
+    """The coordinates of a family of square diagonal matrices A_1..A_k,
+    grouped by their column of diagonal entries: {(A_1[c][c], ...,
+    A_k[c][c]): [the coordinates c with that column, increasing]}, keyed in
+    order of each group's first coordinate.  None for the empty family,
+    which has no coordinates to group, and at the first matrix that is not
+    diagonal, after which no matrix is read."""
+    if not mats:
+        return None
+    diagonals = []
+    for a in mats:
+        entries = a.diagonal()
+        if entries is None:
+            return None
+        diagonals.append(entries)
+    groups = {}
+    for c, column in enumerate(zip(*diagonals)):
+        groups.setdefault(column, []).append(c)
+    return groups
+
+
 def intertwiner_space(as_, bs):
     """The space of X with X @ as_[i] == bs[i] @ X, as row-major vectors.
 
@@ -850,9 +894,9 @@ def intertwiner_space(as_, bs):
     A family of diagonal matrices needs no elimination.  There entry (r, c)
     is X[r][c]·(a_i,c - b_i,r), so the space is spanned by the unit
     matrices e_rc whose column c of the A's and row r of the B's carry the
-    same tuple of diagonal entries (a_i,c)_i = (b_i,r)_i.  Their
-    vectorisations are the unit vectors at r·n + c, which are already the
-    canonical echelon basis.
+    same tuple of diagonal entries (a_i,c)_i = (b_i,r)_i, the groups of
+    ``diagonal_groups``.  Their vectorisations are the unit vectors at
+    r·n + c: a coordinate subspace.
     """
     if len(as_) != len(bs):
         raise ValueError("mismatched family lengths")
@@ -860,15 +904,13 @@ def intertwiner_space(as_, bs):
         raise ValueError("need at least one pair")
     n = as_[0].n
     m = bs[0].n
-    a_diagonals = [a.diagonal() for a in as_]
-    if None not in a_diagonals:
-        b_diagonals = [b.diagonal() for b in bs]
-        if None not in b_diagonals:
-            columns = {}  # the tuple (a_i,c)_i -> the columns c that carry it
-            for c, key in enumerate(zip(*a_diagonals)):
-                columns.setdefault(key, []).append(c)
-            return _from_echelon({r * n + c: {} for r, key in enumerate(zip(*b_diagonals))
-                                  for c in columns.get(key, ())}, m * n)
+    a_groups = diagonal_groups(as_)
+    if a_groups is not None:
+        b_groups = diagonal_groups(bs)
+        if b_groups is not None:
+            return Subspace.coordinate((r * n + c for key, rows in b_groups.items()
+                                        for r in rows for c in a_groups.get(key, ())),
+                                       m * n)
     # entry (r, c) of X a - b X, unknowns X[p, q] at index p*n + q: A's
     # column c at r*n + q and B's row r, negated, at p*n + c, which meet
     # only at r*n + c, where the entry is a[c][c] - b[r][r]

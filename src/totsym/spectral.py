@@ -26,6 +26,7 @@ from .linalg import (
     Subspace,
     algebra_closure,
     char_poly,
+    diagonal_groups,
     kernel,
     mat_vec,
 )
@@ -196,8 +197,14 @@ def depth_profile(t, lam):
     sum is its prefix's sum plus R_last, so subsets sharing a prefix share
     its work, and a sum that is all of K^n is every longer tuple's sum with
     no elimination.  No subspace is intersected and no kernel is solved.
+
+    A nonempty family of diagonal matrices needs no row space: its table
+    is counted off its columns of diagonal entries (``diagonal_groups``).
     """
     lam = as_scalar(lam)
+    groups = diagonal_groups(t.elements)
+    if groups is not None:
+        return _diagonal_depth_profile(t, lam, groups)
     n = t.n
     row_spaces = [_row_space(a, lam, 1) for a in t.elements]
     if all(r.dim == n for r in row_spaces):
@@ -215,6 +222,30 @@ def depth_profile(t, lam):
         dim = n - row_sum(tuple(range(j))).dim
         if t.k <= 5:
             ensure(all(n - row_sum(s).dim == dim for s in combinations(range(t.k), j)),
+                   f"{j}-fold eigenspace dimension depends on the subset")
+        mu.append(dim)
+    return DepthProfile(lam, mu)
+
+
+def _diagonal_depth_profile(t, lam, groups):
+    """``depth_profile`` of a diagonal family with the column groups
+    ``groups``: the j-fold dimension over an index tuple is the number of
+    coordinates whose column is lam at every index in it, with the same
+    eigenvalue test and subset cross-check as the rank path."""
+    counts = Counter()  # {the indices where a column is lam: its coordinates}
+    for column, coords in groups.items():
+        counts[frozenset(i for i, x in enumerate(column) if x == lam)] += len(coords)
+
+    def fold_dim(indices):
+        return sum(m for where, m in counts.items() if where.issuperset(indices))
+
+    if all(fold_dim((i,)) == 0 for i in range(t.k)):
+        raise NotAnEigenvalue(f"{lam!r} is not an eigenvalue")
+    mu = []
+    for j in range(1, t.k + 1):
+        dim = fold_dim(tuple(range(j)))
+        if t.k <= 5:
+            ensure(all(fold_dim(s) == dim for s in combinations(range(t.k), j)),
                    f"{j}-fold eigenspace dimension depends on the subset")
         mu.append(dim)
     return DepthProfile(lam, mu)
@@ -351,7 +382,10 @@ def classify_commutative(t, pool=()):
     k-tuple of eigenvalues its basis vector sees.  The set is the diagonal
     model of a weight exactly when those tuples enumerate a free
     permutation orbit, each tuple once.  Raises NotCommutative whenever two
-    elements do not commute, whatever else the refinement finds.
+    elements do not commute, whatever else the refinement finds.  A
+    nonempty family of diagonal matrices, such as the catalog's diagonal
+    models, has its joint eigenspaces read off its columns of diagonal
+    entries, with no restriction, elimination or characteristic polynomial.
     """
     blocks = _joint_eigenspaces(t, tuple(pool) + tuple(t.params))
     if isinstance(blocks, ClassificationResult):
@@ -377,7 +411,19 @@ def _joint_eigenspaces(t, candidates):
     moves a block does not commute with them (NotCommutative), and a
     refinement that reaches the end has proven that all elements pairwise
     commute.
+
+    When every element is diagonal the refinement's result is known: one
+    coordinate block per group of ``diagonal_groups``, carrying its column,
+    in the refinement's order, which sorts the blocks by the sort key of
+    their entry at element 0, then at element 1, and so on.
     """
+    groups = diagonal_groups(t.elements)
+    if groups is not None:
+        # each distinct entry's place in the sort-key order, its key formed once
+        entries = sorted({x for column in groups for x in column}, key=Scalar.sort_key)
+        rank = {x: r for r, x in enumerate(entries)}
+        return [(Subspace.coordinate(coords, t.n), column) for column, coords in
+                sorted(groups.items(), key=lambda g: [rank[x] for x in g[0]])]
     blocks = [(Subspace.full(t.n), ())]
     known = candidates
     for j in range(t.k):

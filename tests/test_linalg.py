@@ -12,6 +12,7 @@ from totsym.linalg import (
     Subspace,
     algebra_closure,
     char_poly,
+    diagonal_groups,
     intertwiner_space,
     invertible_in_space,
     kernel,
@@ -197,6 +198,28 @@ def test_subspace_zero_and_full():
     assert Subspace([(0, 0, 0)], 3) == z
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 6).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.integers(0, n - 1), max_size=n))))
+@example((0, []))
+@example((3, []))
+@example((4, [3, 0, 3]))
+def test_coordinate_subspaces_are_the_spans_of_their_unit_vectors(case):
+    n, indices = case
+    units = [[ONE if i == j else ZERO for i in range(n)] for j in indices]
+    space = Subspace.coordinate(indices, n)
+    assert space == Subspace(units, n)
+    assert hash(space) == hash(Subspace(units, n))
+    assert space.pivots == tuple(sorted(set(indices)))
+
+
+def test_coordinate_subspaces_refuse_an_index_outside_the_space():
+    with pytest.raises(ValueError):
+        Subspace.coordinate([0, 3], 3)
+    with pytest.raises(ValueError):
+        Subspace.coordinate([-1], 3)
+
+
 @settings(max_examples=15, deadline=None)
 @given(
     st.lists(st.lists(small_scalar, min_size=4, max_size=4), min_size=1, max_size=3),
@@ -301,6 +324,20 @@ def test_restriction_is_in_the_echelon_basis():
         w.lift(Subspace.full(3))
 
 
+def test_all_of_k_n_restricts_and_lifts_as_it_stands():
+    # the echelon basis of K^n is the unit vectors: the restriction of a is
+    # a itself and a lift into K^n is the subspace given
+    a = M((0, 0, 1), (0, 1, 0), (1, 0, 0))
+    full = Subspace.full(3)
+    assert full.restriction(a) is a
+    u = Subspace([(1, 1, 0)], 3)
+    assert full.lift(u) is u
+    with pytest.raises(ValueError):
+        full.restriction(M((1, 0), (0, 1)))
+    with pytest.raises(ValueError):
+        full.lift(Subspace.full(2))
+
+
 @settings(max_examples=25, deadline=None)
 @given(square_matrices(2), square_matrices(2), small_scalar)
 def test_lifted_kernels_of_the_restriction_are_the_meets(top, bottom, r):
@@ -321,6 +358,20 @@ def test_matrix_diagonal():
     assert M((1, 1), (0, 2)).diagonal() is None
     assert M((0, 0), (1, 0)).diagonal() is None
     assert M((1, 0, 0), (0, 1, 0)).diagonal() is None
+    # a zero row, then a diagonal one, then one with an entry off the diagonal
+    assert M((0, 0, 0), (0, 2, 0), (1, 0, 3)).diagonal() is None
+    assert M((0, 0, 0), (0, 2, 0), (0, 0, 3)).diagonal() == (
+        ZERO, Scalar.rational(2), Scalar.rational(3))
+
+
+def test_diagonal_groups_gather_the_coordinates_of_each_column():
+    a, b = M((1, 0, 0), (0, 2, 0), (0, 0, 1)), M((0, 0, 0), (0, 0, 0), (0, 0, 5))
+    two, five = Scalar.rational(2), Scalar.rational(5)
+    assert diagonal_groups([a, b]) == {(ONE, ZERO): [0], (two, ZERO): [1], (ONE, five): [2]}
+    assert diagonal_groups([a]) == {(ONE,): [0, 2], (two,): [1]}
+    assert diagonal_groups([]) is None
+    # no matrix after the first one off the diagonal is read
+    assert diagonal_groups([a, M((1, 1, 0), (0, 1, 0), (0, 0, 1)), None]) is None
 
 
 # ----------------------------------------------------- char poly / spectra

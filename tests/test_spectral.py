@@ -3,6 +3,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from itertools import combinations
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -44,7 +45,7 @@ from totsym.spectral import (
     irreducibility_certificate,
     jfold,
 )
-from totsym.spectral import _invariant_submodule
+from totsym.spectral import _invariant_submodule, _joint_eigenspaces
 from totsym.suite import halfdim_nonexistence_suite, rep_obstruction_suite
 
 from oracles import (
@@ -172,6 +173,11 @@ def disguised_triangular_sets(draw):
 @example(suspension_simplex(3, 2), 2, 2)
 @example(suspension_simplex(3, 2), 2, 1)
 @example(ncsimplex(4), 2, 1)
+# diagonal families
+@example(standard(4, 2, 1), 2, 2)
+@example(partition_construction([1, 1, 2]), 1, 1)
+@example(induction(standard(2, 1, 2), 2, 5), 5, 2)
+@example(Tss([diag(0, 2, 0), diag(2, 2, 0)]), 0, 2)
 def test_jfold_matches_the_intersection_reference(t, lam, c):
     # every index subset, given unsorted and with repeats as well
     firsts = [generalized_eigenspace(a, lam, c) for a in t.elements]
@@ -285,8 +291,18 @@ def disguised_diagonal_sets(draw):
     return Tss([p * diag(*d) * p_inv for d in diagonals])
 
 
-@settings(max_examples=40, deadline=None)
-@given(disguised_diagonal_sets(), st.integers(0, 2))
+@st.composite
+def diagonal_sets(draw):
+    """Up to five diagonal matrices of size n <= 4 with entries in {0, 1, 2},
+    as they stand."""
+    n = draw(st.integers(1, 4))
+    entries = st.lists(st.integers(0, 2), min_size=n, max_size=n)
+    return Tss([diag(*d) for d in draw(st.lists(entries, min_size=1, max_size=5))])
+
+
+# about half the draws disguised, half diagonal as they stand
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(disguised_diagonal_sets(), diagonal_sets()), st.integers(0, 2))
 @example(standard(4, 2, 1), 2)
 @example(standard(4, 2, 1), 1)
 @example(partition_construction([1, 1, 2]), 1)
@@ -296,6 +312,8 @@ def disguised_diagonal_sets(draw):
 # takes the full-rank sum as it stands
 @example(ncsimplex(5), 2)
 @example(standard(5), 1)
+# one diagonal element with a repeated zero entry
+@example(Tss([diag(0, 0, 2)]), 0)
 def test_depth_profile_matches_the_from_scratch_reference(t, lam):
     firsts = [generalized_eigenspace(a, lam, 1) for a in t.elements]
     table = reference_depth_table(firsts, t.n)
@@ -495,10 +513,23 @@ def test_classification_matches_the_zassenhaus_reference(name):
     assert classify_commutative(t) == reference_classify(t)
 
 
-@settings(max_examples=40, deadline=None)
-@given(disguised_diagonal_sets())
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(disguised_diagonal_sets(), diagonal_sets()))
+@example(Tss([diag(0, 0, 2)]))
+@example(Tss([diag(1, 0), diag(0, 1)]))
 def test_classification_matches_the_reference_on_disguised_diagonals(t):
     assert classify_commutative(t) == reference_classify(t)
+
+
+@settings(max_examples=40, deadline=None)
+@given(diagonal_sets())
+@example(standard(3, 1, 2))
+@example(Tss([diag(2, 0, 2, 1), diag(0, 1, 0, 1)]))
+def test_diagonal_blocks_come_in_the_order_of_the_refinement(t):
+    # the blocks read off the columns are the refinement's, in its order
+    read_off = _joint_eigenspaces(t, ())
+    with mock.patch.object(totsym.spectral, "diagonal_groups", lambda mats: None):
+        assert _joint_eigenspaces(t, ()) == read_off
 
 
 @pytest.mark.parametrize("elements", [
@@ -531,6 +562,19 @@ def test_classification_proves_commutativity_by_refinement(monkeypatch):
     monkeypatch.setattr(totsym.spectral, "is_commutative",
                         lambda t: calls.append("commute") or True)
     assert classify_commutative(permutation_type([1, 2, 3, 4])).verdict == IRREDUCIBLE
+    assert calls == []
+
+
+def test_diagonal_families_are_read_off_their_columns(monkeypatch):
+    # no block is restricted, no subspace eliminated and no row space added
+    perm, std = permutation_type([1, 2, 3, 4]), standard(5)
+    calls = []
+    for name in ("restriction", "__init__", "__add__"):
+        method = getattr(Subspace, name)
+        monkeypatch.setattr(Subspace, name, lambda *a, name=name, method=method:
+                            calls.append(name) or method(*a))
+    assert classify_commutative(perm).verdict == IRREDUCIBLE
+    assert depth_profile(std, 1).mu == (1, 0, 0, 0, 0)
     assert calls == []
 
 
